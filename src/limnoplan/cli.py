@@ -8,6 +8,7 @@ failure (some lakes failed a stage), 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -15,20 +16,28 @@ from pathlib import Path
 
 from . import dataset as ds
 from .errors import ConfigError, LimnoplanError
-from .evaluation import SizeGridSpec, sample_curve
-from .imputation import ImputeConfig, impute_series
-from .joint import aggregate_configs, feasibility_grid, minimal_config
-from .models import ForestConfig
+from .evaluation import sample_curve
+from .imputation import impute_series
+from .joint import aggregate_configs, minimal_config
 from .report import (
     RunConfig,
-    derive_seed,
-    grid_to_dict,
+    grid_rows,
+    joint_payload,
+    lake_grid,
+    minimal_payload,
+    prepare_lake,
+    prepare_lakes,
+    ranking_payload,
     run_pipeline,
     train_test_table,
+    write_completed,
     write_csv,
+    write_impute_report,
     write_json,
+    write_sample_curve,
+    write_selection,
 )
-from .selection import aggregate_ranking, forward_selection, rank_features
+from .selection import forward_selection
 from .synth import config_from_dict, generate_lake
 
 
@@ -42,8 +51,10 @@ def _add_protocol_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tolerance", type=float, default=0.05)
     parser.add_argument("--lambda", dest="penalty", type=float, default=1.0, help="ridge penalty")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--n-stride", type=int, default=1, help="training-size grid stride")
-    parser.add_argument("--n-min", type=int, default=None, help="smallest training size on the grid")
+    parser.add_argument("--n-stride", dest="grid_stride", type=int, default=1, help="training-size grid stride")
+    parser.add_argument(
+        "--n-min", dest="grid_n_min", type=int, default=None, help="smallest training size on the grid"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,9 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("impute", help="complete one lake's covariates")
     _add_input(p)
     p.add_argument("--lake", type=int, required=True)
-    p.add_argument("--sweeps", type=int, default=10)
+    p.add_argument("--sweeps", dest="impute_sweeps", type=int, default=10)
     p.add_argument("--noise", choices=["on", "off"], default="off")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="completed covariate CSV")
     p.add_argument("--report", default=None, help="fit report JSON (default: <out>.json)")
 
@@ -80,24 +91,26 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(p)
     p.add_argument("--lake", type=int, required=True)
     p.add_argument("--test-years", type=int, default=5)
-    p.add_argument("--trees", type=int, default=200)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--trees", dest="n_trees", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("feature-select", help="greedy forward selection for one lake")
     _add_input(p)
     p.add_argument("--lake", type=int, required=True)
     _add_protocol_flags(p)
-    p.add_argument("--trees", type=int, default=200)
+    p.add_argument("--trees", dest="n_trees", type=int, default=200)
     p.add_argument("--out", required=True, help="CSV of k,nmae (JSON sidecar alongside)")
 
     p = sub.add_parser("joint", help="minimal (samples, features) configuration per lake")
     _add_input(p)
     p.add_argument("--lakes", default=None, help="JSON file with the lake ids to process")
     _add_protocol_flags(p)
-    p.add_argument("--trees", type=int, default=200)
+    p.add_argument("--trees", dest="n_trees", type=int, default=200)
     p.add_argument("--exclude-fallback", action="store_true")
-    p.add_argument("--global-ranking", action="store_true", help="rank once across lakes")
+    p.add_argument(
+        "--global-ranking", dest="use_global_ranking", action="store_true", help="rank once across lakes"
+    )
     p.add_argument("--out", required=True)
     p.add_argument("--emit-grid", default=None, help="dump n,k,nmae,feasible rows to CSV")
 
@@ -110,10 +123,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(p)
     p.add_argument("--lakes", default=None, help="JSON file with the lake ids to process")
     _add_protocol_flags(p)
-    p.add_argument("--trees", type=int, default=200)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--trees", dest="n_trees", type=int, default=200)
     p.add_argument("--exclude-fallback", action="store_true")
-    p.add_argument("--global-ranking", action="store_true")
+    p.add_argument("--global-ranking", dest="use_global_ranking", action="store_true")
     p.add_argument("--out-dir", required=True)
 
     return parser
@@ -145,6 +157,20 @@ def _lake_ids_from_file(path: str | None) -> tuple[int, ...] | None:
         payload = json.load(fh)
     ids = payload["lakes"] if isinstance(payload, dict) else payload
     return tuple(int(i) for i in ids)
+
+
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The run configuration a command's flags set; flags it lacks keep their defaults.
+
+    Flag destinations are named after `RunConfig` fields, except
+    `--noise` and `--lakes`, which are converted here.
+    """
+    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig) if hasattr(args, f.name)}
+    if hasattr(args, "noise"):
+        fields["impute_noise"] = args.noise == "on"
+    if hasattr(args, "lakes"):
+        fields["lake_ids"] = _lake_ids_from_file(args.lakes)
+    return RunConfig(**fields)
 
 
 def _input_digest(path: str) -> str:
@@ -200,173 +226,73 @@ def _cmd_lakes_rank(args) -> int:
 def _cmd_impute(args) -> int:
     lakes, _ = _load_lakes(args)
     series = _one_lake(lakes, args.lake)
-    config = ImputeConfig(max_sweeps=args.sweeps, add_noise=args.noise == "on", seed=args.seed)
-    completed, fit_report = impute_series(series, config)
-    write_csv(
-        Path(args.out),
-        completed.feature_schema,
-        [[repr(float(v)) for v in row] for row in completed.values],
-    )
+    config = _run_config(args)
+    completed, fit_report = impute_series(series, config.impute_config(series.lake_id))
+    write_completed(Path(args.out), completed)
     report_path = Path(args.report) if args.report else Path(args.out).with_suffix(".json")
-    write_json(
-        report_path,
-        {
-            "lake_id": series.lake_id,
-            "sweeps": fit_report.sweeps,
-            "final_delta": fit_report.final_delta,
-            "converged": fit_report.converged,
-            "fill_counts": fit_report.fill_counts,
-        },
-    )
+    write_impute_report(report_path, fit_report, lake_id=series.lake_id)
     print(f"lake {series.lake_id}: {fit_report.sweeps} sweep(s), final delta {fit_report.final_delta:.3g}")
     return 0
 
 
 def _cmd_sample_curve(args) -> int:
     lakes, _ = _load_lakes(args)
-    series = _one_lake(lakes, args.lake)
-    split = ds.split_test_block(series, args.test_years)
-    completed, _ = impute_series(series, ImputeConfig(seed=derive_seed(args.seed, series.lake_id, 0)))
-    curve = sample_curve(
-        split,
-        completed,
-        SizeGridSpec(n_min=args.n_min, stride=args.n_stride),
-        args.tolerance,
-        args.penalty,
-    )
-    out = Path(args.out)
-    write_csv(out, ["n", "nmae"], [[n, repr(curve.nmae_at[n])] for n in curve.grid])
-    write_json(
-        out.with_suffix(".json"),
-        {
-            "lake_id": series.lake_id,
-            "n_star": curve.n_star,
-            "reference_nmae": curve.reference_nmae,
-            "tolerance": curve.tolerance,
-        },
-    )
-    print(f"lake {series.lake_id}: n_star={curve.n_star}, reference nMAE {curve.reference_nmae:.4f}")
+    config = _run_config(args)
+    lake = prepare_lake(_one_lake(lakes, args.lake), config, rank=False)
+    curve = sample_curve(lake.split, lake.completed, config.grid_spec(), config.tolerance, config.penalty)
+    write_sample_curve(Path(args.out), curve, lake_id=args.lake)
+    print(f"lake {args.lake}: n_star={curve.n_star}, reference nMAE {curve.reference_nmae:.4f}")
     return 0
 
 
 def _cmd_feature_rank(args) -> int:
     lakes, _ = _load_lakes(args)
-    series = _one_lake(lakes, args.lake)
-    split = ds.split_test_block(series, args.test_years)
-    completed, _ = impute_series(series, ImputeConfig(seed=derive_seed(args.seed, series.lake_id, 0)))
-    ranking = rank_features(split, completed, ForestConfig(n_trees=args.trees, seed=args.seed))
-    write_json(Path(args.out), {"lake_id": series.lake_id, "scores": ranking.scores, "order": ranking.order})
-    print(f"lake {series.lake_id}: top feature {ranking.order[0]}")
+    lake = prepare_lake(_one_lake(lakes, args.lake), _run_config(args))
+    write_json(Path(args.out), {"lake_id": args.lake, **ranking_payload(lake.ranking)})
+    print(f"lake {args.lake}: top feature {lake.ranking.order[0]}")
     return 0
 
 
 def _cmd_feature_select(args) -> int:
     lakes, _ = _load_lakes(args)
-    series = _one_lake(lakes, args.lake)
-    split = ds.split_test_block(series, args.test_years)
-    completed, _ = impute_series(series, ImputeConfig(seed=derive_seed(args.seed, series.lake_id, 0)))
-    ranking = rank_features(split, completed, ForestConfig(n_trees=args.trees, seed=args.seed))
-    result = forward_selection(split, completed, ranking, args.tolerance, args.penalty)
-    out = Path(args.out)
-    write_csv(out, ["k", "nmae"], [[k, repr(result.nmae_by_k[k])] for k in sorted(result.nmae_by_k)])
-    write_json(
-        out.with_suffix(".json"),
-        {
-            "lake_id": series.lake_id,
-            "k_star": result.k_star,
-            "subset": result.subset,
-            "full_nmae": result.full_nmae,
-        },
-    )
-    print(f"lake {series.lake_id}: k_star={result.k_star} ({', '.join(result.subset)})")
+    config = _run_config(args)
+    lake = prepare_lake(_one_lake(lakes, args.lake), config)
+    result = forward_selection(lake.split, lake.completed, lake.ranking, config.tolerance, config.penalty)
+    write_selection(Path(args.out), result, lake_id=args.lake)
+    print(f"lake {args.lake}: k_star={result.k_star} ({', '.join(result.subset)})")
     return 0
 
 
 def _cmd_joint(args) -> int:
-    lakes, _ = _load_lakes(args)
-    wanted = _lake_ids_from_file(args.lakes)
-    if wanted is not None:
-        lakes = [s for s in lakes if s.lake_id in set(wanted)]
-    if not lakes:
-        raise ConfigError("no lakes to process")
-
-    rankings = {}
-    prepared = {}
-    failures: dict[int, str] = {}
-    for series in sorted(lakes, key=lambda s: s.lake_id):
-        try:
-            split = ds.split_test_block(series, args.test_years)
-            completed, _ = impute_series(
-                series, ImputeConfig(seed=derive_seed(args.seed, series.lake_id, 0))
-            )
-            ranking = rank_features(
-                split,
-                completed,
-                ForestConfig(n_trees=args.trees, seed=derive_seed(args.seed, series.lake_id, 1)),
-            )
-            prepared[series.lake_id] = (split, completed)
-            rankings[series.lake_id] = ranking
-        except LimnoplanError as exc:
-            failures[series.lake_id] = str(exc)
-
-    if not prepared:
-        raise ConfigError(
-            "every lake failed: " + "; ".join(f"{i}: {m}" for i, m in sorted(failures.items()))
-        )
-
-    shared = aggregate_ranking(list(rankings.values())) if args.global_ranking else None
+    lakes, _ = _load_lakes(args, exclusions=False)
+    config = _run_config(args)
+    prepared, failures, shared = prepare_lakes(lakes, config)
     configs = []
-    grid_rows = []
-    for lake_id, (split, completed) in sorted(prepared.items()):
+    rows = []
+    for lake in prepared:
+        lake_id = lake.series.lake_id
         try:
-            grid = feasibility_grid(
-                split,
-                completed,
-                shared if shared is not None else rankings[lake_id],
-                SizeGridSpec(n_min=args.n_min, stride=args.n_stride),
-                args.tolerance,
-                args.penalty,
-            )
+            grid = lake_grid(lake, shared or lake.ranking, config)
         except LimnoplanError as exc:
             failures[lake_id] = str(exc)
             continue
         configs.append(minimal_config(grid))
         if args.emit_grid:
-            grid_rows.extend(
-                [lake_id, n, k, repr(grid.nmae[(n, k)]), int(grid.is_feasible(n, k))]
-                for (n, k) in sorted(grid.nmae)
-            )
+            rows.extend([lake_id, *row] for row in grid_rows(grid))
 
     if not configs:
         raise ConfigError("every lake failed the joint stage")
-    summary = aggregate_configs(configs, args.exclude_fallback)
+    summary = aggregate_configs(configs, config.exclude_fallback)
     write_json(
         Path(args.out),
         {
-            "minimal_configs": [
-                {
-                    "lake_id": c.lake_id,
-                    "n_hat": c.n_hat,
-                    "k_hat": c.k_hat,
-                    "selected_features": c.selected_features,
-                    "fallback": c.fallback,
-                }
-                for c in configs
-            ],
-            "summary": {
-                "median_n": summary.median_n,
-                "iqr_n": summary.iqr_n,
-                "median_k": summary.median_k,
-                "iqr_k": summary.iqr_k,
-                "feature_frequency": summary.feature_frequency,
-                "fallback_count": summary.fallback_count,
-                "n_lakes": summary.n_lakes,
-            },
+            "minimal_configs": [minimal_payload(c) for c in configs],
+            "summary": joint_payload(summary),
             "failures": {str(k): v for k, v in sorted(failures.items())},
         },
     )
     if args.emit_grid:
-        write_csv(Path(args.emit_grid), ["lake_id", "n", "k", "nmae", "feasible"], grid_rows)
+        write_csv(Path(args.emit_grid), ["lake_id", "n", "k", "nmae", "feasible"], rows)
     print(
         f"{summary.n_lakes} lake(s): median n_hat {summary.median_n:g}, median k_hat {summary.median_k:g}"
     )
@@ -400,21 +326,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_report(args) -> int:
     lakes, _ = _load_lakes(args, exclusions=False)
-    config = RunConfig(
-        test_years=args.test_years,
-        tolerance=args.tolerance,
-        penalty=args.penalty,
-        seed=args.seed,
-        n_trees=args.trees,
-        grid_n_min=args.n_min,
-        grid_stride=args.n_stride,
-        lake_ids=_lake_ids_from_file(args.lakes),
-        exclude_fallback=args.exclude_fallback,
-        use_global_ranking=args.global_ranking,
-    )
-    result = run_pipeline(
-        lakes, config, Path(args.out_dir), input_digest=_input_digest(args.input), workers=args.workers
-    )
+    result = run_pipeline(lakes, _run_config(args), Path(args.out_dir), input_digest=_input_digest(args.input))
     print(train_test_table([r.table_row for r in result.reports]))
     if result.mean_n_star is not None:
         print(f"\nmean minimal sample count: {result.mean_n_star:.1f}")

@@ -18,6 +18,7 @@ the fixed roles above is treated as a covariate.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from datetime import date
 from typing import Iterable, Sequence, TextIO
@@ -125,7 +126,10 @@ def _parse_cell(raw: str, na_tokens: frozenset[str]) -> float | None:
     text = raw.strip()
     if text in na_tokens:
         return None
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
 
 
 def _parse_seccbot(raw: str, na_tokens: frozenset[str]) -> bool:

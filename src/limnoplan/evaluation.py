@@ -12,6 +12,7 @@ of different baseline clarity are comparable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -80,7 +81,10 @@ def nmae(y: np.ndarray, y_hat: np.ndarray) -> float:
     denom = y.mean() if y.size else 0.0
     if denom <= 0:
         raise EvaluationError(f"nMAE normalizer (mean target) must be positive, got {denom}")
-    return mae(y, y_hat) / float(denom)
+    value = mae(y, y_hat) / float(denom)
+    if not math.isfinite(value):
+        raise EvaluationError(f"nMAE is not finite ({value})")
+    return value
 
 
 def r_squared(y: np.ndarray, y_hat: np.ndarray) -> float:

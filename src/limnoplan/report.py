@@ -5,8 +5,9 @@ curve -> feature ranking/selection -> joint feasibility search, per
 lake, then aggregates across lakes. All outputs are JSON (machine) and
 CSV (plot data); every report embeds the hash of the run configuration
 that produced it, and identical configurations reproduce byte-identical
-reports. Expensive feasibility evaluations are cached on disk keyed by
-(lake, stage, config hash) so tolerance re-runs skip refits.
+reports. Feasibility grids are cached on disk keyed by a digest of the
+data and settings they are computed from, so tolerance re-runs skip
+refits.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import csv
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -26,7 +27,6 @@ from . import dataset as ds
 from .errors import ConfigError, LimnoplanError
 from .evaluation import (
     DEFAULT_TOLERANCE,
-    EvalMetrics,
     SampleCurve,
     SizeGridSpec,
     fit_reference,
@@ -67,12 +67,21 @@ class RunConfig:
     def grid_spec(self) -> SizeGridSpec:
         return SizeGridSpec(n_min=self.grid_n_min, stride=self.grid_stride)
 
-    def forest_config(self, seed: int) -> ForestConfig:
+    # Every entry point seeds a lake's imputation and forest through these
+    # two methods, so a lake's results depend only on (seed, lake id).
+    def impute_config(self, lake_id: int) -> ImputeConfig:
+        return ImputeConfig(
+            max_sweeps=self.impute_sweeps,
+            add_noise=self.impute_noise,
+            seed=derive_seed(self.seed, lake_id, 0),
+        )
+
+    def forest_config(self, lake_id: int) -> ForestConfig:
         return ForestConfig(
             n_trees=self.n_trees,
             min_samples_leaf=self.min_samples_leaf,
             features_per_split=self.features_per_split,
-            seed=seed,
+            seed=derive_seed(self.seed, lake_id, 1),
         )
 
 
@@ -87,6 +96,17 @@ class TableRow:
     train_nmae: float
     test_nmae: float
     test_le_train: bool
+
+
+@dataclass
+class PreparedLake:
+    """One lake's split, completed covariates and forest ranking."""
+
+    series: ds.LakeSeries
+    split: ds.SplitSeries
+    completed: CompletedMatrix
+    impute_report: ImputeReport
+    ranking: FeatureRanking | None  # None when prepared without ranking
 
 
 @dataclass
@@ -159,6 +179,78 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) 
 
 
 # --------------------------------------------------------------------------- #
+# Payloads shared by the report bundle and the single-stage commands. The
+# `stamp` fields identify the producer: the config hash in a bundle, the
+# lake id in a command's output.
+# --------------------------------------------------------------------------- #
+
+def write_completed(path: Path, completed: CompletedMatrix) -> None:
+    write_csv(path, completed.feature_schema, [[repr(float(v)) for v in row] for row in completed.values])
+
+
+def write_impute_report(path: Path, report: ImputeReport, **stamp: Any) -> None:
+    write_json(
+        path,
+        {
+            **stamp,
+            "sweeps": report.sweeps,
+            "final_delta": report.final_delta,
+            "converged": report.converged,
+            "fill_counts": report.fill_counts,
+        },
+    )
+
+
+def write_sample_curve(path: Path, curve: SampleCurve, **stamp: Any) -> None:
+    """`n,nmae` CSV at `path` plus a JSON sidecar with the same stem."""
+    write_csv(path, ["n", "nmae"], [[n, repr(curve.nmae_at[n])] for n in curve.grid])
+    write_json(
+        path.with_suffix(".json"),
+        {**stamp, "n_star": curve.n_star, "reference_nmae": curve.reference_nmae, "tolerance": curve.tolerance},
+    )
+
+
+def write_selection(path: Path, selection: SelectionResult, **stamp: Any) -> None:
+    """`k,nmae` CSV at `path` plus a JSON sidecar with the same stem."""
+    write_csv(path, ["k", "nmae"], [[k, repr(selection.nmae_by_k[k])] for k in sorted(selection.nmae_by_k)])
+    write_json(
+        path.with_suffix(".json"),
+        {**stamp, "k_star": selection.k_star, "subset": selection.subset, "full_nmae": selection.full_nmae},
+    )
+
+
+def ranking_payload(ranking: FeatureRanking) -> dict[str, Any]:
+    return {"scores": ranking.scores, "order": ranking.order}
+
+
+def minimal_payload(minimal: MinimalConfig) -> dict[str, Any]:
+    return {
+        "lake_id": minimal.lake_id,
+        "n_hat": minimal.n_hat,
+        "k_hat": minimal.k_hat,
+        "selected_features": minimal.selected_features,
+        "fallback": minimal.fallback,
+    }
+
+
+def joint_payload(summary: JointSummary) -> dict[str, Any]:
+    return {
+        "median_n": summary.median_n,
+        "iqr_n": summary.iqr_n,
+        "median_k": summary.median_k,
+        "iqr_k": summary.iqr_k,
+        "feature_frequency": summary.feature_frequency,
+        "fallback_count": summary.fallback_count,
+        "n_lakes": summary.n_lakes,
+    }
+
+
+def grid_rows(grid: FeasibilityGrid) -> list[list[Any]]:
+    """`n, k, nmae, feasible` rows in (n, k) order."""
+    return [[n, k, repr(grid.nmae[(n, k)]), int(grid.is_feasible(n, k))] for (n, k) in sorted(grid.nmae)]
+
+
+# --------------------------------------------------------------------------- #
 # Grid (de)serialization and the stage cache
 # --------------------------------------------------------------------------- #
 
@@ -191,48 +283,127 @@ def grid_from_dict(payload: dict[str, Any]) -> FeasibilityGrid:
 
 
 class StageCache:
-    """Disk cache keyed by (lake, stage, config hash)."""
+    """Disk cache of serialized feasibility grids keyed by (lake, `grid_key`)."""
 
-    def __init__(self, root: Path, config_hash: str):
+    def __init__(self, root: Path):
         self.root = root
-        self.config_hash = config_hash
 
-    def _path(self, lake_id: int, stage: str) -> Path:
-        return self.root / f"{lake_id}_{stage}_{self.config_hash}.json"
+    def _path(self, lake_id: int, key: str) -> Path:
+        return self.root / f"{lake_id}_grid_{key}.json"
 
-    def get(self, lake_id: int, stage: str) -> Any | None:
-        path = self._path(lake_id, stage)
-        if not path.exists():
+    def get(self, lake_id: int, key: str) -> Any | None:
+        """The stored entry, or None when it is absent or unreadable."""
+        try:
+            with open(self._path(lake_id, key)) as fh:
+                return json.load(fh)
+        except (OSError, ValueError):
             return None
-        with open(path) as fh:
-            return json.load(fh)
 
-    def put(self, lake_id: int, stage: str, payload: Any) -> None:
-        write_json(self._path(lake_id, stage), payload)
+    def put(self, lake_id: int, key: str, payload: Any) -> None:
+        # Write then rename, so a reader never sees a partial entry.
+        path = self._path(lake_id, key)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        write_json(tmp, payload)
+        os.replace(tmp, path)
+
+
+def grid_key(lake: PreparedLake, ranking: FeatureRanking, config: RunConfig) -> str:
+    """Digest of everything a feasibility grid's nMAE values depend on.
+
+    The tolerance is left out: a cached grid is re-thresholded instead.
+    """
+    split, completed = lake.split, lake.completed
+    digest = hashlib.sha256()
+    for array in (
+        completed.values,
+        ds.sdd_values(split.pre),
+        ds.sdd_values(split.test),
+        split.pre_rows,
+        split.test_rows,
+    ):
+        digest.update(np.ascontiguousarray(array).tobytes())
+    settings = [
+        lake.series.lake_id,
+        completed.values.shape,
+        completed.feature_schema,
+        ranking.order,
+        config.grid_n_min,
+        config.grid_stride,
+        config.penalty,
+    ]
+    digest.update(json.dumps(settings).encode())
+    return digest.hexdigest()[:16]
+
+
+def lake_grid(
+    lake: PreparedLake, ranking: FeatureRanking, config: RunConfig, cache: StageCache | None = None
+) -> FeasibilityGrid:
+    """The lake's feasibility grid over `ranking`, from the cache when it holds one."""
+    lake_id = lake.series.lake_id
+    key = grid_key(lake, ranking, config)
+    cached = cache.get(lake_id, key) if cache is not None else None
+    if cached is not None:
+        return grid_from_dict(cached).rethreshold(config.tolerance)
+    grid = feasibility_grid(
+        lake.split, lake.completed, ranking, config.grid_spec(), config.tolerance, config.penalty
+    )
+    if cache is not None:
+        cache.put(lake_id, key, grid_to_dict(grid))
+    return grid
 
 
 # --------------------------------------------------------------------------- #
 # Per-lake processing
 # --------------------------------------------------------------------------- #
 
+def prepare_lake(series: ds.LakeSeries, config: RunConfig, rank: bool = True) -> PreparedLake:
+    """Split, impute and (unless `rank` is false) rank one exclusion-filtered lake."""
+    split = ds.split_test_block(series, config.test_years)
+    completed, impute_report = impute_series(series, config.impute_config(series.lake_id))
+    ranking = rank_features(split, completed, config.forest_config(series.lake_id)) if rank else None
+    return PreparedLake(series, split, completed, impute_report, ranking)
+
+
+def _every_lake_failed(failures: dict[int, str]) -> ConfigError:
+    return ConfigError(
+        "every lake failed: " + "; ".join(f"{i}: {m}" for i, m in sorted(failures.items()))
+    )
+
+
+def prepare_lakes(
+    lakes: Sequence[ds.LakeSeries], config: RunConfig
+) -> tuple[list[PreparedLake], dict[int, str], FeatureRanking | None]:
+    """Prepare the lakes `config` selects, in lake-id order.
+
+    Returns the prepared lakes, the failure message of each lake that
+    could not be prepared, and, in global-ranking mode, the average of
+    the prepared lakes' rankings (None otherwise).
+    """
+    selected = [ds.apply_exclusions(s) for s in _select_series(lakes, config.lake_ids)]
+    if not selected:
+        raise ConfigError("no lakes to process")
+    prepared: list[PreparedLake] = []
+    failures: dict[int, str] = {}
+    for series in selected:
+        try:
+            prepared.append(prepare_lake(series, config))
+        except LimnoplanError as exc:
+            failures[series.lake_id] = str(exc)
+    if not prepared:
+        raise _every_lake_failed(failures)
+    shared = aggregate_ranking([lake.ranking for lake in prepared]) if config.use_global_ranking else None
+    return prepared, failures, shared
+
+
 def process_lake(
-    series: ds.LakeSeries,
+    lake: PreparedLake,
     config: RunConfig,
     cache: StageCache | None = None,
     global_ranking: FeatureRanking | None = None,
 ) -> LakeReport:
-    """All per-lake stages on an already-exclusion-filtered series."""
-    split = ds.split_test_block(series, config.test_years)
-
-    impute_config = ImputeConfig(
-        max_sweeps=config.impute_sweeps,
-        add_noise=config.impute_noise,
-        seed=derive_seed(config.seed, series.lake_id, 0),
-    )
-    completed, impute_report = impute_series(series, impute_config)
-
-    schema = completed.feature_schema
-    model, X_train, y_train = fit_reference(split, completed, schema, penalty=config.penalty)
+    """The report stages on a prepared lake; the grid uses `global_ranking` when given."""
+    series, split, completed = lake.series, lake.split, lake.completed
+    model, X_train, y_train = fit_reference(split, completed, completed.feature_schema, penalty=config.penalty)
     train_metrics = score_predictions(y_train, predict_ridge(model, X_train))
     X_test = completed.values[split.test_rows]
     y_test = ds.sdd_values(split.test)
@@ -248,37 +419,21 @@ def process_lake(
     )
 
     curve = sample_curve(split, completed, config.grid_spec(), config.tolerance, config.penalty)
-
-    forest_config = config.forest_config(derive_seed(config.seed, series.lake_id, 1))
-    ranking = rank_features(split, completed, forest_config)
-    selection = forward_selection(split, completed, ranking, config.tolerance, config.penalty)
-
-    joint_ranking = global_ranking if (config.use_global_ranking and global_ranking) else ranking
-    grid = None
-    if cache is not None:
-        cached = cache.get(series.lake_id, "grid")
-        if cached is not None:
-            grid = grid_from_dict(cached).rethreshold(config.tolerance)
-    if grid is None:
-        grid = feasibility_grid(
-            split, completed, joint_ranking, config.grid_spec(), config.tolerance, config.penalty
-        )
-        if cache is not None:
-            cache.put(series.lake_id, "grid", grid_to_dict(grid))
-    minimal = minimal_config(grid)
+    selection = forward_selection(split, completed, lake.ranking, config.tolerance, config.penalty)
+    grid = lake_grid(lake, global_ranking or lake.ranking, config, cache)
 
     return LakeReport(
         lake_id=series.lake_id,
         lake_name=series.name,
-        impute_report=impute_report,
+        impute_report=lake.impute_report,
         completed=completed,
         reference_model=ridge_to_dict(model),
         table_row=table_row,
         curve=curve,
-        ranking=ranking,
+        ranking=lake.ranking,
         selection=selection,
         grid=grid,
-        minimal=minimal,
+        minimal=minimal_config(grid),
     )
 
 
@@ -319,64 +474,25 @@ def run_pipeline(
     config: RunConfig,
     out_dir: Path | str,
     input_digest: str = "",
-    workers: int = 1,
 ) -> PipelineResult:
-    """Process every requested lake and write the report bundle."""
+    """Process every requested lake and write the report bundle.
+
+    `input_digest` only enters the bundle's config hash; the grid cache
+    is keyed on the data itself.
+    """
     out_dir = Path(out_dir)
-    selected = _select_series(lakes, config.lake_ids)
-    selected = [ds.apply_exclusions(s) for s in selected]
-    if not selected:
-        raise ConfigError("no lakes to process")
-
     config_hash = config_fingerprint(config, input_digest)
-    cache = StageCache(out_dir / "cache", config_hash)
+    cache = StageCache(out_dir / "cache")
 
-    global_ranking: FeatureRanking | None = None
-    reports: dict[int, LakeReport] = {}
-    failures: dict[int, str] = {}
-
-    def one(series: ds.LakeSeries) -> tuple[int, LakeReport | None, str | None]:
+    prepared, failures, shared = prepare_lakes(lakes, config)
+    ordered: list[LakeReport] = []
+    for lake in prepared:
         try:
-            return series.lake_id, process_lake(series, config, cache, global_ranking), None
+            ordered.append(process_lake(lake, config, cache, shared))
         except LimnoplanError as exc:
-            return series.lake_id, None, str(exc)
-
-    if config.use_global_ranking:
-        # Two passes: rankings first (serial work lives inside process_lake
-        # anyway), then the joint stage sees the cross-lake average.
-        prelim: list[FeatureRanking] = []
-        for series in selected:
-            try:
-                split = ds.split_test_block(series, config.test_years)
-                impute_config = ImputeConfig(
-                    max_sweeps=config.impute_sweeps,
-                    add_noise=config.impute_noise,
-                    seed=derive_seed(config.seed, series.lake_id, 0),
-                )
-                completed, _ = impute_series(series, impute_config)
-                forest_config = config.forest_config(derive_seed(config.seed, series.lake_id, 1))
-                prelim.append(rank_features(split, completed, forest_config))
-            except LimnoplanError:
-                continue
-        if prelim:
-            global_ranking = aggregate_ranking(prelim)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, selected))
-    else:
-        outcomes = [one(series) for series in selected]
-    for lake_id, report, error in outcomes:
-        if report is not None:
-            reports[lake_id] = report
-        else:
-            failures[lake_id] = error or "unknown failure"
-
-    ordered = [reports[i] for i in sorted(reports)]
+            failures[lake.series.lake_id] = str(exc)
     if not ordered:
-        raise ConfigError(
-            "every lake failed: " + "; ".join(f"{i}: {m}" for i, m in sorted(failures.items()))
-        )
+        raise _every_lake_failed(failures)
 
     summary = aggregate_configs([r.minimal for r in ordered], config.exclude_fallback)
     agg_ranking = aggregate_ranking([r.ranking for r in ordered])
@@ -409,75 +525,22 @@ def _write_bundle(
 
     for report in reports:
         lake_dir = out_dir / "lakes" / str(report.lake_id)
-        write_json(
-            lake_dir / "impute_report.json",
-            {
-                "config_hash": config_hash,
-                "sweeps": report.impute_report.sweeps,
-                "final_delta": report.impute_report.final_delta,
-                "converged": report.impute_report.converged,
-                "fill_counts": report.impute_report.fill_counts,
-            },
-        )
-        write_csv(
-            lake_dir / "completed.csv",
-            report.completed.feature_schema,
-            [[repr(float(v)) for v in row] for row in report.completed.values],
-        )
+        write_impute_report(lake_dir / "impute_report.json", report.impute_report, config_hash=config_hash)
+        write_completed(lake_dir / "completed.csv", report.completed)
         write_json(lake_dir / "reference_model.json", {"config_hash": config_hash, **report.reference_model})
         write_json(
             lake_dir / "metrics.json",
             {"config_hash": config_hash, **_row_dict(report.table_row)},
         )
-        write_csv(
-            lake_dir / "sample_curve.csv",
-            ["n", "nmae"],
-            [[n, repr(report.curve.nmae_at[n])] for n in report.curve.grid],
-        )
-        write_json(
-            lake_dir / "sample_curve.json",
-            {
-                "config_hash": config_hash,
-                "n_star": report.curve.n_star,
-                "reference_nmae": report.curve.reference_nmae,
-                "tolerance": report.curve.tolerance,
-            },
-        )
-        write_json(
-            lake_dir / "ranking.json",
-            {"config_hash": config_hash, "scores": report.ranking.scores, "order": report.ranking.order},
-        )
-        write_csv(
-            lake_dir / "selection.csv",
-            ["k", "nmae"],
-            [[k, repr(report.selection.nmae_by_k[k])] for k in sorted(report.selection.nmae_by_k)],
-        )
-        write_json(
-            lake_dir / "selection.json",
-            {
-                "config_hash": config_hash,
-                "k_star": report.selection.k_star,
-                "subset": report.selection.subset,
-                "full_nmae": report.selection.full_nmae,
-            },
-        )
-        write_csv(
-            lake_dir / "grid.csv",
-            ["n", "k", "nmae", "feasible"],
-            [
-                [n, k, repr(report.grid.nmae[(n, k)]), int(report.grid.is_feasible(n, k))]
-                for (n, k) in sorted(report.grid.nmae)
-            ],
-        )
+        write_sample_curve(lake_dir / "sample_curve.csv", report.curve, config_hash=config_hash)
+        write_json(lake_dir / "ranking.json", {"config_hash": config_hash, **ranking_payload(report.ranking)})
+        write_selection(lake_dir / "selection.csv", report.selection, config_hash=config_hash)
+        write_csv(lake_dir / "grid.csv", ["n", "k", "nmae", "feasible"], grid_rows(report.grid))
         write_json(
             lake_dir / "minimal_config.json",
             {
                 "config_hash": config_hash,
-                "lake_id": report.minimal.lake_id,
-                "n_hat": report.minimal.n_hat,
-                "k_hat": report.minimal.k_hat,
-                "selected_features": report.minimal.selected_features,
-                "fallback": report.minimal.fallback,
+                **minimal_payload(report.minimal),
                 "tau": report.grid.tau,
                 "full_nmae": report.grid.full_nmae,
             },
@@ -489,26 +552,9 @@ def _write_bundle(
             "config_hash": config_hash,
             "lakes": [r.lake_id for r in reports],
             "failures": {str(k): v for k, v in sorted(failures.items())},
-            "joint": {
-                "median_n": summary.median_n,
-                "iqr_n": summary.iqr_n,
-                "median_k": summary.median_k,
-                "iqr_k": summary.iqr_k,
-                "feature_frequency": summary.feature_frequency,
-                "fallback_count": summary.fallback_count,
-                "n_lakes": summary.n_lakes,
-            },
-            "minimal_configs": [
-                {
-                    "lake_id": r.minimal.lake_id,
-                    "n_hat": r.minimal.n_hat,
-                    "k_hat": r.minimal.k_hat,
-                    "selected_features": r.minimal.selected_features,
-                    "fallback": r.minimal.fallback,
-                }
-                for r in reports
-            ],
-            "aggregate_ranking": {"scores": agg_ranking.scores, "order": agg_ranking.order},
+            "joint": joint_payload(summary),
+            "minimal_configs": [minimal_payload(r.minimal) for r in reports],
+            "aggregate_ranking": ranking_payload(agg_ranking),
             "mean_n_star": mean_n_star,
             "train_test": [_row_dict(r.table_row) for r in reports],
         },

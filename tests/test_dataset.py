@@ -80,6 +80,20 @@ class TestParse:
         lakes, errors = _parse(text)
         assert lakes == [] and len(errors) == 1
 
+    def test_non_finite_cells_are_row_errors(self):
+        text = HEADER + "\n".join(
+            [
+                "1,A,2001-06-01,No,2.0,1,2",
+                "1,A,2002-06-01,No,nan,1,2",
+                "1,A,2003-06-01,No,2.0,inf,2",
+                "1,A,2004-06-01,No,2.0,1,-Infinity",
+                "1,A,2005-06-01,No,2.0,1,NaN",
+            ]
+        )
+        lakes, errors = _parse(text)
+        assert len(lakes[0].records) == 1
+        assert [e.line for e in errors] == [3, 4, 5, 6]
+
     def test_short_row_is_a_row_error(self):
         text = HEADER + "1,A,2001-06-01,No,2.0,1,2\n1,A,2002-06-01\n"
         lakes, errors = _parse(text)

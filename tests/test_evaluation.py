@@ -78,6 +78,10 @@ class TestNmae:
         with pytest.raises(EvaluationError):
             nmae(np.array([1.0, -1.0]), np.array([1.0, -1.0]))
 
+    def test_non_finite_result_errors(self):
+        with pytest.raises(EvaluationError):
+            nmae(np.array([2.0, np.nan]), np.array([2.0, 2.0]))
+
 
 class TestRSquared:
     def test_exact_predictions(self):

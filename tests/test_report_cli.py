@@ -1,6 +1,7 @@
 """Pipeline bundle, report determinism, and the command-line surface."""
 
 import csv
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from limnoplan import dataset
 from limnoplan.cli import main
 from limnoplan.dataset import parse_dataset, write_series_csv
 from limnoplan.errors import ConfigError
@@ -137,18 +139,6 @@ class TestPipeline:
         with pytest.raises(ConfigError):
             run_pipeline(lakes, RunConfig(seed=1, lake_ids=(555,), **FAST), tmp_path / "o2")
 
-    def test_parallel_workers_match_serial_output(self, tmp_path):
-        csv_path = tmp_path / "lakes.csv"
-        synth_csv(csv_path, small_lake_configs())
-        with open(csv_path) as fh:
-            lakes, _ = parse_dataset(fh)
-        config = RunConfig(seed=6, **FAST)
-        run_pipeline(lakes, config, tmp_path / "serial", input_digest="x", workers=1)
-        run_pipeline(lakes, config, tmp_path / "parallel", input_digest="x", workers=3)
-        a = (tmp_path / "serial" / "summary.json").read_bytes()
-        b = (tmp_path / "parallel" / "summary.json").read_bytes()
-        assert a == b
-
     def test_global_ranking_mode(self, tmp_path):
         csv_path = tmp_path / "lakes.csv"
         synth_csv(csv_path, small_lake_configs(2))
@@ -173,6 +163,60 @@ class TestPipeline:
         again = run_pipeline(lakes, config, out, input_digest="dd")
         assert (out / "summary.json").read_bytes() == summary_before
         assert again.reports[0].minimal == first.reports[0].minimal
+
+    def test_new_tolerance_reuses_cached_grids(self, tmp_path, monkeypatch):
+        csv_path = tmp_path / "lakes.csv"
+        synth_csv(csv_path, small_lake_configs(2))
+        with open(csv_path) as fh:
+            lakes, _ = parse_dataset(fh)
+        out = tmp_path / "out"
+        first = run_pipeline(lakes, RunConfig(seed=4, tolerance=0.05, **FAST), out)
+        cached = sorted((out / "cache").iterdir())
+        assert len(cached) == 2
+
+        def no_refit(*args, **kwargs):
+            raise AssertionError("a re-thresholded run refit the feasibility grid")
+
+        monkeypatch.setattr("limnoplan.report.feasibility_grid", no_refit)
+        again = run_pipeline(lakes, RunConfig(seed=4, tolerance=0.10, **FAST), out)
+        assert sorted((out / "cache").iterdir()) == cached
+        for before, after in zip(first.reports, again.reports):
+            assert after.grid.nmae == before.grid.nmae
+            assert after.grid.tolerance == 0.10
+
+    def test_cache_misses_for_other_data_with_same_lake_ids(self, tmp_path):
+        old_csv, new_csv = tmp_path / "old.csv", tmp_path / "new.csv"
+        synth_csv(old_csv, small_lake_configs(2))
+        synth_csv(new_csv, [dataclasses.replace(c, seed=c.seed + 10) for c in small_lake_configs(2)])
+        with open(old_csv) as fh:
+            old_lakes, _ = parse_dataset(fh)
+        with open(new_csv) as fh:
+            new_lakes, _ = parse_dataset(fh)
+        config = RunConfig(seed=4, **FAST)
+        shared = tmp_path / "shared"
+        run_pipeline(old_lakes, config, shared)
+        run_pipeline(new_lakes, config, shared)
+        run_pipeline(new_lakes, config, tmp_path / "fresh")
+        for lake_id in (100, 101):
+            grid = Path("lakes", str(lake_id), "grid.csv")
+            assert (shared / grid).read_bytes() == (tmp_path / "fresh" / grid).read_bytes()
+
+    def test_unreadable_cache_entry_is_a_miss(self, tmp_path):
+        csv_path = tmp_path / "lakes.csv"
+        synth_csv(csv_path, small_lake_configs(1))
+        with open(csv_path) as fh:
+            lakes, _ = parse_dataset(fh)
+        config = RunConfig(seed=4, **FAST)
+        out = tmp_path / "out"
+        run_pipeline(lakes, config, out)
+        summary_before = (out / "summary.json").read_bytes()
+        (entry,) = (out / "cache").iterdir()
+        text = entry.read_text()
+        entry.write_text(text[: len(text) // 2])
+        run_pipeline(lakes, config, out)
+        assert (out / "summary.json").read_bytes() == summary_before
+        assert json.loads(entry.read_text()) == json.loads(text)
+        assert list((out / "cache").iterdir()) == [entry]
 
 
 class TestTrainTestTable:
@@ -358,6 +402,70 @@ class TestCli:
         assert code == 1
         summary = json.loads((tmp_path / "bundle" / "summary.json").read_text())
         assert "999" in summary["failures"]
+
+    def test_non_finite_target_fails_only_its_lake(self, tmp_path, monkeypatch):
+        # Ingest rejects non-finite cells; a NaN reaching evaluation by
+        # another route must still fail only its own lake.
+        csv_path = self._write_synth_inputs(tmp_path)
+        parse = dataset.parse_dataset
+
+        def parse_with_nan_target(*args, **kwargs):
+            lakes, errors = parse(*args, **kwargs)
+            records = lakes[1].records
+            records[-1] = dataclasses.replace(records[-1], sdd=float("nan"))
+            return lakes, errors
+
+        monkeypatch.setattr(dataset, "parse_dataset", parse_with_nan_target)
+        out_dir = tmp_path / "bundle"
+        code = main(
+            ["report", "--input", str(csv_path), "--trees", "15", "--n-stride", "6", "--out-dir", str(out_dir)]
+        )
+        assert code == 1
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["lakes"] == [100]
+        assert "nMAE is not finite" in summary["failures"]["101"]
+
+    def test_single_lake_commands_match_report_bundle(self, tmp_path):
+        csv_path = self._write_synth_inputs(tmp_path)
+        common = ["--input", str(csv_path), "--seed", "3"]
+        bundle = tmp_path / "bundle"
+        assert main(["report", *common, "--trees", "20", "--n-stride", "4", "--out-dir", str(bundle)]) == 0
+        lake_dir = bundle / "lakes" / "101"
+
+        def same_json(path, bundle_name):
+            ours = json.loads(path.read_text())
+            theirs = json.loads((lake_dir / bundle_name).read_text())
+            assert ours.pop("lake_id") == 101 and theirs.pop("config_hash")
+            assert ours == theirs, bundle_name
+
+        one = [*common, "--lake", "101"]
+        assert main(["impute", *one, "--out", str(tmp_path / "completed.csv")]) == 0
+        assert (tmp_path / "completed.csv").read_bytes() == (lake_dir / "completed.csv").read_bytes()
+        same_json(tmp_path / "completed.json", "impute_report.json")
+
+        assert main(["sample-curve", *one, "--n-stride", "4", "--out", str(tmp_path / "curve.csv")]) == 0
+        assert (tmp_path / "curve.csv").read_bytes() == (lake_dir / "sample_curve.csv").read_bytes()
+        same_json(tmp_path / "curve.json", "sample_curve.json")
+
+        assert main(["feature-rank", *one, "--trees", "20", "--out", str(tmp_path / "ranking.json")]) == 0
+        same_json(tmp_path / "ranking.json", "ranking.json")
+
+        select_out = tmp_path / "selection.csv"
+        assert main(["feature-select", *one, "--trees", "20", "--out", str(select_out)]) == 0
+        assert select_out.read_bytes() == (lake_dir / "selection.csv").read_bytes()
+        same_json(tmp_path / "selection.json", "selection.json")
+
+    def test_joint_global_ranking_matches_report(self, tmp_path):
+        csv_path = tmp_path / "lakes.csv"
+        synth_csv(csv_path, small_lake_configs(3))
+        common = ["--input", str(csv_path), "--seed", "5", "--trees", "20", "--n-stride", "4", "--global-ranking"]
+        joint_out = tmp_path / "joint.json"
+        assert main(["joint", *common, "--out", str(joint_out)]) == 0
+        assert main(["report", *common, "--out-dir", str(tmp_path / "bundle")]) == 0
+        joint = json.loads(joint_out.read_text())
+        summary = json.loads((tmp_path / "bundle" / "summary.json").read_text())
+        assert joint["minimal_configs"] == summary["minimal_configs"]
+        assert joint["summary"] == summary["joint"]
 
     def test_missing_input_is_config_error(self, tmp_path):
         assert main(["ingest", "--input", str(tmp_path / "nope.csv")]) == 2
