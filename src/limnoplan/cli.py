@@ -138,6 +138,8 @@ def _load_lakes(args: argparse.Namespace, exclusions: bool = True):
         raise ConfigError(f"input file not found: {path}")
     with open(path, newline="") as fh:
         lakes, errors = ds.parse_dataset(fh, schema)
+    for err in errors:
+        print(f"line {err.line}: {err.message}", file=sys.stderr)
     if exclusions:
         lakes = [ds.apply_exclusions(s) for s in lakes]
     return lakes, errors
@@ -151,12 +153,20 @@ def _one_lake(lakes, lake_id: int) -> ds.LakeSeries:
 
 
 def _lake_ids_from_file(path: str | None) -> tuple[int, ...] | None:
+    """Lake ids from a JSON list, or from the "lakes" list of a JSON object."""
     if path is None:
         return None
-    with open(path) as fh:
-        payload = json.load(fh)
-    ids = payload["lakes"] if isinstance(payload, dict) else payload
-    return tuple(int(i) for i in ids)
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read --lakes file {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"--lakes file {path} is not valid JSON: {exc}") from exc
+    ids = payload.get("lakes") if isinstance(payload, dict) else payload
+    if not isinstance(ids, list) or not all(type(i) is int for i in ids):
+        raise ConfigError(f'--lakes file {path} must hold a list of integer lake ids or {{"lakes": [...]}}')
+    return tuple(ids)
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
@@ -179,8 +189,6 @@ def _input_digest(path: str) -> str:
 
 def _cmd_ingest(args) -> int:
     lakes, errors = _load_lakes(args, exclusions=False)
-    for err in errors:
-        print(f"line {err.line}: {err.message}", file=sys.stderr)
     summary = []
     for series in lakes:
         observed = sum(1 for r in series.records if r.sdd is not None)

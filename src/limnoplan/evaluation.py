@@ -19,9 +19,16 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import SplitSeries, covariate_matrix, sdd_values
-from .errors import EvaluationError
+from .errors import EvaluationError, FitError
 from .imputation import CompletedMatrix
-from .models import DEFAULT_RIDGE_PENALTY, RidgeModel, fit_ridge, predict_ridge
+from .models import (
+    DEFAULT_RIDGE_PENALTY,
+    RidgeModel,
+    fit_ridge,
+    predict_ridge,
+    ridge_cholesky,
+    standardize_columns,
+)
 
 DEFAULT_TOLERANCE = 0.05
 
@@ -162,6 +169,73 @@ def backward_eval(
     return score_predictions(y_test, predict_ridge(model, X_test))
 
 
+def require_full_fit(n_pre: int, p: int) -> None:
+    """The full-pool, all-features fit needs at least p+1 training rows."""
+    if n_pre < p + 1:
+        raise EvaluationError(
+            f"training size {n_pre} outside [{p + 1}, {n_pre}] for {p} feature(s)"
+        )
+
+
+def prefix_nmae(
+    split: SplitSeries,
+    completed: CompletedMatrix,
+    sizes: Sequence[int],
+    order: Sequence[str],
+    penalty: float = DEFAULT_RIDGE_PENALTY,
+) -> np.ndarray:
+    """Test nMAE of every prefix of `order` at every training size.
+
+    Entry [i, k-1] is the nMAE `backward_eval(split, completed, sizes[i],
+    order[:k], penalty)` gives, up to rounding; entries with
+    sizes[i] < k+1 are NaN. The standardized Gram matrix of the top k
+    features is the leading k x k block of the one for the top kmax, so
+    its Cholesky factor L_k is the leading block of L, and inv(L_k') the
+    leading block of inv(L'). One factorization and one forward solve
+    z = inv(L) Xs'y per size therefore give every prefix's weights:
+    w_k = inv(L_k') z[:k] is column k of cumsum(inv(L') * z, axis=1).
+    """
+    cols = _feature_columns(completed.feature_schema, order)
+    p = len(cols)
+    n_top = max(sizes)
+    if penalty < 0:
+        raise FitError("penalty must be nonnegative")
+    if n_top > split.n_pre:
+        raise EvaluationError(f"training size {n_top} exceeds the {split.n_pre}-row training pool")
+    X_pre = completed.values[split.pre_rows][:, cols]
+    y_pre = sdd_values(split.pre)
+    X_test = completed.values[split.test_rows][:, cols]
+    y_test = sdd_values(split.test)
+    # The largest size reads every row and column any smaller size reads.
+    if not (np.isfinite(X_pre[-n_top:, : min(p, n_top - 1)]).all() and np.isfinite(y_pre[-n_top:]).all()):
+        raise FitError("non-finite values in design or target")
+    denom = y_test.mean() if y_test.size else 0.0
+    if denom <= 0:
+        raise EvaluationError(f"nMAE normalizer (mean target) must be positive, got {denom}")
+
+    out = np.full((len(sizes), p), np.nan)
+    for row, n in enumerate(sizes):
+        kmax = min(p, n - 1)
+        if kmax < 1:
+            continue
+        Xs, means, stds = standardize_columns(X_pre[-n:, :kmax])
+        if penalty == 0 and np.linalg.matrix_rank(Xs) < kmax:
+            # Every prefix longer than a deficient one is deficient too, so
+            # testing the longest prefix tells whether any of them is.
+            raise FitError("rank-deficient design with zero penalty")
+        y = y_pre[-n:]
+        intercept = y.mean()
+        chol = ridge_cholesky(Xs, penalty)
+        z = np.linalg.solve(chol, Xs.T @ (y - intercept))
+        weights = np.cumsum(np.linalg.inv(chol.T) * z, axis=1)
+        predictions = intercept + ((X_test[:, :kmax] - means) / stds) @ weights
+        values = np.abs(y_test[:, None] - predictions).mean(axis=0) / denom
+        if not np.isfinite(values).all():
+            raise EvaluationError("nMAE is not finite")
+        out[row, :kmax] = values
+    return out
+
+
 def sample_curve(
     split: SplitSeries,
     completed: CompletedMatrix,
@@ -184,10 +258,8 @@ def sample_curve(
             f"grid starts at {grid[0]} but the full {p}-feature fit needs at least {p + 1} rows"
         )
 
-    nmae_at = {
-        n: backward_eval(split, completed, n, completed.feature_schema, penalty).nmae
-        for n in grid
-    }
+    values = prefix_nmae(split, completed, grid, completed.feature_schema, penalty)[:, p - 1]
+    nmae_at = dict(zip(grid, values.tolist()))
     reference = nmae_at[split.n_pre]
     n_star = minimal_size(grid, nmae_at, reference, tolerance)
     return SampleCurve(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dataset import SplitSeries
 from .errors import EvaluationError
-from .evaluation import DEFAULT_TOLERANCE, SizeGridSpec, backward_eval
+from .evaluation import DEFAULT_TOLERANCE, SizeGridSpec, prefix_nmae, require_full_fit
 from .imputation import CompletedMatrix
 from .models import DEFAULT_RIDGE_PENALTY
 from .selection import FeatureRanking
@@ -90,7 +90,10 @@ def feasibility_grid(
     tolerance: float = DEFAULT_TOLERANCE,
     penalty: float = DEFAULT_RIDGE_PENALTY,
 ) -> FeasibilityGrid:
-    """Evaluate every admissible (n, k) cell of the grid."""
+    """Evaluate every admissible (n, k) cell of the grid.
+
+    Each training size costs one factorization, shared by all k.
+    """
     if tolerance <= 0:
         raise EvaluationError("tolerance must be positive")
     p = len(completed.feature_schema)
@@ -98,20 +101,18 @@ def feasibility_grid(
     if len(order) != p:
         raise EvaluationError("ranking does not cover the feature schema")
     n_grid = grid_spec.resolve(split.n_pre, p)
+    require_full_fit(split.n_pre, p)
 
-    full = backward_eval(split, completed, split.n_pre, order, penalty).nmae
-
+    values = prefix_nmae(split, completed, n_grid, order, penalty)
     nmae: dict[tuple[int, int], float] = {}
     excluded: set[tuple[int, int]] = set()
-    for n in n_grid:
+    for n, row in zip(n_grid, values.tolist()):
         for k in range(1, p + 1):
             if n < k + 1:
                 excluded.add((n, k))
-                continue
-            if n == split.n_pre and k == p:
-                nmae[(n, k)] = full
-                continue
-            nmae[(n, k)] = backward_eval(split, completed, n, order[:k], penalty).nmae
+            else:
+                nmae[(n, k)] = row[k - 1]
+    full = nmae[(split.n_pre, p)]
 
     return FeasibilityGrid(
         lake_id=split.pre.lake_id,

@@ -52,18 +52,21 @@ def standardize_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return (X - means) / stds, means, stds
 
 
-def solve_standardized_ridge(Xs: np.ndarray, y_centered: np.ndarray, penalty: float) -> np.ndarray:
-    """Solve (Xs'Xs + penalty*I) w = Xs'y via Cholesky on the Gram matrix."""
-    k = Xs.shape[1]
-    gram = Xs.T @ Xs + penalty * np.eye(k)
-    rhs = Xs.T @ y_centered
+def ridge_cholesky(Xs: np.ndarray, penalty: float) -> np.ndarray:
+    """Lower Cholesky factor of the penalized Gram matrix Xs'Xs + penalty*I."""
+    gram = Xs.T @ Xs + penalty * np.eye(Xs.shape[1])
     try:
-        chol = np.linalg.cholesky(gram)
+        return np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise FitError(
             "singular penalized system; a positive penalty keeps the fit well-posed"
         ) from exc
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+
+
+def solve_standardized_ridge(Xs: np.ndarray, y_centered: np.ndarray, penalty: float) -> np.ndarray:
+    """Solve (Xs'Xs + penalty*I) w = Xs'y via Cholesky on the Gram matrix."""
+    chol = ridge_cholesky(Xs, penalty)
+    return np.linalg.solve(chol.T, np.linalg.solve(chol, Xs.T @ y_centered))
 
 
 def fit_ridge(

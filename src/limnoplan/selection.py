@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .dataset import SplitSeries, sdd_values
 from .errors import SchemaError
-from .evaluation import DEFAULT_TOLERANCE, backward_eval
+from .evaluation import DEFAULT_TOLERANCE, prefix_nmae, require_full_fit
 from .imputation import CompletedMatrix
 from .models import DEFAULT_RIDGE_PENALTY, ForestConfig, fit_forest, mdi_importances
 
@@ -80,10 +80,9 @@ def forward_selection(
         raise SchemaError("ranking does not cover the completed matrix's schema")
 
     p = len(ranking.order)
-    nmae_by_k = {
-        k: backward_eval(split, completed, split.n_pre, ranking.order[:k], penalty).nmae
-        for k in range(1, p + 1)
-    }
+    require_full_fit(split.n_pre, p)
+    row = prefix_nmae(split, completed, [split.n_pre], ranking.order, penalty)[0]
+    nmae_by_k = dict(enumerate(row.tolist(), start=1))
     full_nmae = nmae_by_k[p]
     k_star = minimal_feature_count(nmae_by_k, full_nmae, tolerance)
     return SelectionResult(

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from limnoplan.dataset import split_by_count
-from limnoplan.errors import EvaluationError
-from limnoplan.evaluation import SizeGridSpec
+from limnoplan.errors import EvaluationError, FitError
+from limnoplan.evaluation import SizeGridSpec, backward_eval, sample_curve
 from limnoplan.joint import (
     FeasibilityGrid,
     MinimalConfig,
@@ -14,10 +14,10 @@ from limnoplan.joint import (
     minimal_config,
 )
 from limnoplan.models import ForestConfig
-from limnoplan.selection import rank_features
+from limnoplan.selection import FeatureRanking, forward_selection, rank_features
 from limnoplan.synth import SynthConfig, generate_lake
 
-from conftest import completed_from_series
+from conftest import completed_from_series, series_from_arrays
 
 
 def lexmin_oracle(grid: FeasibilityGrid):
@@ -240,3 +240,77 @@ class TestToleranceMonotonicity:
         grid = feasibility_grid(split, completed, ranking, SizeGridSpec(stride=15))
         with pytest.raises(EvaluationError):
             grid.rethreshold(0.0)
+
+
+def _engine_lake(seed, schema, n=70, n_pre=50, constant=None, duplicate=None):
+    """Correlated gap-free covariates; `constant` names a zero-variance
+    column, `duplicate` names a copy of the first column."""
+    rng = np.random.default_rng(seed)
+    X = 0.7 * rng.normal(size=(n, 1)) + rng.normal(size=(n, len(schema)))
+    if constant is not None:
+        X[:, schema.index(constant)] = 2.5
+    if duplicate is not None:
+        X[:, schema.index(duplicate)] = X[:, 0]
+    sdd = 5.0 + X[:, 0] - 0.6 * X[:, 1] + 0.3 * X[:, -1] + rng.normal(0.0, 0.3, n)
+    series = series_from_arrays(1, sdd, X, schema)
+    return split_by_count(series, n_pre), completed_from_series(series)
+
+
+class TestPrefixEngineAgainstOracle:
+    """Grid, curve and selection share one factorization per training
+    size; every value must still match a separate `backward_eval` fit."""
+
+    SCHEMA = ["x01", "x02", "flat", "x03", "x04"]
+    ORDER = ["x02", "flat", "x01", "x04", "x03"]  # zero-variance column ranked second
+
+    @staticmethod
+    def _assert_oracle(value, split, completed, n, features, penalty):
+        expected = backward_eval(split, completed, n, features, penalty).nmae
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0), (n, features)
+
+    @pytest.mark.parametrize("penalty", [1e-3, 0.5, 1.0, 10.0])
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_every_value_matches_backward_eval(self, seed, penalty):
+        split, completed = _engine_lake(seed, self.SCHEMA, constant="flat")
+        ranking = FeatureRanking(scores={}, order=self.ORDER)
+        p = len(self.SCHEMA)
+
+        grid = feasibility_grid(split, completed, ranking, SizeGridSpec(n_min=2), penalty=penalty)
+        assert min(grid.n_grid) < p + 1  # rows where only a prefix is admissible
+        for (n, k), value in grid.nmae.items():
+            self._assert_oracle(value, split, completed, n, self.ORDER[:k], penalty)
+
+        curve = sample_curve(split, completed, SizeGridSpec(n_min=p + 1), penalty=penalty)
+        for n, value in curve.nmae_at.items():
+            self._assert_oracle(value, split, completed, n, self.SCHEMA, penalty)
+
+        selection = forward_selection(split, completed, ranking, penalty=penalty)
+        assert sorted(selection.nmae_by_k) == list(range(1, p + 1))
+        for k, value in selection.nmae_by_k.items():
+            self._assert_oracle(value, split, completed, split.n_pre, self.ORDER[:k], penalty)
+
+    def test_zero_penalty_on_duplicated_column_is_a_fit_error(self):
+        schema = ["x01", "x02", "x03", "x01_copy"]
+        split, completed = _engine_lake(4, schema, duplicate="x01_copy")
+        ranking = FeatureRanking(scores={}, order=["x01", "x01_copy", "x02", "x03"])
+        with pytest.raises(FitError):
+            feasibility_grid(split, completed, ranking, penalty=0.0)
+        with pytest.raises(FitError):
+            sample_curve(split, completed, penalty=0.0)
+        with pytest.raises(FitError):
+            forward_selection(split, completed, ranking, penalty=0.0)
+        # The same design is well-posed once penalized.
+        feasibility_grid(split, completed, ranking, penalty=1.0)
+        sample_curve(split, completed, penalty=1.0)
+        forward_selection(split, completed, ranking, penalty=1.0)
+
+    def test_pool_too_small_for_the_full_fit_is_an_evaluation_error(self):
+        schema = ["x01", "x02", "x03", "x04"]
+        split, completed = _engine_lake(6, schema, n=20, n_pre=4)
+        ranking = FeatureRanking(scores={}, order=schema)
+        with pytest.raises(EvaluationError):
+            feasibility_grid(split, completed, ranking)
+        with pytest.raises(EvaluationError):
+            sample_curve(split, completed)
+        with pytest.raises(EvaluationError):
+            forward_selection(split, completed, ranking)

@@ -467,6 +467,55 @@ class TestCli:
         assert joint["minimal_configs"] == summary["minimal_configs"]
         assert joint["summary"] == summary["joint"]
 
+    def test_row_errors_go_to_stderr_and_leave_the_bundle_alone(self, tmp_path, capsys):
+        clean = self._write_synth_inputs(tmp_path)
+        lines = clean.read_text().splitlines(keepends=True)
+        header = lines[0].rstrip("\n").split(",")
+        bad = lines[10].rstrip("\n").split(",")
+        bad[header.index("zS_m")] = "nan"
+        dirty = tmp_path / "dirty.csv"
+        dirty.write_text("".join([*lines[:10], ",".join(bad) + "\n", *lines[10:]]))  # file line 11
+
+        flags = ["--trees", "15", "--n-stride", "6"]
+        assert main(["report", "--input", str(clean), *flags, "--out-dir", str(tmp_path / "clean")]) == 0
+        assert "line " not in capsys.readouterr().err
+        assert main(["report", "--input", str(dirty), *flags, "--out-dir", str(tmp_path / "dirty")]) == 0
+        assert capsys.readouterr().err.count("line 11:") == 1
+
+        def without_hash(path):
+            if path.suffix != ".json":
+                return path.read_bytes()
+            payload = json.loads(path.read_text())
+            payload.pop("config_hash", None)  # hashes the input file's bytes
+            return payload
+
+        clean_files = sorted(p.relative_to(tmp_path / "clean") for p in (tmp_path / "clean").rglob("*"))
+        dirty_files = sorted(p.relative_to(tmp_path / "dirty") for p in (tmp_path / "dirty").rglob("*"))
+        assert clean_files == dirty_files
+        for rel in clean_files:
+            if (tmp_path / "clean" / rel).is_file():
+                assert without_hash(tmp_path / "clean" / rel) == without_hash(tmp_path / "dirty" / rel), rel
+
+        assert main(["ingest", "--input", str(dirty)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count("line 11:") == 1
+        assert "1 malformed row(s) skipped" in captured.out
+
+    @pytest.mark.parametrize("command", ["report", "joint"])
+    @pytest.mark.parametrize(
+        "content",
+        [None, "[101, ", json.dumps({"ids": [101]}), json.dumps([101, "x"]), json.dumps({"lakes": [1.5]})],
+        ids=["missing", "truncated", "no-lakes-key", "string-id", "float-id"],
+    )
+    def test_bad_lakes_file_is_config_error(self, tmp_path, capsys, command, content):
+        csv_path = self._write_synth_inputs(tmp_path)
+        wanted = tmp_path / "wanted.json"
+        if content is not None:
+            wanted.write_text(content)
+        out = ["--out-dir", str(tmp_path / "bundle")] if command == "report" else ["--out", str(tmp_path / "j.json")]
+        assert main([command, "--input", str(csv_path), "--lakes", str(wanted), *out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_input_is_config_error(self, tmp_path):
         assert main(["ingest", "--input", str(tmp_path / "nope.csv")]) == 2
 
