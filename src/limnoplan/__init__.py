@@ -22,13 +22,10 @@ from .dataset import (
     IngestSchema,
     LakeSeries,
     MissingnessProfile,
-    Record,
     SplitSeries,
     apply_exclusions,
-    covariate_matrix,
     missingness_profile,
     parse_dataset,
-    sdd_values,
     select_top_lakes,
     split_by_count,
     split_test_block,

@@ -14,6 +14,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import dataset as ds
 from .errors import ConfigError, LimnoplanError
 from .evaluation import sample_curve
@@ -21,6 +23,7 @@ from .imputation import impute_series
 from .joint import aggregate_configs, minimal_config
 from .report import (
     RunConfig,
+    every_lake_failed,
     grid_rows,
     joint_payload,
     lake_grid,
@@ -191,13 +194,12 @@ def _cmd_ingest(args) -> int:
     lakes, errors = _load_lakes(args, exclusions=False)
     summary = []
     for series in lakes:
-        observed = sum(1 for r in series.records if r.sdd is not None)
         summary.append(
             {
                 "lake_id": series.lake_id,
                 "lake": series.name,
-                "rows": len(series.records),
-                "rows_with_target": observed,
+                "rows": len(series),
+                "rows_with_target": int(np.count_nonzero(~np.isnan(series.sdd))),
                 "features": series.feature_schema,
             }
         )
@@ -210,6 +212,8 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_lakes_rank(args) -> int:
     lakes, _ = _load_lakes(args)
+    if args.top < 1:
+        raise ConfigError(f"--top must be at least 1, got {args.top}")
     if args.top > len(lakes):
         raise ConfigError(f"--top {args.top} exceeds the {len(lakes)} lakes in the input")
     ranked = ds.select_top_lakes(lakes, args.top)
@@ -289,7 +293,7 @@ def _cmd_joint(args) -> int:
             rows.extend([lake_id, *row] for row in grid_rows(grid))
 
     if not configs:
-        raise ConfigError("every lake failed the joint stage")
+        raise every_lake_failed(failures)
     summary = aggregate_configs(configs, config.exclude_fallback)
     write_json(
         Path(args.out),
@@ -328,7 +332,7 @@ def _cmd_synth(args) -> int:
                 "missing_mask": truth.missing_mask.astype(int).tolist(),
             },
         )
-    print(f"wrote {len(series.records)} rows for lake {series.lake_id}")
+    print(f"wrote {len(series)} rows for lake {series.lake_id}")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Ingest and partition irregular lake-monitoring time series.
 
 Long-format CSV rows (one row per sampling visit) are parsed into
-per-lake chronological series. Leakage-prone covariates and
+per-lake columnar series in date order. Leakage-prone covariates and
 disk-on-bottom casts are excluded, per-feature gap fractions are
 profiled, lakes are ranked by data richness, and each series is split
 into a training pool and a held-out recent test block.
@@ -35,40 +35,53 @@ DEFAULT_LEAKAGE_FEATURES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Record:
-    """One sampling visit: target depth plus covariates, gaps as None."""
-
-    lake_id: int
-    lake_name: str
-    timestamp: date
-    sdd: float | None
-    covariates: dict[str, float | None]
-    sdd_to_bottom: bool = False
-
-
-@dataclass
+@dataclass(eq=False)
 class LakeSeries:
-    """Chronologically ordered records for one lake.
+    """One lake's visits as columns, one entry per visit, in date order.
 
-    All records share `feature_schema`; timestamps are nondecreasing.
+    `dates` is datetime64[D] and nondecreasing. The target `sdd` and the
+    rows x `feature_schema` `covariates` matrix hold NaN at gaps;
+    `sdd_to_bottom` flags disk-on-bottom casts.
     """
 
     lake_id: int
-    records: list[Record]
+    name: str
+    dates: np.ndarray
+    sdd: np.ndarray
+    covariates: np.ndarray
     feature_schema: list[str]
+    sdd_to_bottom: np.ndarray
 
     def __post_init__(self) -> None:
-        ts = [r.timestamp for r in self.records]
-        if any(b < a for a, b in zip(ts, ts[1:])):
-            raise ValueError(f"lake {self.lake_id}: records are not in chronological order")
-
-    @property
-    def name(self) -> str:
-        return self.records[0].lake_name if self.records else str(self.lake_id)
+        self.dates = np.asarray(self.dates, dtype="datetime64[D]")
+        self.sdd = np.asarray(self.sdd, dtype=float)
+        self.covariates = np.asarray(self.covariates, dtype=float)
+        self.sdd_to_bottom = np.asarray(self.sdd_to_bottom, dtype=bool)
+        n = len(self.dates)
+        if (
+            self.dates.shape != (n,)
+            or self.sdd.shape != (n,)
+            or self.sdd_to_bottom.shape != (n,)
+            or self.covariates.shape != (n, len(self.feature_schema))
+        ):
+            raise ValueError(f"lake {self.lake_id}: columns of unequal length")
+        if (self.dates[1:] < self.dates[:-1]).any():
+            raise ValueError(f"lake {self.lake_id}: dates are not in chronological order")
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.dates)
+
+    def take(self, rows: np.ndarray) -> "LakeSeries":
+        """The visits at `rows` (an index array or boolean mask), with copied columns."""
+        return LakeSeries(
+            self.lake_id,
+            self.name,
+            self.dates[rows],
+            self.sdd[rows],
+            self.covariates[rows],
+            list(self.feature_schema),
+            self.sdd_to_bottom[rows],
+        )
 
 
 @dataclass(frozen=True)
@@ -83,7 +96,7 @@ class MissingnessProfile:
 class SplitSeries:
     """Training pool (`pre`) and held-out recent block (`test`).
 
-    `pre_rows`/`test_rows` index the corresponding records inside the
+    `pre_rows`/`test_rows` index the corresponding visits inside the
     source series, so covariate matrices computed on the full series
     (e.g. after imputation) stay aligned with both blocks.
     """
@@ -95,7 +108,7 @@ class SplitSeries:
 
     @property
     def n_pre(self) -> int:
-        return len(self.pre.records)
+        return len(self.pre)
 
 
 @dataclass(frozen=True)
@@ -122,14 +135,19 @@ class RowError:
     message: str
 
 
-def _parse_cell(raw: str, na_tokens: frozenset[str]) -> float | None:
+def _parse_cell(raw: str, na_tokens: frozenset[str]) -> float:
+    """The cell's value, NaN for a gap."""
     text = raw.strip()
     if text in na_tokens:
-        return None
+        return math.nan
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {text!r}")
     return value
+
+
+def _format_cell(value: float) -> str:
+    return "" if math.isnan(value) else repr(value)
 
 
 def _parse_seccbot(raw: str, na_tokens: frozenset[str]) -> bool:
@@ -150,9 +168,10 @@ def parse_dataset(
 ) -> tuple[list[LakeSeries], list[RowError]]:
     """Parse long-format CSV into one LakeSeries per lake.
 
-    Returns the series (sorted by lake id, records sorted by date) and
-    the list of malformed rows that were skipped. A missing mandatory
-    column raises SchemaError; bad cells only fail their own row.
+    Returns the series (sorted by lake id, visits stably sorted by date)
+    and the list of malformed rows that were skipped. A missing
+    mandatory column raises SchemaError; bad cells only fail their own
+    row.
     """
     reader = csv.DictReader(stream)
     header = reader.fieldnames
@@ -180,7 +199,7 @@ def parse_dataset(
         features = [c for c in header if c not in role_columns]
 
     errors: list[RowError] = []
-    by_lake: dict[int, list[Record]] = {}
+    visits: dict[int, list[tuple[date, float, list[float], bool]]] = {}
     names: dict[int, str] = {}
 
     for row in reader:
@@ -189,36 +208,34 @@ def parse_dataset(
             lake_id = int(row[schema.id_column].strip())
             timestamp = date.fromisoformat(row[schema.date_column].strip())
             sdd = _parse_cell(row[schema.sdd_column], schema.na_tokens)
-            if sdd is not None and sdd <= 0:
+            if sdd <= 0:  # false for a gap (NaN)
                 raise ValueError(f"non-positive Secchi depth {sdd}")
             seccbot = _parse_seccbot(row.get(schema.seccbot_column) or "", schema.na_tokens)
-            covariates = {f: _parse_cell(row[f], schema.na_tokens) for f in features}
+            covariates = [_parse_cell(row[f], schema.na_tokens) for f in features]
         except (ValueError, TypeError, KeyError, AttributeError) as exc:
             # AttributeError covers short rows, where DictReader yields None cells.
             errors.append(RowError(line=line, message=str(exc) or "short row"))
             continue
 
-        name = (row.get(schema.name_column) or "").strip() or str(lake_id)
-        names.setdefault(lake_id, name)
-        by_lake.setdefault(lake_id, []).append(
-            Record(
+        names.setdefault(lake_id, (row.get(schema.name_column) or "").strip() or str(lake_id))
+        visits.setdefault(lake_id, []).append((timestamp, sdd, covariates, seccbot))
+
+    lakes = []
+    for lake_id, rows in sorted(visits.items()):
+        dates, sdd, covariates, seccbot = zip(*rows)
+        dates = np.array(dates, dtype="datetime64[D]")
+        order = np.argsort(dates, kind="stable")
+        lakes.append(
+            LakeSeries(
                 lake_id=lake_id,
-                lake_name=names[lake_id],
-                timestamp=timestamp,
-                sdd=sdd,
-                covariates=covariates,
-                sdd_to_bottom=seccbot,
+                name=names[lake_id],
+                dates=dates[order],
+                sdd=np.array(sdd)[order],
+                covariates=np.array(covariates, dtype=float)[order],
+                feature_schema=list(features),
+                sdd_to_bottom=np.array(seccbot)[order],
             )
         )
-
-    lakes = [
-        LakeSeries(
-            lake_id=lake_id,
-            records=sorted(records, key=lambda r: r.timestamp),
-            feature_schema=list(features),
-        )
-        for lake_id, records in sorted(by_lake.items())
-    ]
     return lakes, errors
 
 
@@ -229,18 +246,16 @@ def write_series_csv(series: LakeSeries, stream: TextIO, schema: IngestSchema = 
         [schema.id_column, schema.name_column, schema.date_column, schema.seccbot_column, schema.sdd_column]
         + list(series.feature_schema)
     )
-    for rec in series.records:
-        row = [
-            rec.lake_id,
-            rec.lake_name,
-            rec.timestamp.isoformat(),
-            "Yes" if rec.sdd_to_bottom else "No",
-            "" if rec.sdd is None else repr(float(rec.sdd)),
-        ]
-        for feat in series.feature_schema:
-            value = rec.covariates.get(feat)
-            row.append("" if value is None else repr(float(value)))
-        writer.writerow(row)
+    for day, flag, sdd, covariates in zip(
+        series.dates.astype(str).tolist(),
+        series.sdd_to_bottom.tolist(),
+        series.sdd.tolist(),
+        series.covariates.tolist(),
+    ):
+        writer.writerow(
+            [series.lake_id, series.name, day, "Yes" if flag else "No", _format_cell(sdd)]
+            + [_format_cell(value) for value in covariates]
+        )
 
 
 def apply_exclusions(
@@ -250,35 +265,26 @@ def apply_exclusions(
     """Drop clarity-proxy covariates and disk-on-bottom casts.
 
     Idempotent; a schema without any leakage column is passed through
-    with only the flagged records removed (and vice versa).
+    with only the flagged visits removed (and vice versa).
     """
     lowered = {f.lower() for f in leakage_features}
-    kept_schema = [f for f in series.feature_schema if f.lower() not in lowered]
-    dropped = set(series.feature_schema) - set(kept_schema)
-
-    records = []
-    for rec in series.records:
-        if rec.sdd_to_bottom:
-            continue
-        if dropped:
-            covs = {k: v for k, v in rec.covariates.items() if k not in dropped}
-            rec = replace(rec, covariates=covs)
-        records.append(rec)
-    return LakeSeries(lake_id=series.lake_id, records=records, feature_schema=kept_schema)
+    cols = [j for j, f in enumerate(series.feature_schema) if f.lower() not in lowered]
+    kept = series.take(~series.sdd_to_bottom)
+    return replace(
+        kept, covariates=kept.covariates[:, cols], feature_schema=[kept.feature_schema[j] for j in cols]
+    )
 
 
 def missingness_profile(series: LakeSeries) -> MissingnessProfile:
     """Per-feature gap fraction (#missing / #rows) and the mean over features."""
-    n_rows = len(series.records)
+    n_rows = len(series)
     if n_rows == 0:
         raise InsufficientDataError(f"lake {series.lake_id}: empty series")
     if not series.feature_schema:
         raise SchemaError(f"lake {series.lake_id}: no covariates in schema")
 
-    per_feature = {}
-    for feat in series.feature_schema:
-        n_missing = sum(1 for rec in series.records if rec.covariates.get(feat) is None)
-        per_feature[feat] = n_missing / n_rows
+    n_missing = np.isnan(series.covariates).sum(axis=0).tolist()
+    per_feature = {feat: count / n_rows for feat, count in zip(series.feature_schema, n_missing)}
     lake_mean = sum(per_feature.values()) / len(per_feature)
     return MissingnessProfile(per_feature=per_feature, lake_mean=lake_mean)
 
@@ -291,9 +297,7 @@ def select_top_lakes(all_series: Sequence[LakeSeries], top: int) -> list[int]:
     """
     if top > len(all_series):
         raise InsufficientDataError(f"requested top {top} of only {len(all_series)} lakes")
-    keyed = [
-        (missingness_profile(s).lake_mean, -len(s.records), s.lake_id) for s in all_series
-    ]
+    keyed = [(missingness_profile(s).lake_mean, -len(s), s.lake_id) for s in all_series]
     keyed.sort()
     return [lake_id for _, _, lake_id in keyed[:top]]
 
@@ -316,16 +320,16 @@ def split_test_block(series: LakeSeries, years: int = 5) -> SplitSeries:
     """
     if years < 1:
         raise ValueError("years must be >= 1")
-    observed = [(i, rec) for i, rec in enumerate(series.records) if rec.sdd is not None]
+    observed = np.flatnonzero(~np.isnan(series.sdd))
     if len(observed) < 2:
         raise InsufficientDataError(
             f"lake {series.lake_id}: need at least 2 rows with observed target, have {len(observed)}"
         )
 
-    boundary = _years_before(observed[-1][1].timestamp, years)
-    pre = [(i, rec) for i, rec in observed if rec.timestamp <= boundary]
-    test = [(i, rec) for i, rec in observed if rec.timestamp > boundary]
-    if not pre or not test:
+    dates = series.dates[observed]
+    boundary = np.datetime64(_years_before(dates[-1].item(), years), "D")
+    pre, test = observed[dates <= boundary], observed[dates > boundary]
+    if not len(pre) or not len(test):
         raise InsufficientDataError(
             f"lake {series.lake_id}: record does not span more than the {years}-year test window"
         )
@@ -339,7 +343,7 @@ def split_by_count(series: LakeSeries, n_pre: int) -> SplitSeries:
     rest the test block. Useful for fixtures that need an exact pool
     size rather than a calendar window.
     """
-    observed = [(i, rec) for i, rec in enumerate(series.records) if rec.sdd is not None]
+    observed = np.flatnonzero(~np.isnan(series.sdd))
     if not 1 <= n_pre < len(observed):
         raise InsufficientDataError(
             f"lake {series.lake_id}: cannot reserve {n_pre} of {len(observed)} observed rows for training"
@@ -347,36 +351,7 @@ def split_by_count(series: LakeSeries, n_pre: int) -> SplitSeries:
     return _make_split(series, observed[:n_pre], observed[n_pre:])
 
 
-def _make_split(
-    series: LakeSeries,
-    pre: list[tuple[int, Record]],
-    test: list[tuple[int, Record]],
-) -> SplitSeries:
+def _make_split(series: LakeSeries, pre_rows: np.ndarray, test_rows: np.ndarray) -> SplitSeries:
     return SplitSeries(
-        pre=LakeSeries(series.lake_id, [rec for _, rec in pre], list(series.feature_schema)),
-        test=LakeSeries(series.lake_id, [rec for _, rec in test], list(series.feature_schema)),
-        pre_rows=np.array([i for i, _ in pre], dtype=int),
-        test_rows=np.array([i for i, _ in test], dtype=int),
-    )
-
-
-def covariate_matrix(series: LakeSeries) -> np.ndarray:
-    """Rows x features float matrix with NaN marking gaps.
-
-    The target column is never part of this matrix.
-    """
-    n_rows, n_feat = len(series.records), len(series.feature_schema)
-    out = np.full((n_rows, n_feat), np.nan)
-    for i, rec in enumerate(series.records):
-        for j, feat in enumerate(series.feature_schema):
-            value = rec.covariates.get(feat)
-            if value is not None:
-                out[i, j] = value
-    return out
-
-
-def sdd_values(series: LakeSeries) -> np.ndarray:
-    """Target vector with NaN for unobserved rows."""
-    return np.array(
-        [np.nan if rec.sdd is None else rec.sdd for rec in series.records], dtype=float
+        pre=series.take(pre_rows), test=series.take(test_rows), pre_rows=pre_rows, test_rows=test_rows
     )

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import SplitSeries, covariate_matrix, sdd_values
+from .dataset import SplitSeries
 from .errors import EvaluationError, FitError
 from .imputation import CompletedMatrix
 from .models import (
@@ -148,7 +148,7 @@ def fit_reference(
             f"training size {n} outside [{len(cols) + 1}, {n_pre}] for {len(cols)} feature(s)"
         )
     X_pre = completed.values[split.pre_rows][:, cols]
-    y_pre = sdd_values(split.pre)
+    y_pre = split.pre.sdd
     X_train, y_train = X_pre[-n:], y_pre[-n:]
     model = fit_ridge(X_train, y_train, penalty, feature_schema=features)
     return model, X_train, y_train
@@ -165,7 +165,7 @@ def backward_eval(
     cols = _feature_columns(completed.feature_schema, features)
     model, _, _ = fit_reference(split, completed, features, n=n, penalty=penalty)
     X_test = completed.values[split.test_rows][:, cols]
-    y_test = sdd_values(split.test)
+    y_test = split.test.sdd
     return score_predictions(y_test, predict_ridge(model, X_test))
 
 
@@ -203,9 +203,9 @@ def prefix_nmae(
     if n_top > split.n_pre:
         raise EvaluationError(f"training size {n_top} exceeds the {split.n_pre}-row training pool")
     X_pre = completed.values[split.pre_rows][:, cols]
-    y_pre = sdd_values(split.pre)
+    y_pre = split.pre.sdd
     X_test = completed.values[split.test_rows][:, cols]
-    y_test = sdd_values(split.test)
+    y_test = split.test.sdd
     # The largest size reads every row and column any smaller size reads.
     if not (np.isfinite(X_pre[-n_top:, : min(p, n_top - 1)]).all() and np.isfinite(y_pre[-n_top:]).all()):
         raise FitError("non-finite values in design or target")
@@ -294,8 +294,8 @@ def complete_case_eval(
     training; None uses all of them.
     """
     k = len(features)
-    X_pre_raw = covariate_matrix(split.pre)
-    X_test_raw = covariate_matrix(split.test)
+    X_pre_raw = split.pre.covariates
+    X_test_raw = split.test.covariates
     cols = _feature_columns(split.pre.feature_schema, features)
 
     pre_ok = ~np.isnan(X_pre_raw[:, cols]).any(axis=1)
@@ -315,9 +315,9 @@ def complete_case_eval(
         raise EvaluationError("complete-case deletion removed every test row")
 
     X_train = X_pre_raw[pre_ok][:, cols][-n:]
-    y_train = sdd_values(split.pre)[pre_ok][-n:]
+    y_train = split.pre.sdd[pre_ok][-n:]
     model = fit_ridge(X_train, y_train, penalty, feature_schema=features)
 
     X_test = X_test_raw[test_ok][:, cols]
-    y_test = sdd_values(split.test)[test_ok]
+    y_test = split.test.sdd[test_ok]
     return score_predictions(y_test, predict_ridge(model, X_test))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LakeSeries, covariate_matrix
+from .dataset import LakeSeries
 from .errors import ImputationError
 from .models import solve_standardized_ridge, standardize_columns
 
@@ -186,4 +186,4 @@ def impute_series(
     Rows without an observed target still contribute here; they are
     only excluded later, when train/test blocks are formed.
     """
-    return mice_impute(covariate_matrix(series), config, list(series.feature_schema))
+    return mice_impute(series.covariates, config, list(series.feature_schema))

@@ -247,7 +247,8 @@ def joint_payload(summary: JointSummary) -> dict[str, Any]:
 
 def grid_rows(grid: FeasibilityGrid) -> list[list[Any]]:
     """`n, k, nmae, feasible` rows in (n, k) order."""
-    return [[n, k, repr(grid.nmae[(n, k)]), int(grid.is_feasible(n, k))] for (n, k) in sorted(grid.nmae)]
+    tau = grid.tau
+    return [[n, k, repr(value), int(value <= tau)] for (n, k), value in sorted(grid.nmae.items())]
 
 
 # --------------------------------------------------------------------------- #
@@ -300,10 +301,12 @@ class StageCache:
             return None
 
     def put(self, lake_id: int, key: str, payload: Any) -> None:
+        """Store `payload`, which must hold only JSON types, as one compact line."""
         # Write then rename, so a reader never sees a partial entry.
         path = self._path(lake_id, key)
+        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        write_json(tmp, payload)
+        tmp.write_text(json.dumps(payload, separators=(",", ":")))
         os.replace(tmp, path)
 
 
@@ -316,8 +319,8 @@ def grid_key(lake: PreparedLake, ranking: FeatureRanking, config: RunConfig) -> 
     digest = hashlib.sha256()
     for array in (
         completed.values,
-        ds.sdd_values(split.pre),
-        ds.sdd_values(split.test),
+        split.pre.sdd,
+        split.test.sdd,
         split.pre_rows,
         split.test_rows,
     ):
@@ -364,7 +367,7 @@ def prepare_lake(series: ds.LakeSeries, config: RunConfig, rank: bool = True) ->
     return PreparedLake(series, split, completed, impute_report, ranking)
 
 
-def _every_lake_failed(failures: dict[int, str]) -> ConfigError:
+def every_lake_failed(failures: dict[int, str]) -> ConfigError:
     return ConfigError(
         "every lake failed: " + "; ".join(f"{i}: {m}" for i, m in sorted(failures.items()))
     )
@@ -390,7 +393,7 @@ def prepare_lakes(
         except LimnoplanError as exc:
             failures[series.lake_id] = str(exc)
     if not prepared:
-        raise _every_lake_failed(failures)
+        raise every_lake_failed(failures)
     shared = aggregate_ranking([lake.ranking for lake in prepared]) if config.use_global_ranking else None
     return prepared, failures, shared
 
@@ -406,7 +409,7 @@ def process_lake(
     model, X_train, y_train = fit_reference(split, completed, completed.feature_schema, penalty=config.penalty)
     train_metrics = score_predictions(y_train, predict_ridge(model, X_train))
     X_test = completed.values[split.test_rows]
-    y_test = ds.sdd_values(split.test)
+    y_test = split.test.sdd
     test_metrics = score_predictions(y_test, predict_ridge(model, X_test))
     table_row = TableRow(
         lake_id=series.lake_id,
@@ -492,7 +495,7 @@ def run_pipeline(
         except LimnoplanError as exc:
             failures[lake.series.lake_id] = str(exc)
     if not ordered:
-        raise _every_lake_failed(failures)
+        raise every_lake_failed(failures)
 
     summary = aggregate_configs([r.minimal for r in ordered], config.exclude_fallback)
     agg_ranking = aggregate_ranking([r.ranking for r in ordered])

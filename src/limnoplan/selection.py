@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dataset import SplitSeries, sdd_values
+from .dataset import SplitSeries
 from .errors import SchemaError
 from .evaluation import DEFAULT_TOLERANCE, prefix_nmae, require_full_fit
 from .imputation import CompletedMatrix
@@ -56,7 +56,7 @@ def rank_features(
 ) -> FeatureRanking:
     """Forest-importance ranking fit on all pre-test rows."""
     X = completed.values[split.pre_rows]
-    y = sdd_values(split.pre)
+    y = split.pre.sdd
     model = fit_forest(X, y, forest_config, feature_schema=completed.feature_schema)
     importances = mdi_importances(model)
     scores = {name: float(s) for name, s in zip(completed.feature_schema, importances)}

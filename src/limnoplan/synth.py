@@ -14,12 +14,12 @@ injected gaps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from typing import Any
 
 import numpy as np
 
-from .dataset import LakeSeries, Record
+from .dataset import LakeSeries
 
 DAYS_PER_YEAR = 365.25
 AR_COEFF = 0.5
@@ -118,8 +118,9 @@ def generate_lake(config: SynthConfig) -> tuple[LakeSeries, SynthTruth]:
     if not 0 <= config.cross_correlation < 1:
         raise ValueError("cross_correlation must lie in [0, 1)")
 
-    dates = [config.start_date + timedelta(days=i * config.sampling_interval_days) for i in range(T)]
-    doy_phase = 2.0 * np.pi * np.array([d.timetuple().tm_yday for d in dates]) / DAYS_PER_YEAR
+    dates = np.datetime64(config.start_date, "D") + np.arange(T) * config.sampling_interval_days
+    day_of_year = (dates - dates.astype("datetime64[Y]")).astype(int) + 1
+    doy_phase = 2.0 * np.pi * day_of_year / DAYS_PER_YEAR
 
     def ar1_path() -> np.ndarray:
         innovation_sd = np.sqrt(1.0 - AR_COEFF**2)
@@ -163,19 +164,15 @@ def generate_lake(config: SynthConfig) -> tuple[LakeSeries, SynthTruth]:
             probs = _calibrated_probs(z, config.mar_slope, fractions[j])
             mask[:, j] = rng.random(T) < probs
 
-    records = [
-        Record(
-            lake_id=config.lake_id,
-            lake_name=config.lake_name,
-            timestamp=dates[t],
-            sdd=float(sdd[t]),
-            covariates={
-                names[j]: (None if mask[t, j] else float(X[t, j])) for j in range(p)
-            },
-        )
-        for t in range(T)
-    ]
-    series = LakeSeries(lake_id=config.lake_id, records=records, feature_schema=names)
+    series = LakeSeries(
+        lake_id=config.lake_id,
+        name=config.lake_name,
+        dates=dates,
+        sdd=sdd.copy(),
+        covariates=np.where(mask, np.nan, X),
+        feature_schema=names,
+        sdd_to_bottom=np.zeros(T, dtype=bool),
+    )
     truth = SynthTruth(
         weights=weights,
         intercept=config.intercept,

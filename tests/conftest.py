@@ -7,19 +7,8 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from limnoplan.dataset import LakeSeries, Record, covariate_matrix
+from limnoplan.dataset import LakeSeries
 from limnoplan.imputation import CompletedMatrix, initialize_fill
-
-
-def make_record(lake_id, day, sdd, covs, name="Testpond", flag=False):
-    return Record(
-        lake_id=lake_id,
-        lake_name=name,
-        timestamp=day,
-        sdd=sdd,
-        covariates=dict(covs),
-        sdd_to_bottom=flag,
-    )
 
 
 def series_from_arrays(
@@ -30,26 +19,41 @@ def series_from_arrays(
     start: date = date(2000, 1, 1),
     step_days: int = 14,
     name: str = "Testpond",
+    dates=None,
+    flags=None,
 ) -> LakeSeries:
-    """LakeSeries from plain arrays; NaN cells become missing entries."""
-    records = []
-    for i in range(len(sdd)):
-        covs = {
-            schema[j]: (None if np.isnan(X[i, j]) else float(X[i, j]))
-            for j in range(len(schema))
-        }
-        value = None if np.isnan(sdd[i]) else float(sdd[i])
-        records.append(
-            make_record(lake_id, start + timedelta(days=i * step_days), value, covs, name=name)
-        )
-    return LakeSeries(lake_id=lake_id, records=records, feature_schema=list(schema))
+    """LakeSeries from copies of plain arrays; NaN cells are gaps.
+
+    Visits are `step_days` apart from `start` unless `dates` is given;
+    `flags` marks disk-on-bottom casts (none by default).
+    """
+    n = len(sdd)
+    if dates is None:
+        dates = [start + timedelta(days=i * step_days) for i in range(n)]
+    return LakeSeries(
+        lake_id=lake_id,
+        name=name,
+        dates=dates,
+        sdd=np.array(sdd, dtype=float),
+        covariates=np.array(X, dtype=float),
+        feature_schema=list(schema),
+        sdd_to_bottom=np.zeros(n, dtype=bool) if flags is None else flags,
+    )
+
+
+def assert_same_series(a: LakeSeries, b: LakeSeries) -> None:
+    """Every column and attribute equal; gaps match gaps."""
+    assert (a.lake_id, a.name, a.feature_schema) == (b.lake_id, b.name, b.feature_schema)
+    assert np.array_equal(a.dates, b.dates)
+    assert np.array_equal(a.sdd, b.sdd, equal_nan=True)
+    assert np.array_equal(a.covariates, b.covariates, equal_nan=True)
+    assert np.array_equal(a.sdd_to_bottom, b.sdd_to_bottom)
 
 
 def completed_from_series(series: LakeSeries) -> CompletedMatrix:
     """Completion of a series that must already be gap-free."""
-    matrix = covariate_matrix(series)
-    assert not np.isnan(matrix).any(), "fixture expected to be gap-free"
-    return initialize_fill(matrix, list(series.feature_schema))
+    assert not np.isnan(series.covariates).any(), "fixture expected to be gap-free"
+    return initialize_fill(series.covariates, list(series.feature_schema))
 
 
 @pytest.fixture

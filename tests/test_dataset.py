@@ -11,10 +11,8 @@ from limnoplan.dataset import (
     IngestSchema,
     LakeSeries,
     apply_exclusions,
-    covariate_matrix,
     missingness_profile,
     parse_dataset,
-    sdd_values,
     select_top_lakes,
     split_by_count,
     split_test_block,
@@ -22,13 +20,57 @@ from limnoplan.dataset import (
 )
 from limnoplan.errors import InsufficientDataError, SchemaError
 
-from conftest import make_record, series_from_arrays
+from conftest import assert_same_series, series_from_arrays
 
 HEADER = "midas,lake,date,seccbot,zS_m,TSc,TBc\n"
 
 
 def _parse(text, schema=IngestSchema()):
     return parse_dataset(io.StringIO(text), schema)
+
+
+class TestLakeSeries:
+    def _columns(self, n=3):
+        dates = [date(2000, 1, 1 + i) for i in range(n)]
+        return dict(
+            lake_id=1,
+            name="L",
+            dates=dates,
+            sdd=np.ones(n),
+            covariates=np.zeros((n, 2)),
+            feature_schema=["a", "b"],
+            sdd_to_bottom=np.zeros(n, dtype=bool),
+        )
+
+    def test_out_of_order_dates_raise(self):
+        columns = self._columns()
+        columns["dates"] = columns["dates"][::-1]
+        with pytest.raises(ValueError, match="chronological"):
+            LakeSeries(**columns)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sdd", np.ones(2)),
+            ("covariates", np.zeros((4, 2))),
+            ("covariates", np.zeros((3, 3))),
+            ("sdd_to_bottom", np.zeros(4, dtype=bool)),
+            ("feature_schema", ["a"]),
+        ],
+    )
+    def test_columns_of_unequal_length_raise(self, field, value):
+        columns = self._columns()
+        LakeSeries(**columns)
+        columns[field] = value
+        with pytest.raises(ValueError, match="unequal length"):
+            LakeSeries(**columns)
+
+    def test_take_copies_the_rows(self):
+        series = LakeSeries(**self._columns())
+        part = series.take(np.array([0, 2]))
+        assert len(part) == 2 and part.feature_schema == series.feature_schema
+        part.covariates[:] = 7.0
+        assert not series.covariates.any()
 
 
 class TestParse:
@@ -51,19 +93,27 @@ class TestParse:
         assert errors == []
         assert [s.lake_id for s in lakes] == [1, 2]
         for series in lakes:
-            assert len(series.records) == 3
-            stamps = [r.timestamp for r in series.records]
+            assert len(series) == 3
+            stamps = series.dates.tolist()
             assert stamps == sorted(stamps)
         assert lakes[0].feature_schema == ["TSc", "TBc"]
+
+    def test_same_date_visits_keep_file_order(self):
+        # Forty rows on two alternating dates: long enough that an
+        # unstable sort would reorder visits within a date.
+        days = ["2001-06-01", "2000-01-01"] * 20
+        text = HEADER + "\n".join(f"1,A,{day},No,{1 + i / 100},1,2" for i, day in enumerate(days))
+        lakes, errors = _parse(text)
+        assert errors == []
+        positions = np.rint((lakes[0].sdd - 1) * 100).astype(int).tolist()
+        assert positions == list(range(1, 40, 2)) + list(range(0, 40, 2))
 
     def test_na_cell_matches_hand_parsed_fixture(self):
         text = HEADER + "7,Gull,1999-05-04,No,4.1,NA,6.5\n"
         lakes, errors = _parse(text)
         assert errors == []
-        rec = lakes[0].records[0]
-        assert rec == make_record(
-            7, date(1999, 5, 4), 4.1, {"TSc": None, "TBc": 6.5}, name="Gull"
-        )
+        expected = LakeSeries(7, "Gull", [date(1999, 5, 4)], [4.1], [[np.nan, 6.5]], ["TSc", "TBc"], [False])
+        assert_same_series(lakes[0], expected)
 
     def test_missing_mandatory_column(self):
         with pytest.raises(SchemaError):
@@ -72,7 +122,7 @@ class TestParse:
     def test_row_errors_reported_with_line_numbers(self):
         text = HEADER + "1,A,2001-06-01,No,2.0,1,2\n1,A,not-a-date,No,2.0,1,2\n1,A,2002-06-01,No,oops,1,2\n"
         lakes, errors = _parse(text)
-        assert len(lakes) == 1 and len(lakes[0].records) == 1
+        assert len(lakes) == 1 and len(lakes[0]) == 1
         assert sorted(e.line for e in errors) == [3, 4]
 
     def test_nonpositive_sdd_is_a_row_error(self):
@@ -91,26 +141,26 @@ class TestParse:
             ]
         )
         lakes, errors = _parse(text)
-        assert len(lakes[0].records) == 1
+        assert len(lakes[0]) == 1
         assert [e.line for e in errors] == [3, 4, 5, 6]
 
     def test_short_row_is_a_row_error(self):
         text = HEADER + "1,A,2001-06-01,No,2.0,1,2\n1,A,2002-06-01\n"
         lakes, errors = _parse(text)
-        assert len(lakes[0].records) == 1
+        assert len(lakes[0]) == 1
         assert [e.line for e in errors] == [3]
 
     def test_configured_na_token(self):
         schema = IngestSchema().with_na_token("-999")
         text = HEADER + "1,A,2001-06-01,No,2.0,-999,2\n"
         lakes, _ = _parse(text, schema)
-        assert lakes[0].records[0].covariates["TSc"] is None
+        assert np.isnan(lakes[0].covariates[0, 0])
 
     def test_seccbot_parsing(self):
         text = HEADER + "1,A,2001-06-01,Yes,2.0,1,2\n1,A,2002-06-01,,2.0,1,2\n"
         lakes, errors = _parse(text)
         assert errors == []
-        assert [r.sdd_to_bottom for r in lakes[0].records] == [True, False]
+        assert lakes[0].sdd_to_bottom.tolist() == [True, False]
 
     def test_round_trip_through_csv_writer(self, rng):
         X = rng.normal(size=(6, 3))
@@ -121,38 +171,34 @@ class TestParse:
         lakes, errors = parse_dataset(io.StringIO(buf.getvalue()))
         assert errors == []
         assert lakes[0].feature_schema == series.feature_schema
-        assert lakes[0].records == series.records
+        assert_same_series(lakes[0], series)
 
 
 class TestExclusions:
     def test_identity_when_nothing_to_drop(self, rng):
         series = series_from_arrays(1, rng.uniform(1, 3, 4), rng.normal(size=(4, 2)), ["TSc", "TBc"])
         out = apply_exclusions(series)
-        assert out.records == series.records
-        assert out.feature_schema == series.feature_schema
+        assert_same_series(out, series)
 
     def test_flagged_rows_removed(self, rng):
-        records = [
-            make_record(1, date(2000, 1, 1 + i), 2.0, {"TSc": 1.0}, flag=(i < 3))
-            for i in range(10)
-        ]
-        series = LakeSeries(1, records, ["TSc"])
-        assert len(apply_exclusions(series).records) == 7
+        flags = np.arange(10) < 3
+        series = series_from_arrays(1, np.full(10, 2.0), np.ones((10, 1)), ["TSc"], step_days=1, flags=flags)
+        assert len(apply_exclusions(series)) == 7
 
     def test_chlorophyll_dropped_from_schema_and_records(self, rng):
         schema = ["TSc", "chlorophyll-a", "TBc"]
-        series = series_from_arrays(1, rng.uniform(1, 3, 5), rng.normal(size=(5, 3)), schema)
+        X = rng.normal(size=(5, 3))
+        series = series_from_arrays(1, rng.uniform(1, 3, 5), X, schema)
         out = apply_exclusions(series)
         assert out.feature_schema == ["TSc", "TBc"]
-        assert all(set(r.covariates) == {"TSc", "TBc"} for r in out.records)
+        assert np.array_equal(out.covariates, X[:, [0, 2]])
 
     def test_idempotent(self, rng):
         schema = ["chla", "TSc"]
         series = series_from_arrays(1, rng.uniform(1, 3, 5), rng.normal(size=(5, 2)), schema)
         once = apply_exclusions(series)
         twice = apply_exclusions(once)
-        assert once.feature_schema == twice.feature_schema
-        assert once.records == twice.records
+        assert_same_series(once, twice)
 
 
 class TestMissingness:
@@ -184,7 +230,7 @@ class TestMissingness:
 
     def test_empty_series_errors(self):
         with pytest.raises(InsufficientDataError):
-            missingness_profile(LakeSeries(1, [], ["TSc"]))
+            missingness_profile(LakeSeries(1, "Empty", [], [], np.empty((0, 1)), ["TSc"], []))
 
 
 def _lake_with_gap_fraction(lake_id, fraction, n_rows, rng, name="L"):
@@ -234,24 +280,23 @@ class TestSelectTopLakes:
 
 class TestSplit:
     def _annual_series(self, years, month=6, day=1):
-        records = [
-            make_record(1, date(y, month, day), 2.0 + 0.1 * i, {"TSc": float(i)})
-            for i, y in enumerate(years)
-        ]
-        return LakeSeries(1, records, ["TSc"])
+        years = list(years)
+        sdd = 2.0 + 0.1 * np.arange(len(years))
+        X = np.arange(len(years), dtype=float)[:, None]
+        return series_from_arrays(1, sdd, X, ["TSc"], dates=[date(y, month, day) for y in years])
 
     def test_ten_annual_samples_even_split(self):
         series = self._annual_series(range(2011, 2021))
         split = split_test_block(series, years=5)
-        assert split.n_pre == 5 and len(split.test.records) == 5
+        assert split.n_pre == 5 and len(split.test) == 5
 
     def test_boundary_convention_1990_2020(self):
         series = self._annual_series(range(1990, 2021), month=12, day=31)
         split = split_test_block(series, years=5)
         # Latest sample 2020-12-31; the window opens strictly after 2015-12-31.
-        assert max(r.timestamp for r in split.pre.records) == date(2015, 12, 31)
-        assert min(r.timestamp for r in split.test.records) == date(2016, 12, 31)
-        assert all(r.timestamp > date(2015, 12, 31) for r in split.test.records)
+        assert max(split.pre.dates.tolist()) == date(2015, 12, 31)
+        assert min(split.test.dates.tolist()) == date(2016, 12, 31)
+        assert all(day > date(2015, 12, 31) for day in split.test.dates.tolist())
 
     def test_single_year_record_errors(self):
         series = self._annual_series([2020, 2020])
@@ -265,8 +310,10 @@ class TestSplit:
         split = split_test_block(series, years=2)
         kept = np.concatenate([split.pre_rows, split.test_rows])
         assert set(kept) == set(range(12)) - {3, 7}
-        for i, rec in zip(split.pre_rows, split.pre.records):
-            assert series.records[i] == rec
+        for block, rows in ((split.pre, split.pre_rows), (split.test, split.test_rows)):
+            assert np.array_equal(block.dates, series.dates[rows])
+            assert np.array_equal(block.sdd, series.sdd[rows])
+            assert np.array_equal(block.covariates, series.covariates[rows])
 
     def test_partition_property(self, rng):
         for trial in range(5):
@@ -282,14 +329,23 @@ class TestSplit:
                 continue
             observed = [i for i in range(n) if not np.isnan(sdd[i])]
             assert sorted(np.concatenate([split.pre_rows, split.test_rows])) == observed
-            assert max(r.timestamp for r in split.pre.records) < min(
-                r.timestamp for r in split.test.records
-            )
+            assert split.pre.dates.max() < split.test.dates.min()
+
+    def test_split_blocks_are_copies(self, rng):
+        X = rng.normal(size=(20, 2))
+        sdd = rng.uniform(1, 4, 20)
+        series = series_from_arrays(1, sdd, X, ["a", "b"], step_days=200)
+        split = split_test_block(series, years=3)
+        split.pre.covariates[:] = np.nan
+        split.pre.sdd[:] = -1.0
+        split.test.sdd[:] = -1.0
+        assert np.array_equal(series.covariates, X)
+        assert np.array_equal(series.sdd, sdd)
 
     def test_split_by_count(self, rng):
         series = series_from_arrays(1, rng.uniform(1, 4, 20), rng.normal(size=(20, 1)), ["a"])
         split = split_by_count(series, 12)
-        assert split.n_pre == 12 and len(split.test.records) == 8
+        assert split.n_pre == 12 and len(split.test) == 8
 
 
 class TestMatrices:
@@ -297,12 +353,12 @@ class TestMatrices:
         X = rng.normal(size=(5, 2))
         X[1, 0] = np.nan
         series = series_from_arrays(1, rng.uniform(1, 3, 5), X, ["a", "b"])
-        out = covariate_matrix(series)
+        out = series.covariates
         assert np.isnan(out[1, 0]) and np.array_equal(out[~np.isnan(out)], X[~np.isnan(X)])
 
     def test_sdd_values(self, rng):
         sdd = rng.uniform(1, 3, 4)
         sdd[2] = np.nan
         series = series_from_arrays(1, sdd, rng.normal(size=(4, 1)), ["a"])
-        out = sdd_values(series)
+        out = series.sdd
         assert np.isnan(out[2]) and np.array_equal(out[[0, 1, 3]], sdd[[0, 1, 3]])

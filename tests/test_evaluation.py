@@ -131,7 +131,7 @@ class TestBackwardEval:
         series, split, completed = _linear_lake(rng)
         metrics = backward_eval(split, completed, split.n_pre, completed.feature_schema)
         model, _, _ = fit_reference(split, completed, completed.feature_schema)
-        y_test = np.array([r.sdd for r in split.test.records])
+        y_test = split.test.sdd
         expected = score_predictions(y_test, predict_ridge(model, completed.values[split.test_rows]))
         assert_metrics_close(metrics, expected)
 
@@ -168,9 +168,9 @@ class TestBackwardEval:
         series, split, completed = _linear_lake(rng)
         metrics = backward_eval(split, completed, split.n_pre, ["f1"])
         X_pre = completed.values[split.pre_rows][:, [1]]
-        y_pre = np.array([r.sdd for r in split.pre.records])
+        y_pre = split.pre.sdd
         model = fit_ridge(X_pre, y_pre, 1.0, feature_schema=["f1"])
-        y_test = np.array([r.sdd for r in split.test.records])
+        y_test = split.test.sdd
         expected = score_predictions(
             y_test, predict_ridge(model, completed.values[split.test_rows][:, [1]])
         )

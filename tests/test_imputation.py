@@ -119,6 +119,14 @@ class TestImpute:
             f"x{j}": int(mask[:, j].sum()) for j in range(5)
         }
 
+    def test_impute_series_leaves_the_series_gappy(self):
+        series, truth = generate_lake(SynthConfig(n_samples=60, missing_fraction=0.3, seed=8))
+        before = series.covariates.copy()
+        completed, _ = impute_series(series)
+        assert not np.isnan(completed.values).any()
+        assert np.array_equal(series.covariates, before, equal_nan=True)
+        assert np.array_equal(np.isnan(series.covariates), truth.missing_mask)
+
     def test_deterministic_given_seed(self, rng):
         M = rng.normal(size=(30, 4))
         M[rng.random(M.shape) < 0.2] = np.nan

@@ -65,13 +65,13 @@ def oracle_nmae(split, completed, n, feature_names, penalty=1.0):
     """Normal-equation route computed without the package's fit/predict."""
     cols = [completed.feature_schema.index(f) for f in feature_names]
     X_pre = completed.values[split.pre_rows][:, cols][-n:]
-    y_pre = np.array([r.sdd for r in split.pre.records])[-n:]
+    y_pre = split.pre.sdd[-n:]
     means, stds = X_pre.mean(axis=0), X_pre.std(axis=0)
     stds = np.where(stds > 0, stds, 1.0)
     Xs = (X_pre - means) / stds
     w = np.linalg.inv(Xs.T @ Xs + penalty * np.eye(len(cols))) @ (Xs.T @ (y_pre - y_pre.mean()))
     X_test = completed.values[split.test_rows][:, cols]
-    y_test = np.array([r.sdd for r in split.test.records])
+    y_test = split.test.sdd
     pred = y_pre.mean() + ((X_test - means) / stds) @ w
     return np.mean(np.abs(y_test - pred)) / y_test.mean()
 

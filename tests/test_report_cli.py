@@ -305,6 +305,24 @@ class TestCli:
         assert len(payload["lakes"]) == 2
         assert payload["missingness_after_exclusions"] is True
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_lakes_rank_top_below_one_is_config_error(self, tmp_path, capsys, top):
+        csv_path = self._write_synth_inputs(tmp_path)
+        out = tmp_path / "rank.json"
+        assert main(["lakes", "rank", "--input", str(csv_path), "--top", top, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --top")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["report", "joint"])
+    def test_every_lake_failed_names_each_lake(self, tmp_path, capsys, command):
+        csv_path = self._write_synth_inputs(tmp_path)
+        out = ["--out-dir", str(tmp_path / "bundle")] if command == "report" else ["--out", str(tmp_path / "j.json")]
+        assert main([command, "--input", str(csv_path), "--trees", "5", "--lambda", "-1", *out]) == 2
+        err = capsys.readouterr().err
+        reason = "penalty must be nonnegative"
+        assert err.startswith("error: every lake failed: ")
+        assert f"100: {reason}" in err and f"101: {reason}" in err
+
     def test_impute_command(self, tmp_path):
         csv_path = self._write_synth_inputs(tmp_path)
         out = tmp_path / "completed.csv"
@@ -404,18 +422,18 @@ class TestCli:
         assert "999" in summary["failures"]
 
     def test_non_finite_target_fails_only_its_lake(self, tmp_path, monkeypatch):
-        # Ingest rejects non-finite cells; a NaN reaching evaluation by
-        # another route must still fail only its own lake.
+        # Ingest rejects non-finite cells; a non-finite target reaching
+        # evaluation by another route must still fail only its own lake.
+        # (A NaN target is a gap, so the injected value is infinite.)
         csv_path = self._write_synth_inputs(tmp_path)
         parse = dataset.parse_dataset
 
-        def parse_with_nan_target(*args, **kwargs):
+        def parse_with_inf_target(*args, **kwargs):
             lakes, errors = parse(*args, **kwargs)
-            records = lakes[1].records
-            records[-1] = dataclasses.replace(records[-1], sdd=float("nan"))
+            lakes[1].sdd[-1] = np.inf
             return lakes, errors
 
-        monkeypatch.setattr(dataset, "parse_dataset", parse_with_nan_target)
+        monkeypatch.setattr(dataset, "parse_dataset", parse_with_inf_target)
         out_dir = tmp_path / "bundle"
         code = main(
             ["report", "--input", str(csv_path), "--trees", "15", "--n-stride", "6", "--out-dir", str(out_dir)]

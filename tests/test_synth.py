@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from limnoplan.dataset import covariate_matrix
 from limnoplan.synth import SynthConfig, config_from_dict, generate_lake
+
+from conftest import assert_same_series
 
 
 class TestGenerate:
     def test_gap_free_when_fraction_zero(self):
         series, truth = generate_lake(SynthConfig(n_samples=50, missing_fraction=0.0, seed=0))
         assert not truth.missing_mask.any()
-        assert not np.isnan(covariate_matrix(series)).any()
+        assert not np.isnan(series.covariates).any()
 
     def test_mcar_fraction_concentrates(self):
         config = SynthConfig(
@@ -25,24 +26,23 @@ class TestGenerate:
         config = SynthConfig(n_samples=80, missing_fraction=0.2, seed=11)
         a_series, a_truth = generate_lake(config)
         b_series, b_truth = generate_lake(config)
-        assert a_series.records == b_series.records
+        assert_same_series(a_series, b_series)
         assert np.array_equal(a_truth.covariates, b_truth.covariates)
         assert np.array_equal(a_truth.missing_mask, b_truth.missing_mask)
 
     def test_different_seeds_differ(self):
         a, _ = generate_lake(SynthConfig(n_samples=40, seed=1))
         b, _ = generate_lake(SynthConfig(n_samples=40, seed=2))
-        assert a.records != b.records
+        assert not (np.array_equal(a.sdd, b.sdd) and np.array_equal(a.covariates, b.covariates))
 
     def test_target_always_observed(self):
         series, _ = generate_lake(SynthConfig(n_samples=60, missing_fraction=0.5, seed=4))
-        assert all(r.sdd is not None for r in series.records)
+        assert not np.isnan(series.sdd).any()
 
     def test_target_matches_generating_model(self):
         config = SynthConfig(n_samples=50, n_features=3, true_weights=(0.5, -0.2, 0.1), seed=6)
         series, truth = generate_lake(config)
-        sdd = np.array([r.sdd for r in series.records])
-        assert np.allclose(sdd, truth.sdd)
+        assert np.allclose(series.sdd, truth.sdd)
         assert np.array_equal(truth.weights, np.array([0.5, -0.2, 0.1]))
 
     def test_mar_missingness_tracks_driver(self):
@@ -71,7 +71,7 @@ class TestGenerate:
         series, truth = generate_lake(config)
         # Residualize the annual harmonics so only the noise parts remain;
         # those share the configured common-factor correlation.
-        phase = 2 * np.pi * np.array([r.timestamp.timetuple().tm_yday for r in series.records]) / 365.25
+        phase = 2 * np.pi * np.array([d.timetuple().tm_yday for d in series.dates.tolist()]) / 365.25
         H = np.column_stack([np.sin(phase), np.cos(phase), np.ones_like(phase)])
         beta, *_ = np.linalg.lstsq(H, truth.covariates, rcond=None)
         resid = truth.covariates - H @ beta
@@ -121,5 +121,5 @@ class TestValidation:
         }
         config = config_from_dict(payload)
         series, _ = generate_lake(config)
-        assert len(series.records) == 40
-        assert series.records[0].timestamp.isoformat() == "2001-05-04"
+        assert len(series) == 40
+        assert series.dates[0].item().isoformat() == "2001-05-04"
