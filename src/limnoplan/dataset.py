@@ -10,7 +10,7 @@ Expected CSV layout::
 
     midas,lake,date,seccbot,zS_m,<covariate>,<covariate>,...
 
-`date` is ISO-8601, `seccbot` is Yes/No/empty, and missing cells are
+`date` is `YYYY-MM-DD`, `seccbot` is Yes/No/empty, and missing cells are
 empty or one of the configured NA tokens. Any column not claimed by
 the fixed roles above is treated as a covariate.
 """
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, replace
 from datetime import date
 from typing import Iterable, Sequence, TextIO
@@ -162,6 +163,18 @@ def _parse_seccbot(raw: str, na_tokens: frozenset[str]) -> bool:
     raise ValueError(f"unrecognized seccbot value {raw!r}")
 
 
+_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _parse_date(cell: str) -> date:
+    # date.fromisoformat alone accepts other ISO forms (20010601, 2001-W01-1)
+    # on some Python versions and not on others.
+    text = cell.strip()
+    if not _DATE.fullmatch(text):
+        raise ValueError(f"date {text!r} is not YYYY-MM-DD")
+    return date.fromisoformat(text)
+
+
 def parse_dataset(
     stream: TextIO | Iterable[str],
     schema: IngestSchema = IngestSchema(),
@@ -206,7 +219,7 @@ def parse_dataset(
         line = reader.line_num
         try:
             lake_id = int(row[schema.id_column].strip())
-            timestamp = date.fromisoformat(row[schema.date_column].strip())
+            timestamp = _parse_date(row[schema.date_column])
             sdd = _parse_cell(row[schema.sdd_column], schema.na_tokens)
             if sdd <= 0:  # false for a gap (NaN)
                 raise ValueError(f"non-positive Secchi depth {sdd}")

@@ -100,6 +100,8 @@ def r_squared(y: np.ndarray, y_hat: np.ndarray) -> float:
     y_hat = np.asarray(y_hat, dtype=float)
     if y.shape != y_hat.shape or y.size < 2:
         raise EvaluationError(f"need equal lengths >= 2, got {y.shape} and {y_hat.shape}")
+    if not (np.isfinite(y).all() and np.isfinite(y_hat).all()):
+        raise EvaluationError("non-finite target or prediction; coefficient of determination undefined")
     sst = float(np.sum((y - y.mean()) ** 2))
     if sst == 0:
         raise EvaluationError("target has zero variance; coefficient of determination undefined")

@@ -8,11 +8,13 @@ solve of the k x k Gram matrix.
 
 The regression forest exists to score features: its mean decrease in
 impurity drives the importance ranking. Trees are grown on seeded
-bootstrap samples with per-split feature subsampling. Internally the
-forest works in name-sorted ("canonical") column order and routes
+bootstrap samples with per-split feature subsampling, all trees
+together one depth level at a time, with exact CART splits. Internally
+the forest works in name-sorted ("canonical") column order and routes
 prediction inputs through the same mapping, so fitting on a permuted
 copy of the columns with the same seed yields the identical model.
-Per-tree randomness derives from ``SeedSequence([seed, tree_index])``.
+Tree i draws its bootstrap and then one candidate-key matrix per depth
+level from ``SeedSequence([seed, i])``, so it depends only on (seed, i).
 """
 
 from __future__ import annotations
@@ -179,106 +181,207 @@ def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, tree_index]))
 
 
-def _grow_tree(
-    X: np.ndarray,
+# Upper bound on the padded (node, candidate, row) cells one numpy pass of
+# the split search holds, so per-level temporaries stay a few hundred KB
+# however many trees grow together.
+_SPLIT_CHUNK_CELLS = 1 << 14
+
+
+def _best_splits(
+    X_pad: np.ndarray,
+    y_pad: np.ndarray,
+    rows: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    candidates: np.ndarray,
+    min_leaf: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact best split of each node over its candidate columns.
+
+    Node j owns ``rows[starts[j]:starts[j] + counts[j]]``; the last row of
+    ``X_pad``/``y_pad`` is a padding row of +inf features and zero target.
+    Nodes are scored in chunks of similar size, each padded to its largest
+    node. Per node and candidate the rows are stably sorted, the target
+    and its square are cumulatively summed, and every cut leaving at least
+    ``min_leaf`` rows on each side between two distinct values is scored by
+    its summed squared error. Ties go to the lowest candidate, then the
+    smallest left block. Returns the chosen column (-1 where no cut is
+    valid), the midpoint threshold and the summed child error.
+    """
+    n_nodes, k = candidates.shape
+    feature = np.empty(n_nodes, dtype=int)
+    threshold = np.empty(n_nodes)
+    best = np.empty(n_nodes)
+    rows_ext = np.append(rows, X_pad.shape[0] - 1)
+    by_size = np.argsort(counts, kind="stable")
+    sizes = counts[by_size]
+    budget = _SPLIT_CHUNK_CELLS // k
+    lo = 0
+    while lo < n_nodes:
+        # A chunk is a run of nodes in size order, padded to its largest
+        # node. (j + 1) * sizes[lo + j] grows with j, so the run that fits
+        # the budget is a prefix; it holds at least one node.
+        run = sizes[lo : lo + max(1, budget // int(sizes[lo]))]
+        c = max(1, int(np.count_nonzero(np.arange(1, run.size + 1) * run <= budget)))
+        nodes = by_size[lo : lo + c]
+        B = int(sizes[lo + c - 1])
+        lo += c
+        n_rows = counts[nodes]
+        slots = np.arange(B)
+        idx = rows_ext[np.where(slots < n_rows[:, None], starts[nodes][:, None] + slots, rows.size)]
+        x = X_pad[idx[:, None, :], candidates[nodes][:, :, None]]
+        order = np.argsort(x, axis=-1, kind="stable")
+        xs = np.take_along_axis(x, order, axis=-1)
+        ys = np.take_along_axis(y_pad[idx][:, None, :], order, axis=-1)
+        del x, order
+        c1 = np.cumsum(ys, axis=-1)
+        ys *= ys
+        c2 = np.cumsum(ys, axis=-1)
+        del ys
+        t1 = c1[np.arange(c), :, n_rows - 1][:, :, None]
+        t2 = c2[np.arange(c), :, n_rows - 1][:, :, None]
+        s1 = c1[..., :-1]
+        s2 = c2[..., :-1]
+        left_n = np.arange(1, B, dtype=float)
+        right_n = n_rows[:, None, None] - left_n
+        valid = xs[..., :-1] < xs[..., 1:]
+        valid &= (left_n >= min_leaf) & (right_n >= min_leaf)
+        # total = max(s2 - s1^2/left_n, 0) + max((t2 - s2) - (t1 - s1)^2/right_n, 0),
+        # computed in place to bound the live temporaries.
+        total = s1 * s1
+        total /= left_n
+        np.subtract(s2, total, out=total)
+        np.maximum(total, 0.0, out=total)
+        spread = np.subtract(t1, s1, out=s1)  # reuses c1's storage
+        spread *= spread
+        # Padded cuts (right_n <= 0) are masked below; the clamp only
+        # keeps their arithmetic finite.
+        spread /= np.maximum(right_n, 1.0)
+        sse_right = np.subtract(t2, s2, out=s2)  # reuses c2's storage
+        sse_right -= spread
+        np.maximum(sse_right, 0.0, out=sse_right)
+        total += sse_right
+        total[~valid] = np.inf
+        total = total.reshape(c, -1)
+
+        flat = np.argmin(total, axis=1)
+        chunk_best = total[np.arange(c), flat]
+        cand_pos, cut = np.divmod(flat, B - 1)
+        lower = xs[np.arange(c), cand_pos, cut]
+        upper = xs[np.arange(c), cand_pos, cut + 1]
+        thr = 0.5 * (lower + upper)
+        thr = np.where(thr < upper, thr, lower)  # midpoint rounded up to the right value
+        found = chunk_best < math.inf
+        feature[nodes] = np.where(found, candidates[nodes, cand_pos], -1)
+        threshold[nodes] = np.where(found, thr, math.nan)
+        best[nodes] = chunk_best
+    return feature, threshold, best
+
+
+def _grow_forest(
+    Xc: np.ndarray,
     y: np.ndarray,
-    rng: np.random.Generator,
+    seed: int,
+    n_trees: int,
     min_leaf: int,
     max_depth: int | None,
     features_per_split: int,
-    seed_key: tuple[int, int],
-) -> TreeNodes:
-    n, p = X.shape
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    value: list[float] = []
-    n_samples: list[int] = []
-    decrease: list[float] = []
+) -> list[TreeNodes]:
+    """Grow every tree of the forest together, one depth level at a time.
 
-    # Stack entries: (row indices, depth, parent node id, is_left_child).
-    stack: list[tuple[np.ndarray, int, int, bool]] = [(np.arange(n), 0, -1, False)]
-    while stack:
-        idx, depth, parent, is_left = stack.pop()
-        node_id = len(feature)
-        if parent >= 0:
-            if is_left:
-                left[parent] = node_id
+    Tree i draws its bootstrap sample from its own generator, then, at
+    each level, one ``random((splittable nodes of tree i, p))`` key
+    matrix; a node's candidates are the ``features_per_split`` columns
+    with the smallest keys. A tree thus depends only on (seed, i). A
+    level's nodes are ordered by tree, then left to right, and each
+    node's rows are a contiguous block of ``rows`` (indices into ``Xc``)
+    in parent order. Nodes are numbered breadth-first within each tree.
+    """
+    n, p = Xc.shape
+    rngs = [_tree_rng(seed, i) for i in range(n_trees)]
+    boots = [rng.integers(0, n, size=n) for rng in rngs]
+    X_pad = np.vstack([Xc, np.full((1, p), np.inf)])
+    y_pad = np.append(y, 0.0)
+
+    rows = np.concatenate(boots)
+    counts = np.full(n_trees, n)
+    tree_of = np.arange(n_trees)
+    levels: list[tuple[np.ndarray, ...]] = []
+    n_before = 0  # nodes on the levels already grown
+    depth = 0
+    while counts.size:
+        starts = np.cumsum(counts) - counts
+        y_rows = y[rows]
+        y_sum = np.add.reduceat(y_rows, starts)
+        mean = y_sum / counts
+        sse = np.maximum(np.add.reduceat(y_rows * y_rows, starts) - y_sum * mean, 0.0)
+        splittable = (
+            (counts >= 2 * min_leaf)
+            & (sse > 0.0)
+            & (np.maximum.reduceat(y_rows, starts) > np.minimum.reduceat(y_rows, starts))
+            & (max_depth is None or depth < max_depth)
+        )
+
+        feature = np.full(counts.size, -1)
+        threshold = np.full(counts.size, math.nan)
+        decrease = np.zeros(counts.size)
+        todo = np.flatnonzero(splittable)
+        if todo.size:
+            if features_per_split == p:
+                # Every column is a candidate, so no keys are needed.
+                candidates = np.broadcast_to(np.arange(p), (todo.size, p))
             else:
-                right[parent] = node_id
+                per_tree = np.bincount(tree_of[todo], minlength=n_trees)
+                keys = np.vstack(
+                    [rngs[t].random((per_tree[t], p)) for t in np.flatnonzero(per_tree).tolist()]
+                )
+                candidates = np.sort(
+                    np.argsort(keys, axis=1, kind="stable")[:, :features_per_split], axis=1
+                )
+            f, thr, total = _best_splits(
+                X_pad, y_pad, rows, starts[todo], counts[todo], candidates, min_leaf
+            )
+            feature[todo] = f
+            threshold[todo] = thr
+            # total is inf where no cut is valid, which leaves a zero decrease.
+            decrease[todo] = np.maximum(sse[todo] - total, 0.0) / counts[todo]
 
-        y_node = y[idx]
-        m = idx.size
-        y_sum = float(y_node.sum())
-        mean = y_sum / m
-        sse = max(float(y_node @ y_node) - y_sum * mean, 0.0)
+        split = feature >= 0
+        n_split = int(split.sum())
+        n_here = counts.size
+        left = np.full(n_here, -1)
+        left[split] = n_before + n_here + 2 * np.arange(n_split)
+        levels.append((tree_of, feature, threshold, left, mean, counts, decrease))
+        n_before += n_here
 
-        feature.append(-1)
-        threshold.append(math.nan)
-        left.append(-1)
-        right.append(-1)
-        value.append(mean)
-        n_samples.append(m)
-        decrease.append(0.0)
+        # Children keep their rows in parent order: left block, then right.
+        node_of_row = np.repeat(np.arange(n_here), counts)
+        keep = split[node_of_row]
+        rows = rows[keep]
+        node_of_row = node_of_row[keep]
+        go_right = ~(Xc[rows, feature[node_of_row]] <= threshold[node_of_row])
+        child = 2 * (np.cumsum(split) - 1)[node_of_row] + go_right
+        rows = rows[np.argsort(child, kind="stable")]
+        counts = np.bincount(child, minlength=2 * n_split)
+        tree_of = np.repeat(tree_of[split], 2)
+        depth += 1
 
-        if (
-            m < 2 * min_leaf
-            or sse <= 0.0
-            or (max_depth is not None and depth >= max_depth)
-            or np.ptp(y_node) == 0.0  # exactly constant target
-        ):
-            continue
-
-        candidates = np.sort(rng.choice(p, size=features_per_split, replace=False))
-        # All candidate features are scored in one batch; ties resolve to the
-        # lowest candidate index, then the smallest left-block size.
-        Xn = X.take(idx, axis=0).take(candidates, axis=1)
-        order = np.argsort(Xn, axis=0, kind="stable")
-        xs = np.sort(Xn, axis=0, kind="stable")
-        ys = y_node[order]
-        c1 = np.cumsum(ys, axis=0)
-        c2 = np.cumsum(ys * ys, axis=0)
-        sizes = np.arange(min_leaf, m - min_leaf + 1)
-        valid = xs[sizes - 1, :] < xs[sizes, :]
-        if not valid.any():
-            continue
-        s1 = c1[sizes - 1, :]
-        s2 = c2[sizes - 1, :]
-        left_n = sizes[:, None].astype(float)
-        sse_left = np.maximum(s2 - s1 * s1 / left_n, 0.0)
-        sse_right = np.maximum((c2[-1, :] - s2) - (c1[-1, :] - s1) ** 2 / (m - left_n), 0.0)
-        total = np.where(valid, sse_left + sse_right, np.inf)
-
-        flat = int(np.argmin(total.T))
-        cand_pos, size_pos = divmod(flat, sizes.size)
-        cut = int(sizes[size_pos])
-        f = int(candidates[cand_pos])
-        thr = 0.5 * (xs[cut - 1, cand_pos] + xs[cut, cand_pos])
-        if not thr < xs[cut, cand_pos]:  # midpoint rounded up to the right value
-            thr = float(xs[cut - 1, cand_pos])
-
-        feature[node_id] = f
-        threshold[node_id] = float(thr)
-        decrease[node_id] = max(sse - float(total[size_pos, cand_pos]), 0.0) / m
-
-        left_mask = X[idx, f] <= thr
-        left_idx = idx[left_mask]
-        right_idx = idx[~left_mask]
-        # Right child is pushed first so the left child is grown next (DFS order).
-        stack.append((right_idx, depth + 1, node_id, False))
-        stack.append((left_idx, depth + 1, node_id, True))
-
-    return TreeNodes(
-        feature=np.asarray(feature, dtype=int),
-        threshold=np.asarray(threshold, dtype=float),
-        left=np.asarray(left, dtype=int),
-        right=np.asarray(right, dtype=int),
-        value=np.asarray(value, dtype=float),
-        n_samples=np.asarray(n_samples, dtype=int),
-        impurity_decrease=np.asarray(decrease, dtype=float),
-        seed_key=seed_key,
+    tree_of, feature, threshold, left, value, n_samples, decrease = (
+        np.concatenate(column) for column in zip(*levels)
     )
+    # Stable-sorting the level-major node list by tree keeps each tree's
+    # nodes in level order, which numbers them breadth-first.
+    order = np.argsort(tree_of, kind="stable")
+    sizes = np.bincount(tree_of, minlength=n_trees)
+    first = np.cumsum(sizes) - sizes  # each tree's first position in `order`
+    local = np.empty(order.size + 1, dtype=int)
+    local[order] = np.arange(order.size) - first[tree_of[order]]
+    local[-1] = -1  # a leaf's child id -1 maps to itself
+    left = local[left]
+    right = np.where(left >= 0, left + 1, -1)  # siblings are numbered together
+    columns = [feature, threshold, left, right, value, n_samples, decrease]
+    per_tree = zip(*(np.split(column[order], first[1:]) for column in columns))
+    return [TreeNodes(*arrays, seed_key=(seed, i)) for i, arrays in enumerate(per_tree)]
 
 
 def fit_forest(
@@ -287,7 +390,12 @@ def fit_forest(
     config: ForestConfig = ForestConfig(),
     feature_schema: Sequence[str] | None = None,
 ) -> ForestModel:
-    """Fit a bagged regression forest, deterministic given the seed."""
+    """Fit a bagged regression forest, deterministic given the seed.
+
+    Tree i draws its bootstrap sample and then, level by level, its
+    candidate-feature keys from ``SeedSequence([seed, i])`` alone, so it
+    is the same tree in a forest of any size.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
@@ -313,21 +421,15 @@ def fit_forest(
         fps = math.ceil(p / 3)
     fps = max(1, min(fps, p))
 
-    trees = []
-    for i in range(config.n_trees):
-        rng = _tree_rng(config.seed, i)
-        boot = rng.integers(0, n, size=n)
-        trees.append(
-            _grow_tree(
-                Xc[boot],
-                y[boot],
-                rng,
-                min_leaf=max(1, config.min_samples_leaf),
-                max_depth=config.max_depth,
-                features_per_split=fps,
-                seed_key=(config.seed, i),
-            )
-        )
+    trees = _grow_forest(
+        Xc,
+        y,
+        config.seed,
+        config.n_trees,
+        min_leaf=max(1, config.min_samples_leaf),
+        max_depth=config.max_depth,
+        features_per_split=fps,
+    )
     return ForestModel(
         trees=trees,
         feature_schema=schema,
@@ -383,11 +485,15 @@ def mdi_importances(model: ForestModel) -> np.ndarray:
         weights = tree.n_samples[splits] / tree.n_samples[0]
         np.add.at(raw_canonical, tree.feature[splits], weights * tree.impurity_decrease[splits])
     raw_canonical /= len(model.trees)
+    # Normalize before leaving canonical order, so the sum (and every bit of
+    # the result) does not depend on the caller's column order.
+    total = raw_canonical.sum()
+    if total > 0:
+        raw_canonical /= total
 
-    raw = np.zeros(p)
-    raw[model.canonical_order] = raw_canonical
-    total = raw.sum()
-    return raw / total if total > 0 else raw
+    scores = np.zeros(p)
+    scores[model.canonical_order] = raw_canonical
+    return scores
 
 
 def forest_to_dict(model: ForestModel) -> dict[str, Any]:

@@ -144,6 +144,24 @@ class TestParse:
         assert len(lakes[0]) == 1
         assert [e.line for e in errors] == [3, 4, 5, 6]
 
+    def test_dates_must_be_yyyy_mm_dd(self):
+        # Other ISO-8601 spellings parse on some Python versions only.
+        text = HEADER + "\n".join(
+            [
+                "1,A,2001-06-01,No,2.0,1,2",
+                "1,A,20010602,No,2.0,1,2",
+                "1,A,2001-W01-1,No,2.0,1,2",
+                "1,A,2001-6-3,No,2.0,1,2",
+                "1,A,2001-06-04T00:00,No,2.0,1,2",
+                "1,A,2001-02-30,No,2.0,1,2",
+                "1,A, 2001-06-05 ,No,2.0,1,2",
+            ]
+        )
+        lakes, errors = _parse(text)
+        assert lakes[0].dates.astype(str).tolist() == ["2001-06-01", "2001-06-05"]
+        assert [e.line for e in errors] == [3, 4, 5, 6, 7]
+        assert "YYYY-MM-DD" in errors[0].message and "YYYY-MM-DD" in errors[1].message
+
     def test_short_row_is_a_row_error(self):
         text = HEADER + "1,A,2001-06-01,No,2.0,1,2\n1,A,2002-06-01\n"
         lakes, errors = _parse(text)

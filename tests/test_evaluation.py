@@ -1,5 +1,7 @@
 """Metrics, the recent-history protocol, sample curves, complete-case."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,18 @@ class TestRSquared:
     def test_too_short_errors(self):
         with pytest.raises(EvaluationError):
             r_squared(np.array([1.0]), np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input_errors_without_warnings(self, bad):
+        y = np.array([1.0, 2.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="non-finite"):
+                r_squared(np.array([1.0, bad, 3.0]), y)
+            with pytest.raises(EvaluationError, match="non-finite"):
+                r_squared(y, np.array([1.0, 2.0, bad]))
+            with pytest.raises(EvaluationError):
+                score_predictions(np.array([1.0, bad, 3.0]), y)
 
 
 

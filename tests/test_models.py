@@ -1,4 +1,7 @@
-"""Ridge solver against a normal-equation oracle; forest behavior."""
+"""Ridge solver against a normal-equation oracle; forest against a
+depth-first grower."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +9,8 @@ import pytest
 from limnoplan.errors import FitError
 from limnoplan.models import (
     ForestConfig,
+    ForestModel,
+    TreeNodes,
     fit_forest,
     fit_ridge,
     forest_from_dict,
@@ -28,6 +33,143 @@ def oracle_ridge(X, y, penalty):
     k = X.shape[1]
     w = np.linalg.inv(Xs.T @ Xs + penalty * np.eye(k)) @ (Xs.T @ yc)
     return w, y.mean(), means, stds
+
+
+def oracle_grow_tree(X, y, rng, min_leaf, max_depth, features_per_split, seed_key):
+    """Depth-first CART grower, one node per iteration (the reference).
+
+    Same split rule as the forest: stable sort per candidate column,
+    cumulative sums, cuts leaving at least `min_leaf` rows per side
+    between distinct values, ties to the lowest candidate and then the
+    smallest left block, midpoint threshold unless it rounds up to the
+    right value. Candidates come from `rng.choice`, so only with
+    `features_per_split == p` does it build the forest's trees.
+    """
+    n, p = X.shape
+    feature, threshold, left, right, value, n_samples, decrease = ([] for _ in range(7))
+
+    # Stack entries: (row indices, depth, parent node id, is_left_child).
+    stack = [(np.arange(n), 0, -1, False)]
+    while stack:
+        idx, depth, parent, is_left = stack.pop()
+        node_id = len(feature)
+        if parent >= 0:
+            if is_left:
+                left[parent] = node_id
+            else:
+                right[parent] = node_id
+
+        y_node = y[idx]
+        m = idx.size
+        y_sum = float(y_node.sum())
+        mean = y_sum / m
+        sse = max(float(y_node @ y_node) - y_sum * mean, 0.0)
+
+        feature.append(-1)
+        threshold.append(math.nan)
+        left.append(-1)
+        right.append(-1)
+        value.append(mean)
+        n_samples.append(m)
+        decrease.append(0.0)
+
+        if (
+            m < 2 * min_leaf
+            or sse <= 0.0
+            or (max_depth is not None and depth >= max_depth)
+            or np.ptp(y_node) == 0.0
+        ):
+            continue
+
+        candidates = np.sort(rng.choice(p, size=features_per_split, replace=False))
+        Xn = X.take(idx, axis=0).take(candidates, axis=1)
+        order = np.argsort(Xn, axis=0, kind="stable")
+        xs = np.sort(Xn, axis=0, kind="stable")
+        ys = y_node[order]
+        c1 = np.cumsum(ys, axis=0)
+        c2 = np.cumsum(ys * ys, axis=0)
+        sizes = np.arange(min_leaf, m - min_leaf + 1)
+        valid = xs[sizes - 1, :] < xs[sizes, :]
+        if not valid.any():
+            continue
+        s1 = c1[sizes - 1, :]
+        s2 = c2[sizes - 1, :]
+        left_n = sizes[:, None].astype(float)
+        sse_left = np.maximum(s2 - s1 * s1 / left_n, 0.0)
+        sse_right = np.maximum((c2[-1, :] - s2) - (c1[-1, :] - s1) ** 2 / (m - left_n), 0.0)
+        total = np.where(valid, sse_left + sse_right, np.inf)
+
+        flat = int(np.argmin(total.T))
+        cand_pos, size_pos = divmod(flat, sizes.size)
+        cut = int(sizes[size_pos])
+        f = int(candidates[cand_pos])
+        thr = 0.5 * (xs[cut - 1, cand_pos] + xs[cut, cand_pos])
+        if not thr < xs[cut, cand_pos]:
+            thr = float(xs[cut - 1, cand_pos])
+
+        feature[node_id] = f
+        threshold[node_id] = float(thr)
+        decrease[node_id] = max(sse - float(total[size_pos, cand_pos]), 0.0) / m
+
+        left_mask = X[idx, f] <= thr
+        stack.append((idx[~left_mask], depth + 1, node_id, False))
+        stack.append((idx[left_mask], depth + 1, node_id, True))
+
+    return TreeNodes(
+        feature=np.asarray(feature, dtype=int),
+        threshold=np.asarray(threshold, dtype=float),
+        left=np.asarray(left, dtype=int),
+        right=np.asarray(right, dtype=int),
+        value=np.asarray(value, dtype=float),
+        n_samples=np.asarray(n_samples, dtype=int),
+        impurity_decrease=np.asarray(decrease, dtype=float),
+        seed_key=seed_key,
+    )
+
+
+def oracle_forest(X, y, config):
+    """The forest grown tree by tree with the depth-first grower.
+
+    Columns are taken as already canonical (names x0, x1, ... sort in
+    order for p <= 10); tree i bootstraps from SeedSequence([seed, i]).
+    """
+    n, p = X.shape
+    trees = []
+    for i in range(config.n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0xFFFFFFFF, i]))
+        boot = rng.integers(0, n, size=n)
+        trees.append(
+            oracle_grow_tree(
+                X[boot], y[boot], rng, max(1, config.min_samples_leaf), config.max_depth, p,
+                (config.seed, i),
+            )
+        )
+    schema = [f"x{j}" for j in range(p)]
+    return ForestModel(trees, schema, schema, list(range(p)), config)
+
+
+def nodes_by_path(tree):
+    """Map each node's root-to-node path ("", "L", "LR", ...) to its id."""
+    out = {}
+    stack = [(0, "")]
+    while stack:
+        node, path = stack.pop()
+        out[path] = node
+        if tree.feature[node] >= 0:
+            stack.append((int(tree.left[node]), path + "L"))
+            stack.append((int(tree.right[node]), path + "R"))
+    assert len(out) == len(tree.feature)  # every node is reachable once
+    return out
+
+
+def assert_same_tree(a, b):
+    assert np.array_equal(a.feature, b.feature)
+    assert np.array_equal(a.threshold, b.threshold, equal_nan=True)
+    assert np.array_equal(a.left, b.left) and np.array_equal(a.right, b.right)
+    assert np.array_equal(a.value, b.value)
+    assert np.array_equal(a.n_samples, b.n_samples)
+    assert np.array_equal(a.impurity_decrease, b.impurity_decrease)
+    assert a.seed_key == b.seed_key
 
 
 def ridge_objective(Xs, yc, w, penalty):
@@ -240,3 +382,84 @@ class TestForest:
         X_new = rng.normal(size=(10, 3))
         assert np.array_equal(predict_forest(back, X_new), predict_forest(model, X_new))
         assert np.array_equal(mdi_importances(back), mdi_importances(model))
+
+
+class TestForestAgainstDepthFirstOracle:
+    """With every column a candidate the candidate draw plays no part, so
+    the level-wise forest must build the depth-first grower's trees."""
+
+    @pytest.mark.parametrize("case", range(30))
+    def test_same_trees_as_depth_first_grower(self, case):
+        rng = np.random.default_rng(1000 + case)
+        n = int(rng.integers(12, 160))
+        p = int(rng.integers(1, 7))
+        # Few distinct values, so columns and targets repeat within nodes.
+        X = rng.integers(0, int(rng.integers(2, 9)), size=(n, p)) * 0.37
+        y = np.round(X @ rng.normal(size=p) + rng.normal(size=n), 1) + 3.0
+        config = ForestConfig(
+            n_trees=5,
+            min_samples_leaf=int(rng.integers(1, 4)),
+            max_depth=4 if case % 3 else None,
+            features_per_split=p,
+            seed=case,
+        )
+        model = fit_forest(X, y, config)
+        oracle = oracle_forest(X, y, config)
+        # Node values and decreases are sums over the node's rows, added in
+        # another order; their rounding follows the target's scale.
+        value_tol = 1e-12 * float(np.max(np.abs(y)))
+        decrease_tol = 1e-12 * float(np.max(y * y))
+        for tree, ref in zip(model.trees, oracle.trees):
+            assert tree.seed_key == ref.seed_key
+            paths, ref_paths = nodes_by_path(tree), nodes_by_path(ref)
+            assert paths.keys() == ref_paths.keys()
+            for path, node in paths.items():
+                ref_node = ref_paths[path]
+                assert tree.feature[node] == ref.feature[ref_node], path
+                assert tree.n_samples[node] == ref.n_samples[ref_node], path
+                assert np.array_equal(
+                    tree.threshold[node], ref.threshold[ref_node], equal_nan=True
+                ), path
+                assert abs(tree.value[node] - ref.value[ref_node]) <= value_tol, path
+                assert (
+                    abs(tree.impurity_decrease[node] - ref.impurity_decrease[ref_node])
+                    <= decrease_tol
+                ), path
+        assert np.max(np.abs(mdi_importances(model) - mdi_importances(oracle))) <= 1e-12
+
+    def test_breadth_first_node_ids(self, rng):
+        X = rng.normal(size=(80, 3))
+        y = X[:, 0] + rng.normal(0, 0.3, 80)
+        for tree in fit_forest(X, y, ForestConfig(n_trees=4, seed=2)).trees:
+            children = np.concatenate([tree.left, tree.right])
+            children = children[children >= 0]
+            # Children are numbered after their parents, in left-right pairs.
+            assert np.array_equal(np.sort(children), np.arange(1, len(tree.feature)))
+            split = tree.feature >= 0
+            assert np.array_equal(tree.right[split], tree.left[split] + 1)
+            assert np.all(np.diff(tree.left[split]) > 0)
+
+
+class TestForestRandomness:
+    def test_tree_depends_only_on_seed_and_index(self, rng):
+        X = rng.normal(size=(90, 7))
+        y = X[:, 2] - X[:, 5] + rng.normal(0, 0.3, 90)
+        full = fit_forest(X, y, ForestConfig(n_trees=12, seed=11))
+        for k in (1, 5, 11):
+            part = fit_forest(X, y, ForestConfig(n_trees=k, seed=11))
+            for tree, ref in zip(part.trees, full.trees[:k]):
+                assert_same_tree(tree, ref)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_importances_bitwise_invariant_to_column_order(self, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(70, 5))
+        y = X[:, 1] * 2 + rng.normal(0, 0.2, 70)
+        names = [f"f{j}" for j in range(5)]
+        perm = [3, 0, 4, 1, 2]
+        config = ForestConfig(n_trees=8, seed=5)
+        base = fit_forest(X, y, config, feature_schema=names)
+        permuted = fit_forest(X[:, perm], y, config, feature_schema=[names[j] for j in perm])
+        imp_base = dict(zip(base.feature_schema, mdi_importances(base).tolist()))
+        imp_perm = dict(zip(permuted.feature_schema, mdi_importances(permuted).tolist()))
+        assert imp_base == imp_perm
