@@ -25,18 +25,15 @@ from .report import (
     RunConfig,
     every_lake_failed,
     grid_rows,
-    joint_payload,
     lake_grid,
-    minimal_payload,
     prepare_lake,
     prepare_lakes,
-    ranking_payload,
     run_pipeline,
     train_test_table,
     write_completed,
     write_csv,
-    write_impute_report,
     write_json,
+    write_result,
     write_sample_curve,
     write_selection,
 )
@@ -57,6 +54,18 @@ def _add_protocol_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n-stride", dest="grid_stride", type=int, default=1, help="training-size grid stride")
     parser.add_argument(
         "--n-min", dest="grid_n_min", type=int, default=None, help="smallest training size on the grid"
+    )
+
+
+def _add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags `joint` and `report` share."""
+    _add_input(parser)
+    parser.add_argument("--lakes", default=None, help="JSON file with the lake ids to process")
+    _add_protocol_flags(parser)
+    parser.add_argument("--trees", dest="n_trees", type=int, default=200)
+    parser.add_argument("--exclude-fallback", action="store_true")
+    parser.add_argument(
+        "--global-ranking", dest="use_global_ranking", action="store_true", help="rank once across lakes"
     )
 
 
@@ -106,14 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV of k,nmae (JSON sidecar alongside)")
 
     p = sub.add_parser("joint", help="minimal (samples, features) configuration per lake")
-    _add_input(p)
-    p.add_argument("--lakes", default=None, help="JSON file with the lake ids to process")
-    _add_protocol_flags(p)
-    p.add_argument("--trees", dest="n_trees", type=int, default=200)
-    p.add_argument("--exclude-fallback", action="store_true")
-    p.add_argument(
-        "--global-ranking", dest="use_global_ranking", action="store_true", help="rank once across lakes"
-    )
+    _add_run_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--emit-grid", default=None, help="dump n,k,nmae,feasible rows to CSV")
 
@@ -123,12 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None, help="ground-truth JSON")
 
     p = sub.add_parser("report", help="full pipeline over all (or selected) lakes")
-    _add_input(p)
-    p.add_argument("--lakes", default=None, help="JSON file with the lake ids to process")
-    _add_protocol_flags(p)
-    p.add_argument("--trees", dest="n_trees", type=int, default=200)
-    p.add_argument("--exclude-fallback", action="store_true")
-    p.add_argument("--global-ranking", dest="use_global_ranking", action="store_true")
+    _add_run_flags(p)
     p.add_argument("--out-dir", required=True)
 
     return parser
@@ -221,14 +218,7 @@ def _cmd_lakes_rank(args) -> int:
     payload = {
         "missingness_after_exclusions": True,
         "lakes": ranked,
-        "profiles": [
-            {
-                "lake_id": lake_id,
-                "lake_mean": profiles[lake_id].lake_mean,
-                "per_feature": profiles[lake_id].per_feature,
-            }
-            for lake_id in ranked
-        ],
+        "profiles": [{"lake_id": lake_id, **dataclasses.asdict(profiles[lake_id])} for lake_id in ranked],
     }
     write_json(Path(args.out), payload)
     print(f"ranked {len(lakes)} lakes; kept top {args.top}")
@@ -242,7 +232,7 @@ def _cmd_impute(args) -> int:
     completed, fit_report = impute_series(series, config.impute_config(series.lake_id))
     write_completed(Path(args.out), completed)
     report_path = Path(args.report) if args.report else Path(args.out).with_suffix(".json")
-    write_impute_report(report_path, fit_report, lake_id=series.lake_id)
+    write_result(report_path, fit_report, lake_id=series.lake_id)
     print(f"lake {series.lake_id}: {fit_report.sweeps} sweep(s), final delta {fit_report.final_delta:.3g}")
     return 0
 
@@ -260,7 +250,7 @@ def _cmd_sample_curve(args) -> int:
 def _cmd_feature_rank(args) -> int:
     lakes, _ = _load_lakes(args)
     lake = prepare_lake(_one_lake(lakes, args.lake), _run_config(args))
-    write_json(Path(args.out), {"lake_id": args.lake, **ranking_payload(lake.ranking)})
+    write_result(Path(args.out), lake.ranking, lake_id=args.lake)
     print(f"lake {args.lake}: top feature {lake.ranking.order[0]}")
     return 0
 
@@ -298,8 +288,8 @@ def _cmd_joint(args) -> int:
     write_json(
         Path(args.out),
         {
-            "minimal_configs": [minimal_payload(c) for c in configs],
-            "summary": joint_payload(summary),
+            "minimal_configs": [dataclasses.asdict(c) for c in configs],
+            "summary": dataclasses.asdict(summary),
             "failures": {str(k): v for k, v in sorted(failures.items())},
         },
     )
@@ -312,9 +302,15 @@ def _cmd_joint(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    with open(args.config) as fh:
-        config = config_from_dict(json.load(fh))
-    series, truth = generate_lake(config)
+    try:
+        with open(args.config) as fh:
+            config = config_from_dict(json.load(fh))
+        series, truth = generate_lake(config)
+    except OSError as exc:
+        raise ConfigError(f"cannot read --config file {args.config}: {exc.strerror or exc}") from exc
+    except (TypeError, ValueError) as exc:
+        # Everything the generator rejects comes from the config file.
+        raise ConfigError(f"synth config {args.config}: {exc}") from exc
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:

@@ -30,7 +30,8 @@ from .errors import InsufficientDataError, SchemaError
 
 DEFAULT_NA_TOKENS = frozenset({"", "NA"})
 
-# Covariate names dropped because they are near-proxies of water clarity.
+# Covariate names dropped because they are near-proxies of water clarity
+# (lower case; matched case-insensitively).
 DEFAULT_LEAKAGE_FEATURES = frozenset(
     {"chla", "chl_a", "chlorophyll", "chlorophyll_a", "chlorophyll-a"}
 )
@@ -122,7 +123,6 @@ class IngestSchema:
     sdd_column: str = "zS_m"
     seccbot_column: str = "seccbot"
     na_tokens: frozenset[str] = DEFAULT_NA_TOKENS
-    feature_columns: tuple[str, ...] | None = None
 
     def with_na_token(self, token: str) -> "IngestSchema":
         return replace(self, na_tokens=frozenset(self.na_tokens | {token}))
@@ -166,7 +166,8 @@ def _parse_seccbot(raw: str, na_tokens: frozenset[str]) -> bool:
 _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-def _parse_date(cell: str) -> date:
+def parse_date(cell: str) -> date:
+    """A strict `YYYY-MM-DD` date; ValueError for any other spelling."""
     # date.fromisoformat alone accepts other ISO forms (20010601, 2001-W01-1)
     # on some Python versions and not on others.
     text = cell.strip()
@@ -203,13 +204,7 @@ def parse_dataset(
         schema.sdd_column,
         schema.seccbot_column,
     }
-    if schema.feature_columns is not None:
-        unknown = [c for c in schema.feature_columns if c not in header]
-        if unknown:
-            raise SchemaError(f"declared covariate column(s) not in header: {', '.join(unknown)}")
-        features = list(schema.feature_columns)
-    else:
-        features = [c for c in header if c not in role_columns]
+    features = [c for c in header if c not in role_columns]
 
     errors: list[RowError] = []
     visits: dict[int, list[tuple[date, float, list[float], bool]]] = {}
@@ -219,7 +214,7 @@ def parse_dataset(
         line = reader.line_num
         try:
             lake_id = int(row[schema.id_column].strip())
-            timestamp = _parse_date(row[schema.date_column])
+            timestamp = parse_date(row[schema.date_column])
             sdd = _parse_cell(row[schema.sdd_column], schema.na_tokens)
             if sdd <= 0:  # false for a gap (NaN)
                 raise ValueError(f"non-positive Secchi depth {sdd}")
@@ -271,17 +266,13 @@ def write_series_csv(series: LakeSeries, stream: TextIO, schema: IngestSchema = 
         )
 
 
-def apply_exclusions(
-    series: LakeSeries,
-    leakage_features: frozenset[str] = DEFAULT_LEAKAGE_FEATURES,
-) -> LakeSeries:
+def apply_exclusions(series: LakeSeries) -> LakeSeries:
     """Drop clarity-proxy covariates and disk-on-bottom casts.
 
     Idempotent; a schema without any leakage column is passed through
     with only the flagged visits removed (and vice versa).
     """
-    lowered = {f.lower() for f in leakage_features}
-    cols = [j for j, f in enumerate(series.feature_schema) if f.lower() not in lowered]
+    cols = [j for j, f in enumerate(series.feature_schema) if f.lower() not in DEFAULT_LEAKAGE_FEATURES]
     kept = series.take(~series.sdd_to_bottom)
     return replace(
         kept, covariates=kept.covariates[:, cols], feature_schema=[kept.feature_schema[j] for j in cols]

@@ -47,10 +47,6 @@ class CompletedMatrix:
     feature_schema: list[str]
     imputed_mask: np.ndarray
 
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class ImputeReport:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -117,28 +117,6 @@ def predict_ridge(model: RidgeModel, X: np.ndarray) -> np.ndarray:
         )
     Xs = (X - model.train_means) / model.train_stds
     return model.intercept + Xs @ model.weights
-
-
-def ridge_to_dict(model: RidgeModel) -> dict[str, Any]:
-    return {
-        "weights": model.weights.tolist(),
-        "intercept": model.intercept,
-        "train_means": model.train_means.tolist(),
-        "train_stds": model.train_stds.tolist(),
-        "penalty": model.penalty,
-        "feature_schema": model.feature_schema,
-    }
-
-
-def ridge_from_dict(payload: dict[str, Any]) -> RidgeModel:
-    return RidgeModel(
-        weights=np.asarray(payload["weights"], dtype=float),
-        intercept=float(payload["intercept"]),
-        train_means=np.asarray(payload["train_means"], dtype=float),
-        train_stds=np.asarray(payload["train_stds"], dtype=float),
-        penalty=float(payload["penalty"]),
-        feature_schema=payload.get("feature_schema"),
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -495,60 +473,3 @@ def mdi_importances(model: ForestModel) -> np.ndarray:
     scores[model.canonical_order] = raw_canonical
     return scores
 
-
-def forest_to_dict(model: ForestModel) -> dict[str, Any]:
-    return {
-        "feature_schema": model.feature_schema,
-        "canonical_schema": model.canonical_schema,
-        "canonical_order": model.canonical_order,
-        "config": {
-            "n_trees": model.config.n_trees,
-            "min_samples_leaf": model.config.min_samples_leaf,
-            "max_depth": model.config.max_depth,
-            "features_per_split": model.config.features_per_split,
-            "seed": model.config.seed,
-        },
-        "trees": [
-            {
-                "feature": tree.feature.tolist(),
-                "threshold": tree.threshold.tolist(),
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "value": tree.value.tolist(),
-                "n_samples": tree.n_samples.tolist(),
-                "impurity_decrease": tree.impurity_decrease.tolist(),
-                "seed_key": list(tree.seed_key),
-            }
-            for tree in model.trees
-        ],
-    }
-
-
-def forest_from_dict(payload: dict[str, Any]) -> ForestModel:
-    trees = [
-        TreeNodes(
-            feature=np.asarray(t["feature"], dtype=int),
-            threshold=np.asarray(t["threshold"], dtype=float),
-            left=np.asarray(t["left"], dtype=int),
-            right=np.asarray(t["right"], dtype=int),
-            value=np.asarray(t["value"], dtype=float),
-            n_samples=np.asarray(t["n_samples"], dtype=int),
-            impurity_decrease=np.asarray(t["impurity_decrease"], dtype=float),
-            seed_key=tuple(t["seed_key"]),
-        )
-        for t in payload["trees"]
-    ]
-    cfg = payload["config"]
-    return ForestModel(
-        trees=trees,
-        feature_schema=list(payload["feature_schema"]),
-        canonical_schema=list(payload["canonical_schema"]),
-        canonical_order=list(payload["canonical_order"]),
-        config=ForestConfig(
-            n_trees=cfg["n_trees"],
-            min_samples_leaf=cfg["min_samples_leaf"],
-            max_depth=cfg["max_depth"],
-            features_per_split=cfg["features_per_split"],
-            seed=cfg["seed"],
-        ),
-    )

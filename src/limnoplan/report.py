@@ -35,7 +35,7 @@ from .evaluation import (
 )
 from .imputation import CompletedMatrix, ImputeConfig, ImputeReport, impute_series
 from .joint import FeasibilityGrid, JointSummary, MinimalConfig, aggregate_configs, feasibility_grid, minimal_config
-from .models import DEFAULT_RIDGE_PENALTY, ForestConfig, predict_ridge, ridge_to_dict
+from .models import DEFAULT_RIDGE_PENALTY, ForestConfig, RidgeModel, predict_ridge
 from .selection import FeatureRanking, SelectionResult, aggregate_ranking, forward_selection, rank_features
 
 
@@ -63,6 +63,8 @@ class RunConfig:
             raise ConfigError("test_years must be >= 1")
         if self.tolerance <= 0:
             raise ConfigError("tolerance must be positive")
+        if self.impute_sweeps < 1:
+            raise ConfigError("impute_sweeps must be >= 1")
 
     def grid_spec(self) -> SizeGridSpec:
         return SizeGridSpec(n_min=self.grid_n_min, stride=self.grid_stride)
@@ -90,7 +92,7 @@ class TableRow:
     """One line of the per-lake train/test error table."""
 
     lake_id: int
-    lake_name: str
+    lake: str
     train_mae: float
     test_mae: float
     train_nmae: float
@@ -112,13 +114,10 @@ class PreparedLake:
 @dataclass
 class LakeReport:
     lake_id: int
-    lake_name: str
-    impute_report: ImputeReport
-    completed: CompletedMatrix
-    reference_model: dict[str, Any]
+    lake: PreparedLake
+    reference_model: RidgeModel
     table_row: TableRow
     curve: SampleCurve
-    ranking: FeatureRanking
     selection: SelectionResult
     grid: FeasibilityGrid
     minimal: MinimalConfig
@@ -130,9 +129,7 @@ class PipelineResult:
     reports: list[LakeReport]
     failures: dict[int, str]
     summary: JointSummary
-    global_ranking: FeatureRanking
     mean_n_star: float | None
-    out_dir: Path
 
 
 def derive_seed(*parts: int) -> int:
@@ -184,21 +181,13 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) 
 # lake id in a command's output.
 # --------------------------------------------------------------------------- #
 
+def write_result(path: Path, result: Any, **stamp: Any) -> None:
+    """A result dataclass's fields plus the stamp, as one JSON object."""
+    write_json(path, {**stamp, **asdict(result)})
+
+
 def write_completed(path: Path, completed: CompletedMatrix) -> None:
     write_csv(path, completed.feature_schema, [[repr(float(v)) for v in row] for row in completed.values])
-
-
-def write_impute_report(path: Path, report: ImputeReport, **stamp: Any) -> None:
-    write_json(
-        path,
-        {
-            **stamp,
-            "sweeps": report.sweeps,
-            "final_delta": report.final_delta,
-            "converged": report.converged,
-            "fill_counts": report.fill_counts,
-        },
-    )
 
 
 def write_sample_curve(path: Path, curve: SampleCurve, **stamp: Any) -> None:
@@ -217,32 +206,6 @@ def write_selection(path: Path, selection: SelectionResult, **stamp: Any) -> Non
         path.with_suffix(".json"),
         {**stamp, "k_star": selection.k_star, "subset": selection.subset, "full_nmae": selection.full_nmae},
     )
-
-
-def ranking_payload(ranking: FeatureRanking) -> dict[str, Any]:
-    return {"scores": ranking.scores, "order": ranking.order}
-
-
-def minimal_payload(minimal: MinimalConfig) -> dict[str, Any]:
-    return {
-        "lake_id": minimal.lake_id,
-        "n_hat": minimal.n_hat,
-        "k_hat": minimal.k_hat,
-        "selected_features": minimal.selected_features,
-        "fallback": minimal.fallback,
-    }
-
-
-def joint_payload(summary: JointSummary) -> dict[str, Any]:
-    return {
-        "median_n": summary.median_n,
-        "iqr_n": summary.iqr_n,
-        "median_k": summary.median_k,
-        "iqr_k": summary.iqr_k,
-        "feature_frequency": summary.feature_frequency,
-        "fallback_count": summary.fallback_count,
-        "n_lakes": summary.n_lakes,
-    }
 
 
 def grid_rows(grid: FeasibilityGrid) -> list[list[Any]]:
@@ -413,7 +376,7 @@ def process_lake(
     test_metrics = score_predictions(y_test, predict_ridge(model, X_test))
     table_row = TableRow(
         lake_id=series.lake_id,
-        lake_name=series.name,
+        lake=series.name,
         train_mae=train_metrics.mae,
         test_mae=test_metrics.mae,
         train_nmae=train_metrics.nmae,
@@ -427,13 +390,10 @@ def process_lake(
 
     return LakeReport(
         lake_id=series.lake_id,
-        lake_name=series.name,
-        impute_report=lake.impute_report,
-        completed=completed,
-        reference_model=ridge_to_dict(model),
+        lake=lake,
+        reference_model=model,
         table_row=table_row,
         curve=curve,
-        ranking=lake.ranking,
         selection=selection,
         grid=grid,
         minimal=minimal_config(grid),
@@ -450,7 +410,7 @@ def train_test_table(rows: Sequence[TableRow]) -> str:
     lines = [header, "-" * len(header)]
     for row in rows:
         lines.append(
-            f"{row.lake_name:<24} {row.train_mae:>9.3f} {row.test_mae:>9.3f} "
+            f"{row.lake:<24} {row.train_mae:>9.3f} {row.test_mae:>9.3f} "
             f"{row.train_nmae:>10.3f} {row.test_nmae:>9.3f}  {'*' if row.test_le_train else ''}"
         )
     return "\n".join(lines)
@@ -498,55 +458,35 @@ def run_pipeline(
         raise every_lake_failed(failures)
 
     summary = aggregate_configs([r.minimal for r in ordered], config.exclude_fallback)
-    agg_ranking = aggregate_ranking([r.ranking for r in ordered])
+    agg_ranking = aggregate_ranking([r.lake.ranking for r in ordered])
     star_values = [r.curve.n_star for r in ordered if r.curve.n_star is not None]
     mean_n_star = float(np.mean(star_values)) if star_values else None
 
-    _write_bundle(out_dir, config, config_hash, ordered, failures, summary, agg_ranking, mean_n_star)
-    return PipelineResult(
-        config_hash=config_hash,
-        reports=ordered,
-        failures=failures,
-        summary=summary,
-        global_ranking=agg_ranking,
-        mean_n_star=mean_n_star,
-        out_dir=out_dir,
-    )
+    result = PipelineResult(config_hash, ordered, failures, summary, mean_n_star)
+    _write_bundle(out_dir, config, result, agg_ranking)
+    return result
 
 
-def _write_bundle(
-    out_dir: Path,
-    config: RunConfig,
-    config_hash: str,
-    reports: list[LakeReport],
-    failures: dict[int, str],
-    summary: JointSummary,
-    agg_ranking: FeatureRanking,
-    mean_n_star: float | None,
-) -> None:
+def _write_bundle(out_dir: Path, config: RunConfig, result: PipelineResult, agg_ranking: FeatureRanking) -> None:
+    config_hash, reports = result.config_hash, result.reports
     write_json(out_dir / "run_config.json", {"config": asdict(config), "config_hash": config_hash})
 
     for report in reports:
         lake_dir = out_dir / "lakes" / str(report.lake_id)
-        write_impute_report(lake_dir / "impute_report.json", report.impute_report, config_hash=config_hash)
-        write_completed(lake_dir / "completed.csv", report.completed)
-        write_json(lake_dir / "reference_model.json", {"config_hash": config_hash, **report.reference_model})
-        write_json(
-            lake_dir / "metrics.json",
-            {"config_hash": config_hash, **_row_dict(report.table_row)},
-        )
+        write_result(lake_dir / "impute_report.json", report.lake.impute_report, config_hash=config_hash)
+        write_completed(lake_dir / "completed.csv", report.lake.completed)
+        write_result(lake_dir / "reference_model.json", report.reference_model, config_hash=config_hash)
+        write_result(lake_dir / "metrics.json", report.table_row, config_hash=config_hash)
         write_sample_curve(lake_dir / "sample_curve.csv", report.curve, config_hash=config_hash)
-        write_json(lake_dir / "ranking.json", {"config_hash": config_hash, **ranking_payload(report.ranking)})
+        write_result(lake_dir / "ranking.json", report.lake.ranking, config_hash=config_hash)
         write_selection(lake_dir / "selection.csv", report.selection, config_hash=config_hash)
         write_csv(lake_dir / "grid.csv", ["n", "k", "nmae", "feasible"], grid_rows(report.grid))
-        write_json(
+        write_result(
             lake_dir / "minimal_config.json",
-            {
-                "config_hash": config_hash,
-                **minimal_payload(report.minimal),
-                "tau": report.grid.tau,
-                "full_nmae": report.grid.full_nmae,
-            },
+            report.minimal,
+            config_hash=config_hash,
+            tau=report.grid.tau,
+            full_nmae=report.grid.full_nmae,
         )
 
     write_json(
@@ -554,12 +494,12 @@ def _write_bundle(
         {
             "config_hash": config_hash,
             "lakes": [r.lake_id for r in reports],
-            "failures": {str(k): v for k, v in sorted(failures.items())},
-            "joint": joint_payload(summary),
-            "minimal_configs": [minimal_payload(r.minimal) for r in reports],
-            "aggregate_ranking": ranking_payload(agg_ranking),
-            "mean_n_star": mean_n_star,
-            "train_test": [_row_dict(r.table_row) for r in reports],
+            "failures": {str(k): v for k, v in sorted(result.failures.items())},
+            "joint": asdict(result.summary),
+            "minimal_configs": [asdict(r.minimal) for r in reports],
+            "aggregate_ranking": asdict(agg_ranking),
+            "mean_n_star": result.mean_n_star,
+            "train_test": [asdict(r.table_row) for r in reports],
         },
     )
     write_csv(
@@ -567,7 +507,7 @@ def _write_bundle(
         ["lake", "train_mae", "test_mae", "train_nmae", "test_nmae", "test_le_train"],
         [
             [
-                r.table_row.lake_name,
+                r.table_row.lake,
                 repr(r.table_row.train_mae),
                 repr(r.table_row.test_mae),
                 repr(r.table_row.train_nmae),
@@ -577,15 +517,3 @@ def _write_bundle(
             for r in reports
         ],
     )
-
-
-def _row_dict(row: TableRow) -> dict[str, Any]:
-    return {
-        "lake_id": row.lake_id,
-        "lake": row.lake_name,
-        "train_mae": row.train_mae,
-        "test_mae": row.test_mae,
-        "train_nmae": row.train_nmae,
-        "test_nmae": row.test_nmae,
-        "test_le_train": row.test_le_train,
-    }

@@ -13,13 +13,14 @@ injected gaps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from typing import Any
 
 import numpy as np
 
-from .dataset import LakeSeries
+from .dataset import LakeSeries, parse_date
+from .errors import ConfigError
 
 DAYS_PER_YEAR = 365.25
 AR_COEFF = 0.5
@@ -185,11 +186,16 @@ def generate_lake(config: SynthConfig) -> tuple[LakeSeries, SynthTruth]:
     return series, truth
 
 
-def config_from_dict(payload: dict[str, Any]) -> SynthConfig:
-    """Build a config from JSON-style data (dates ISO, lists allowed)."""
+def config_from_dict(payload: Any) -> SynthConfig:
+    """Build a config from a JSON object of its fields (dates `YYYY-MM-DD`, lists allowed)."""
+    if not isinstance(payload, dict):
+        raise ConfigError("synth config must be a JSON object")
+    unknown = sorted(set(payload) - {f.name for f in fields(SynthConfig)})
+    if unknown:
+        raise ConfigError(f"unknown synth config key(s): {', '.join(map(str, unknown))}")
     data = dict(payload)
-    if "start_date" in data and isinstance(data["start_date"], str):
-        data["start_date"] = date.fromisoformat(data["start_date"])
+    if isinstance(data.get("start_date"), str):
+        data["start_date"] = parse_date(data["start_date"])
     for key in ("true_weights", "missing_fraction"):
         if isinstance(data.get(key), list):
             data[key] = tuple(data[key])

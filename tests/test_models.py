@@ -13,13 +13,9 @@ from limnoplan.models import (
     TreeNodes,
     fit_forest,
     fit_ridge,
-    forest_from_dict,
-    forest_to_dict,
     mdi_importances,
     predict_forest,
     predict_ridge,
-    ridge_from_dict,
-    ridge_to_dict,
 )
 
 
@@ -289,13 +285,6 @@ class TestRidge:
             ]
             assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
-    def test_json_round_trip(self, rng):
-        model = fit_ridge(rng.normal(size=(10, 2)), rng.normal(size=10), feature_schema=["a", "b"])
-        back = ridge_from_dict(ridge_to_dict(model))
-        assert np.array_equal(back.weights, model.weights)
-        assert back.feature_schema == ["a", "b"]
-        assert np.array_equal(predict_ridge(back, np.zeros((2, 2))), predict_ridge(model, np.zeros((2, 2))))
-
 
 class TestForest:
     def test_constant_target_single_leaf_trees(self, rng):
@@ -373,15 +362,6 @@ class TestForest:
     def test_too_few_rows_error(self, rng):
         with pytest.raises(FitError):
             fit_forest(rng.normal(size=(1, 2)), np.ones(1))
-
-    def test_json_round_trip(self, rng):
-        X = rng.normal(size=(40, 3))
-        y = X[:, 0] + rng.normal(0, 0.1, 40)
-        model = fit_forest(X, y, ForestConfig(n_trees=5, seed=9), feature_schema=["c", "a", "b"])
-        back = forest_from_dict(forest_to_dict(model))
-        X_new = rng.normal(size=(10, 3))
-        assert np.array_equal(predict_forest(back, X_new), predict_forest(model, X_new))
-        assert np.array_equal(mdi_importances(back), mdi_importances(model))
 
 
 class TestForestAgainstDepthFirstOracle:

@@ -534,6 +534,34 @@ class TestCli:
         assert main([command, "--input", str(csv_path), "--lakes", str(wanted), *out]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            None,
+            "[40, 3]",
+            json.dumps({"bogus": 1}),
+            json.dumps({"n_samples": 2}),
+            json.dumps({"missing_mechanism": "weird"}),
+            json.dumps({"n_samples": 50, "start_date": "20010601"}),
+        ],
+        ids=["missing", "list", "unknown-key", "too-few-samples", "unknown-mechanism", "compact-date"],
+    )
+    def test_bad_synth_config_is_config_error(self, tmp_path, capsys, content):
+        config_path = tmp_path / "synth.json"
+        if content is not None:
+            config_path.write_text(content)
+        out_csv = tmp_path / "lake.csv"
+        assert main(["synth", "--config", str(config_path), "--out", str(out_csv)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_csv.exists()
+
+    def test_impute_zero_sweeps_is_config_error(self, tmp_path, capsys):
+        csv_path = self._write_synth_inputs(tmp_path)
+        out = tmp_path / "completed.csv"
+        assert main(["impute", "--input", str(csv_path), "--lake", "100", "--sweeps", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: impute_sweeps")
+        assert not out.exists()
+
     def test_missing_input_is_config_error(self, tmp_path):
         assert main(["ingest", "--input", str(tmp_path / "nope.csv")]) == 2
 
