@@ -18,13 +18,13 @@ import numpy as np
 
 from . import dataset as ds
 from .errors import ConfigError, LimnoplanError
-from .evaluation import sample_curve
 from .imputation import impute_series
 from .joint import aggregate_configs, minimal_config
 from .report import (
     RunConfig,
     every_lake_failed,
     grid_rows,
+    lake_curve,
     lake_grid,
     prepare_lake,
     prepare_lakes,
@@ -241,7 +241,7 @@ def _cmd_sample_curve(args) -> int:
     lakes, _ = _load_lakes(args)
     config = _run_config(args)
     lake = prepare_lake(_one_lake(lakes, args.lake), config, rank=False)
-    curve = sample_curve(lake.split, lake.completed, config.grid_spec(), config.tolerance, config.penalty)
+    curve = lake_curve(lake, config)
     write_sample_curve(Path(args.out), curve, lake_id=args.lake)
     print(f"lake {args.lake}: n_star={curve.n_star}, reference nMAE {curve.reference_nmae:.4f}")
     return 0
@@ -316,18 +316,8 @@ def _cmd_synth(args) -> int:
     with open(out, "w", newline="") as fh:
         ds.write_series_csv(series, fh)
     if args.truth:
-        write_json(
-            Path(args.truth),
-            {
-                "weights": truth.weights.tolist(),
-                "intercept": truth.intercept,
-                "noise_sd": truth.noise_sd,
-                "feature_names": truth.feature_names,
-                "covariates": truth.covariates.tolist(),
-                "sdd": truth.sdd.tolist(),
-                "missing_mask": truth.missing_mask.astype(int).tolist(),
-            },
-        )
+        mask = truth.missing_mask.astype(int)  # 0/1, not true/false
+        write_json(Path(args.truth), {**dataclasses.asdict(truth), "missing_mask": mask})
     print(f"wrote {len(series)} rows for lake {series.lake_id}")
     return 0
 

@@ -31,6 +31,7 @@ from .models import (
 )
 
 DEFAULT_TOLERANCE = 0.05
+_CHUNK = 16  # training sizes solved and scored together; bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -192,10 +193,12 @@ def prefix_nmae(
     order[:k], penalty)` gives, up to rounding; entries with
     sizes[i] < k+1 are NaN. The standardized Gram matrix of the top k
     features is the leading k x k block of the one for the top kmax, so
-    its Cholesky factor L_k is the leading block of L, and inv(L_k') the
-    leading block of inv(L'). One factorization and one forward solve
-    z = inv(L) Xs'y per size therefore give every prefix's weights:
-    w_k = inv(L_k') z[:k] is column k of cumsum(inv(L') * z, axis=1).
+    its Cholesky factor L_k is the leading block of L and inv(L_k') that
+    of inv(L'): with z = inv(L) Xs'y, w_k = inv(L_k') z[:k] is column k
+    of cumsum(inv(L') * z, axis=1). Newest first, every window is a prefix
+    of the pre-test rows, so running sums give each size's means and
+    co-moments, and chunks of sizes are factored, solved and scored in
+    stacked calls.
     """
     cols = _feature_columns(completed.feature_schema, order)
     p = len(cols)
@@ -209,32 +212,68 @@ def prefix_nmae(
     X_test = completed.values[split.test_rows][:, cols]
     y_test = split.test.sdd
     # The largest size reads every row and column any smaller size reads.
-    if not (np.isfinite(X_pre[-n_top:, : min(p, n_top - 1)]).all() and np.isfinite(y_pre[-n_top:]).all()):
+    q = min(p, n_top - 1)
+    if not (np.isfinite(X_pre[-n_top:, :q]).all() and np.isfinite(y_pre[-n_top:]).all()):
         raise FitError("non-finite values in design or target")
     denom = y_test.mean() if y_test.size else 0.0
     if denom <= 0:
         raise EvaluationError(f"nMAE normalizer (mean target) must be positive, got {denom}")
 
     out = np.full((len(sizes), p), np.nan)
-    for row, n in enumerate(sizes):
-        kmax = min(p, n - 1)
-        if kmax < 1:
-            continue
-        Xs, means, stds = standardize_columns(X_pre[-n:, :kmax])
-        if penalty == 0 and np.linalg.matrix_rank(Xs) < kmax:
-            # Every prefix longer than a deficient one is deficient too, so
-            # testing the longest prefix tells whether any of them is.
-            raise FitError("rank-deficient design with zero penalty")
-        y = y_pre[-n:]
-        intercept = y.mean()
-        chol = ridge_cholesky(Xs, penalty)
-        z = np.linalg.solve(chol, Xs.T @ (y - intercept))
-        weights = np.cumsum(np.linalg.inv(chol.T) * z, axis=1)
-        predictions = intercept + ((X_test[:, :kmax] - means) / stds) @ weights
-        values = np.abs(y_test[:, None] - predictions).mean(axis=0) / denom
-        if not np.isfinite(values).all():
+    n = np.asarray(sizes)
+    kmax = np.minimum(n - 1, q)
+    rows = np.flatnonzero(kmax >= 1)  # sizes below 2 fit nothing
+    rows = rows[np.argsort(n[rows], kind="stable")]
+    if penalty == 0:
+        for size, k in zip(n[rows].tolist(), kmax[rows].tolist()):
+            # Every prefix longer than a deficient one is deficient too.
+            if np.linalg.matrix_rank(standardize_columns(X_pre[-size:, :k])[0]) < k:
+                raise FitError("rank-deficient design with zero penalty")
+
+    raw = np.column_stack([X_pre[-n_top:, :q], y_pre[-n_top:]])[::-1]
+    center = raw.mean(axis=0)
+    block = raw - center
+    counts = np.arange(1, n_top + 1)
+    running = np.cumsum(block, axis=0) / counts[:, None]
+    # Row t adds (t/(t+1)) d d' with d = row t minus the mean of rows < t: the
+    # updating form of Chan, Golub & LeVeque (1983), which does not cancel
+    # when a window's mean is far from the pool's, as S2 - n m m' does.
+    dev = block[1:] - running[:-1]
+    dev_scaled = dev * (counts[:-1] / counts[1:])[:, None]
+    # As in `standardize_columns`, a constant column is zero with std 1.
+    top, low = np.maximum.accumulate(raw[:, :q]), np.minimum.accumulate(raw[:, :q])
+    X_test_c, y_test_c = X_test[:, :q] - center[:q], y_test - center[q]
+    diag = np.arange(q)
+    # Ascending sizes in chunks keep the temporaries small; `carry` is the
+    # co-moment of the first `done` rows.
+    carry, done = 0.0, 1
+    for lo in range(0, len(rows), _CHUNK):
+        part = rows[lo : lo + _CHUNK]
+        size = n[part]
+        skip, new = slice(done - 1, size[0] - 1), slice(size[0] - 1, size[-1] - 1)
+        acc = np.empty((size[-1] - size[0] + 1, q + 1, q + 1))
+        acc[0] = carry + dev[skip].T @ dev_scaled[skip]  # rows no size in the chunk ends at
+        np.multiply(dev[new, :, None], dev_scaled[new, None, :], out=acc[1:])
+        comoment = np.cumsum(acc, axis=0, out=acc)[size - size[0]]
+        carry, done = acc[-1], size[-1]
+        means = running[size - 1]
+        flat = top[size - 1] == low[size - 1]
+        stds = np.where(flat, 1.0, np.sqrt(comoment[:, diag, diag] / size[:, None]))
+        fitted = diag < kmax[part, None]
+        live = fitted & ~flat
+        scale = stds[:, :, None] * stds[:, None, :]
+        gram = np.where(live[:, :, None] & live[:, None, :], comoment[:, :q, :q] / scale, 0.0)
+        gram[:, diag, diag] += np.where(fitted, penalty, 1.0)  # the identity beyond kmax
+        rhs = np.where(live, comoment[:, :q, q], 0.0) / stds
+        chol = ridge_cholesky(gram)
+        z = np.linalg.solve(chol, rhs[..., None])[..., 0]
+        weights = np.cumsum(np.linalg.inv(np.swapaxes(chol, 1, 2)) * z[:, None, :], axis=2) / stds[:, :, None]
+        residuals = (X_test_c - means[:, None, :q]) @ weights
+        residuals -= (y_test_c - means[:, q, None])[:, :, None]
+        values = np.abs(residuals, out=residuals).mean(axis=1) / denom
+        if not np.isfinite(values[fitted]).all():
             raise EvaluationError("nMAE is not finite")
-        out[row, :kmax] = values
+        out[part, :q] = np.where(fitted, values, np.nan)
     return out
 
 

@@ -92,7 +92,7 @@ def feasibility_grid(
 ) -> FeasibilityGrid:
     """Evaluate every admissible (n, k) cell of the grid.
 
-    Each training size costs one factorization, shared by all k.
+    One stacked factorization covers every training size and every k.
     """
     if tolerance <= 0:
         raise EvaluationError("tolerance must be positive")
@@ -127,14 +127,13 @@ def feasibility_grid(
     )
 
 
-def minimal_config(grid: FeasibilityGrid, lake_id: int | None = None) -> MinimalConfig:
+def minimal_config(grid: FeasibilityGrid) -> MinimalConfig:
     """Lexicographic minimum of the feasible set (n first, then k).
 
     An empty feasible set falls back to the full configuration
     (N_pre, p), flagged, so the result is total.
     """
-    if lake_id is None:
-        lake_id = grid.lake_id
+    lake_id = grid.lake_id
     tau = grid.tau
     for n in sorted(grid.n_grid):
         for k in range(1, grid.p + 1):

@@ -47,16 +47,15 @@ class RidgeModel:
 
 
 def standardize_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column-wise standardization; zero-variance stds are clamped to 1."""
+    """Column-wise standardization; a constant column keeps std 1. Constancy
+    is tested exactly: twelve 0.1s have a computed std of 1e-17, not 0."""
     means = X.mean(axis=0)
-    stds = X.std(axis=0)
-    stds = np.where(stds > 0, stds, 1.0)
+    stds = np.where(X.max(axis=0) > X.min(axis=0), X.std(axis=0), 1.0)
     return (X - means) / stds, means, stds
 
 
-def ridge_cholesky(Xs: np.ndarray, penalty: float) -> np.ndarray:
-    """Lower Cholesky factor of the penalized Gram matrix Xs'Xs + penalty*I."""
-    gram = Xs.T @ Xs + penalty * np.eye(Xs.shape[1])
+def ridge_cholesky(gram: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a penalized Gram matrix, or of each in a stack."""
     try:
         return np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
@@ -67,7 +66,7 @@ def ridge_cholesky(Xs: np.ndarray, penalty: float) -> np.ndarray:
 
 def solve_standardized_ridge(Xs: np.ndarray, y_centered: np.ndarray, penalty: float) -> np.ndarray:
     """Solve (Xs'Xs + penalty*I) w = Xs'y via Cholesky on the Gram matrix."""
-    chol = ridge_cholesky(Xs, penalty)
+    chol = ridge_cholesky(Xs.T @ Xs + penalty * np.eye(Xs.shape[1]))
     return np.linalg.solve(chol.T, np.linalg.solve(chol, Xs.T @ y_centered))
 
 

@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -63,8 +63,9 @@ class RunConfig:
             raise ConfigError("test_years must be >= 1")
         if self.tolerance <= 0:
             raise ConfigError("tolerance must be positive")
-        if self.impute_sweeps < 1:
-            raise ConfigError("impute_sweeps must be >= 1")
+        for name in ("impute_sweeps", "grid_stride", "n_trees"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
 
     def grid_spec(self) -> SizeGridSpec:
         return SizeGridSpec(n_min=self.grid_n_min, stride=self.grid_stride)
@@ -219,31 +220,18 @@ def grid_rows(grid: FeasibilityGrid) -> list[list[Any]]:
 # --------------------------------------------------------------------------- #
 
 def grid_to_dict(grid: FeasibilityGrid) -> dict[str, Any]:
-    return {
-        "lake_id": grid.lake_id,
-        "n_grid": grid.n_grid,
-        "p": grid.p,
-        "n_pre": grid.n_pre,
-        "feature_order": grid.feature_order,
-        "nmae": [[n, k, value] for (n, k), value in sorted(grid.nmae.items())],
-        "excluded": sorted(list(pair) for pair in grid.excluded),
-        "full_nmae": grid.full_nmae,
-        "tolerance": grid.tolerance,
-    }
+    """The grid's fields as JSON types: (n, k) keys become [n, k, ...] lists."""
+    cells = [[n, k, value] for (n, k), value in sorted(grid.nmae.items())]
+    return {**vars(grid), "nmae": cells, "excluded": sorted(list(pair) for pair in grid.excluded)}
 
 
 def grid_from_dict(payload: dict[str, Any]) -> FeasibilityGrid:
-    return FeasibilityGrid(
-        lake_id=int(payload["lake_id"]),
-        n_grid=[int(n) for n in payload["n_grid"]],
-        p=int(payload["p"]),
-        n_pre=int(payload["n_pre"]),
-        feature_order=list(payload["feature_order"]),
-        nmae={(int(n), int(k)): float(v) for n, k, v in payload["nmae"]},
-        excluded={(int(n), int(k)) for n, k in payload["excluded"]},
-        full_nmae=float(payload["full_nmae"]),
-        tolerance=float(payload["tolerance"]),
-    )
+    nmae = {(n, k): value for n, k, value in payload["nmae"]}
+    return FeasibilityGrid(**{**payload, "nmae": nmae, "excluded": {(n, k) for n, k in payload["excluded"]}})
+
+
+# Part of every grid key; bumped by any change to a cached grid's values, even in the last bits.
+CACHE_VERSION = 2
 
 
 class StageCache:
@@ -289,6 +277,7 @@ def grid_key(lake: PreparedLake, ranking: FeatureRanking, config: RunConfig) -> 
     ):
         digest.update(np.ascontiguousarray(array).tobytes())
     settings = [
+        CACHE_VERSION,
         lake.series.lake_id,
         completed.values.shape,
         completed.feature_schema,
@@ -316,6 +305,14 @@ def lake_grid(
     if cache is not None:
         cache.put(lake_id, key, grid_to_dict(grid))
     return grid
+
+
+def lake_curve(lake: PreparedLake, config: RunConfig) -> SampleCurve:
+    """The lake's sample curve over the grid sizes that fit every feature (n >= p+1)."""
+    p = len(lake.completed.feature_schema)
+    fits = [n for n in config.grid_spec().resolve(lake.split.n_pre, p) if n > p]
+    spec = SizeGridSpec(fits[0] if fits else None, config.grid_stride)
+    return sample_curve(lake.split, lake.completed, spec, config.tolerance, config.penalty)
 
 
 # --------------------------------------------------------------------------- #
@@ -384,7 +381,7 @@ def process_lake(
         test_le_train=test_metrics.nmae <= train_metrics.nmae,
     )
 
-    curve = sample_curve(split, completed, config.grid_spec(), config.tolerance, config.penalty)
+    curve = lake_curve(lake, config)
     selection = forward_selection(split, completed, lake.ranking, config.tolerance, config.penalty)
     grid = lake_grid(lake, global_ranking or lake.ranking, config, cache)
 
@@ -504,16 +501,7 @@ def _write_bundle(out_dir: Path, config: RunConfig, result: PipelineResult, agg_
     )
     write_csv(
         out_dir / "train_test.csv",
-        ["lake", "train_mae", "test_mae", "train_nmae", "test_nmae", "test_le_train"],
-        [
-            [
-                r.table_row.lake,
-                repr(r.table_row.train_mae),
-                repr(r.table_row.test_mae),
-                repr(r.table_row.train_nmae),
-                repr(r.table_row.test_nmae),
-                int(r.table_row.test_le_train),
-            ]
-            for r in reports
-        ],
+        [f.name for f in fields(TableRow)][1:],
+        # Every column but lake_id; csv writes a float as its repr, the flag as 0/1.
+        [[*astuple(r.table_row)[1:-1], int(r.table_row.test_le_train)] for r in reports],
     )

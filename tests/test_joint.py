@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from limnoplan import evaluation
 from limnoplan.dataset import split_by_count
 from limnoplan.errors import EvaluationError, FitError
-from limnoplan.evaluation import SizeGridSpec, backward_eval, sample_curve
+from limnoplan.evaluation import SizeGridSpec, backward_eval, prefix_nmae, sample_curve
 from limnoplan.joint import (
     FeasibilityGrid,
     MinimalConfig,
@@ -314,3 +315,75 @@ class TestPrefixEngineAgainstOracle:
             sample_curve(split, completed)
         with pytest.raises(EvaluationError):
             forward_selection(split, completed, ranking)
+
+
+def _trending_lake(seed, n=260, n_pre=200, steady_rows=0):
+    """Columns `base`, `offset` (about 1e6), `trend` (a strong linear drift)
+    and `steady` (scale 1e-9). `steady` is constant over the last
+    `steady_rows` pre-test rows only, at a value whose computed mean over
+    those rows is not the value itself."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n, dtype=float)
+    base = rng.normal(size=n)
+    # At 1e6 one ulp is 1.2e-10, which bounds how well any summation order
+    # knows a window mean; a spread of 1e3 keeps that below 1e-12 after
+    # standardizing, while S2 - n m m' about zero would lose 6 digits.
+    offset = 1e6 + 1e3 * rng.normal(size=n)
+    trend = 0.5 * t + 0.1 * rng.normal(size=n)
+    steady = 1e-9 * rng.normal(size=n)
+    if steady_rows:
+        steady[n_pre - steady_rows : n_pre] = 7.77e-9
+    X = np.column_stack([base, offset, trend, steady])
+    sdd = 5.0 + base + 1e-3 * (offset - 1e6) + 0.004 * trend + 3e8 * steady + rng.normal(0.0, 0.3, n)
+    series = series_from_arrays(1, sdd, X, ["base", "offset", "trend", "steady"])
+    return split_by_count(series, n_pre), completed_from_series(series)
+
+
+class TestBatchedEngineEdges:
+    """Windows whose co-moments are hard to update, and the size counts and
+    penalties that take other branches of the batched solve."""
+
+    ORDER = ["trend", "offset", "steady", "base"]
+
+    def _assert_grid_matches_oracle(self, split, completed, spec, penalty):
+        grid = feasibility_grid(split, completed, FeatureRanking({}, self.ORDER), spec, penalty=penalty)
+        for (n, k), value in grid.nmae.items():
+            expected = backward_eval(split, completed, n, self.ORDER[:k], penalty).nmae
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0), (n, k)
+        return grid
+
+    @pytest.mark.parametrize("penalty", [1e-3, 1.0])
+    def test_offset_and_trend_columns_over_several_chunks(self, penalty):
+        split, completed = _trending_lake(7)
+        grid = self._assert_grid_matches_oracle(split, completed, SizeGridSpec(n_min=2), penalty)
+        assert len(grid.n_grid) > 3 * evaluation._CHUNK
+
+    @pytest.mark.parametrize("penalty", [1e-3, 1.0])
+    def test_column_constant_only_in_the_recent_window(self, penalty):
+        split, completed = _trending_lake(8, steady_rows=12)
+        pre = completed.values[split.pre_rows][:, 3]
+        assert np.ptp(pre[-12:]) == 0 and np.ptp(pre[-13:]) > 0
+        self._assert_grid_matches_oracle(split, completed, SizeGridSpec(n_min=2, stride=3), penalty)
+
+    def test_as_many_sizes_as_features(self):
+        # `solve` reads a (sizes, p) right-hand side as a stack of vectors
+        # under numpy 1.x but, when sizes == p, as one matrix under 2.x.
+        split, completed = _trending_lake(9)
+        sizes = [9, 40, 77, 150]
+        values = prefix_nmae(split, completed, sizes, self.ORDER, 1.0)
+        for row, n in enumerate(sizes):
+            for k in range(1, 5):
+                expected = backward_eval(split, completed, n, self.ORDER[:k], 1.0).nmae
+                assert values[row, k - 1] == pytest.approx(expected, rel=1e-12, abs=0.0), (n, k)
+
+    def test_zero_penalty_with_sizes_up_to_p(self):
+        # `steady`, ranked third, is constant over the last four rows: the
+        # 4-row window (p = 4) is the one rank-deficient design.
+        split, completed = _trending_lake(10, steady_rows=4)
+        ranking = FeatureRanking({}, self.ORDER)
+        with pytest.raises(FitError, match="rank-deficient"):
+            feasibility_grid(split, completed, ranking, SizeGridSpec(n_min=2), penalty=0.0)
+        grid = feasibility_grid(split, completed, ranking, SizeGridSpec(n_min=5, stride=20), penalty=0.0)
+        for (n, k), value in grid.nmae.items():
+            expected = backward_eval(split, completed, n, self.ORDER[:k], 0.0).nmae
+            assert value == pytest.approx(expected, rel=1e-12, abs=0.0), (n, k)

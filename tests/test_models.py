@@ -237,6 +237,15 @@ class TestRidge:
         model = fit_ridge(X, rng.normal(size=12), penalty=1.0)
         assert model.train_stds[1] == 1.0 and np.isfinite(model.weights).all()
 
+    @pytest.mark.parametrize("value", [0.1, 7.77])
+    def test_constant_feature_whose_mean_rounds_is_guarded(self, rng, value):
+        # Twelve copies of these values do not average back to the value,
+        # so their computed std is about 1e-17 or 1e-15, not zero.
+        X = rng.normal(size=(12, 2))
+        X[:, 1] = value
+        model = fit_ridge(X, rng.normal(size=12), penalty=1.0)
+        assert model.train_stds[1] == 1.0 and abs(model.weights[1]) < 1e-12
+
     def test_shape_mismatch_on_predict(self, rng):
         model = fit_ridge(rng.normal(size=(10, 2)), rng.normal(size=10))
         with pytest.raises(FitError):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from limnoplan import dataset
+from limnoplan import dataset, report
 from limnoplan.cli import main
 from limnoplan.dataset import parse_dataset, write_series_csv
 from limnoplan.errors import ConfigError
@@ -217,6 +217,28 @@ class TestPipeline:
         assert (out / "summary.json").read_bytes() == summary_before
         assert json.loads(entry.read_text()) == json.loads(text)
         assert list((out / "cache").iterdir()) == [entry]
+
+    def test_cache_entry_under_another_version_is_a_miss(self, tmp_path, monkeypatch):
+        csv_path = tmp_path / "lakes.csv"
+        synth_csv(csv_path, small_lake_configs(1))
+        with open(csv_path) as fh:
+            lakes, _ = parse_dataset(fh)
+        config = RunConfig(seed=4, **FAST)
+        out = tmp_path / "out"
+        monkeypatch.setattr(report, "CACHE_VERSION", report.CACHE_VERSION - 1)
+        run_pipeline(lakes, config, out)
+        (old_entry,) = (out / "cache").iterdir()
+        # A grid computed the old way, under the old version's key.
+        payload = json.loads(old_entry.read_text())
+        payload["nmae"] = [[n, k, 0.0] for n, k, _ in payload["nmae"]]
+        old_entry.write_text(json.dumps(payload))
+        monkeypatch.undo()
+
+        run_pipeline(lakes, config, out)
+        run_pipeline(lakes, config, tmp_path / "fresh")
+        assert len(list((out / "cache").iterdir())) == 2
+        grid = Path("lakes", "100", "grid.csv")
+        assert (out / grid).read_bytes() == (tmp_path / "fresh" / grid).read_bytes()
 
 
 class TestTrainTestTable:
@@ -554,6 +576,47 @@ class TestCli:
         assert main(["synth", "--config", str(config_path), "--out", str(out_csv)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out_csv.exists()
+
+    def test_report_small_n_min_keeps_small_cells_and_curve_fits_every_feature(self, tmp_path):
+        csv_path = self._write_synth_inputs(tmp_path)
+        bundle = tmp_path / "bundle"
+        small = ["--input", str(csv_path), "--n-min", "2", "--n-stride", "5"]
+        assert main(["report", *small, "--trees", "15", "--out-dir", str(bundle)]) == 0
+        p = 4
+        with open(bundle / "lakes" / "100" / "grid.csv") as fh:
+            grid_n = {int(row["n"]) for row in csv.DictReader(fh)}
+        assert min(grid_n) == 2
+        with open(bundle / "lakes" / "100" / "sample_curve.csv") as fh:
+            curve_n = [int(row["n"]) for row in csv.DictReader(fh)]
+        assert curve_n == sorted(n for n in grid_n if n >= p + 1)
+
+        curve = tmp_path / "curve.csv"
+        assert main(["sample-curve", *small, "--lake", "100", "--out", str(curve)]) == 0
+        assert curve.read_bytes() == (bundle / "lakes" / "100" / "sample_curve.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag, field, commands",
+        [
+            ("--n-stride", "grid_stride", ["report", "joint", "sample-curve", "feature-select"]),
+            ("--trees", "n_trees", ["report", "joint", "feature-rank", "feature-select"]),
+        ],
+    )
+    def test_zero_stride_or_trees_is_config_error_before_imputing(
+        self, tmp_path, capsys, monkeypatch, flag, field, commands
+    ):
+        csv_path = self._write_synth_inputs(tmp_path)
+
+        def no_impute(*args, **kwargs):
+            raise AssertionError("imputed a lake under an invalid configuration")
+
+        monkeypatch.setattr(report, "impute_series", no_impute)
+        outputs = {"report": ["--out-dir", str(tmp_path / "bundle")]}
+        for command in commands:
+            lake = [] if command in ("report", "joint") else ["--lake", "100"]
+            out = outputs.get(command, ["--out", str(tmp_path / f"{command}.out")])
+            assert main([command, "--input", str(csv_path), *lake, flag, "0", *out]) == 2, command
+            assert capsys.readouterr().err.startswith(f"error: {field} must be >= 1"), command
+        assert not any(tmp_path.glob("*.out")) and not (tmp_path / "bundle").exists()
 
     def test_impute_zero_sweeps_is_config_error(self, tmp_path, capsys):
         csv_path = self._write_synth_inputs(tmp_path)
