@@ -19,13 +19,12 @@ import numpy as np
 from . import dataset as ds
 from .errors import ConfigError, LimnoplanError
 from .imputation import impute_series
-from .joint import aggregate_configs, minimal_config
+from .joint import aggregate_configs, feasibility_grid, minimal_config
 from .report import (
     RunConfig,
     every_lake_failed,
     grid_rows,
     lake_curve,
-    lake_grid,
     prepare_lake,
     prepare_lakes,
     run_pipeline,
@@ -274,7 +273,9 @@ def _cmd_joint(args) -> int:
     for lake in prepared:
         lake_id = lake.series.lake_id
         try:
-            grid = lake_grid(lake, shared or lake.ranking, config)
+            grid = feasibility_grid(
+                lake.split, lake.completed, shared or lake.ranking, config.grid_spec(), config.tolerance, config.penalty
+            )
         except LimnoplanError as exc:
             failures[lake_id] = str(exc)
             continue

@@ -75,6 +75,13 @@ class SampleCurve:
     n_star: int | None
     tolerance: float
 
+    @classmethod
+    def from_nmae(cls, grid: list[int], values: Sequence[float], tolerance: float) -> SampleCurve:
+        """The curve of nMAE `values` over `grid`, referenced to its last size, the full pool."""
+        nmae_at = dict(zip(grid, values))
+        reference = nmae_at[grid[-1]]
+        return cls(grid, nmae_at, reference, minimal_size(grid, nmae_at, reference, tolerance), tolerance)
+
 
 def mae(y: np.ndarray, y_hat: np.ndarray) -> float:
     y = np.asarray(y, dtype=float)
@@ -300,12 +307,7 @@ def sample_curve(
         )
 
     values = prefix_nmae(split, completed, grid, completed.feature_schema, penalty)[:, p - 1]
-    nmae_at = dict(zip(grid, values.tolist()))
-    reference = nmae_at[split.n_pre]
-    n_star = minimal_size(grid, nmae_at, reference, tolerance)
-    return SampleCurve(
-        grid=grid, nmae_at=nmae_at, reference_nmae=reference, n_star=n_star, tolerance=tolerance
-    )
+    return SampleCurve.from_nmae(grid, values.tolist(), tolerance)
 
 
 def minimal_size(

@@ -53,6 +53,22 @@ class FeasibilityGrid:
         tau = self.tau
         return sorted(pair for pair, value in self.nmae.items() if value <= tau)
 
+    @classmethod
+    def from_nmae(
+        cls, lake_id: int, n_grid: list[int], order: Sequence[str], values: np.ndarray, tolerance: float
+    ) -> FeasibilityGrid:
+        """The grid of nMAE `values[i, k-1]` at (n_grid[i], k); cells with n < k+1 are excluded."""
+        p, n_pre = len(order), n_grid[-1]
+        nmae: dict[tuple[int, int], float] = {}
+        excluded: set[tuple[int, int]] = set()
+        for n, row in zip(n_grid, values.tolist()):
+            for k in range(1, p + 1):
+                if n < k + 1:
+                    excluded.add((n, k))
+                else:
+                    nmae[(n, k)] = row[k - 1]
+        return cls(lake_id, n_grid, p, n_pre, list(order), nmae, excluded, nmae[(n_pre, p)], tolerance)
+
     def rethreshold(self, tolerance: float) -> "FeasibilityGrid":
         """Same evaluations, new tolerance; no refitting happens."""
         if tolerance <= 0:
@@ -104,27 +120,7 @@ def feasibility_grid(
     require_full_fit(split.n_pre, p)
 
     values = prefix_nmae(split, completed, n_grid, order, penalty)
-    nmae: dict[tuple[int, int], float] = {}
-    excluded: set[tuple[int, int]] = set()
-    for n, row in zip(n_grid, values.tolist()):
-        for k in range(1, p + 1):
-            if n < k + 1:
-                excluded.add((n, k))
-            else:
-                nmae[(n, k)] = row[k - 1]
-    full = nmae[(split.n_pre, p)]
-
-    return FeasibilityGrid(
-        lake_id=split.pre.lake_id,
-        n_grid=n_grid,
-        p=p,
-        n_pre=split.n_pre,
-        feature_order=list(order),
-        nmae=nmae,
-        excluded=excluded,
-        full_nmae=full,
-        tolerance=tolerance,
-    )
+    return FeasibilityGrid.from_nmae(split.pre.lake_id, n_grid, order, values, tolerance)
 
 
 def minimal_config(grid: FeasibilityGrid) -> MinimalConfig:

@@ -5,9 +5,9 @@ curve -> feature ranking/selection -> joint feasibility search, per
 lake, then aggregates across lakes. All outputs are JSON (machine) and
 CSV (plot data); every report embeds the hash of the run configuration
 that produced it, and identical configurations reproduce byte-identical
-reports. Feasibility grids are cached on disk keyed by a digest of the
-data and settings they are computed from, so tolerance re-runs skip
-refits.
+reports. Each lake's results that do not depend on the tolerance are
+cached on disk as one entry, so a re-run at a new tolerance imputes and
+fits nothing: it only re-thresholds the cached nMAE values.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, astuple, dataclass, fields
+import zipfile
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -70,6 +71,10 @@ class RunConfig:
     def grid_spec(self) -> SizeGridSpec:
         return SizeGridSpec(n_min=self.grid_n_min, stride=self.grid_stride)
 
+    def curve_sizes(self, n_pre: int, p: int) -> list[int]:
+        """The sample curve's sizes: the grid sizes that fit every feature (n >= p+1)."""
+        return [n for n in self.grid_spec().resolve(n_pre, p) if n > p] or [n_pre]
+
     # Every entry point seeds a lake's imputation and forest through these
     # two methods, so a lake's results depend only on (seed, lake id).
     def impute_config(self, lake_id: int) -> ImputeConfig:
@@ -110,6 +115,7 @@ class PreparedLake:
     completed: CompletedMatrix
     impute_report: ImputeReport
     ranking: FeatureRanking | None  # None when prepared without ranking
+    cached: dict[str, np.ndarray] | None = None  # the lake's cache entry, when prepared from one
 
 
 @dataclass
@@ -216,102 +222,80 @@ def grid_rows(grid: FeasibilityGrid) -> list[list[Any]]:
 
 
 # --------------------------------------------------------------------------- #
-# Grid (de)serialization and the stage cache
+# The per-lake stage cache
 # --------------------------------------------------------------------------- #
 
-def grid_to_dict(grid: FeasibilityGrid) -> dict[str, Any]:
-    """The grid's fields as JSON types: (n, k) keys become [n, k, ...] lists."""
-    cells = [[n, k, value] for (n, k), value in sorted(grid.nmae.items())]
-    return {**vars(grid), "nmae": cells, "excluded": sorted(list(pair) for pair in grid.excluded)}
+# Part of every entry's key; bumped by any change to a cached value, even in the last bits.
+CACHE_VERSION = 3
 
 
-def grid_from_dict(payload: dict[str, Any]) -> FeasibilityGrid:
-    nmae = {(n, k): value for n, k, value in payload["nmae"]}
-    return FeasibilityGrid(**{**payload, "nmae": nmae, "excluded": {(n, k) for n, k in payload["excluded"]}})
-
-
-# Part of every grid key; bumped by any change to a cached grid's values, even in the last bits.
-CACHE_VERSION = 2
-
-
+@dataclass
 class StageCache:
-    """Disk cache of serialized feasibility grids keyed by (lake, `grid_key`)."""
+    """Disk cache of per-lake entries, each one `.npz` of named arrays, keyed by (lake, `lake_key`)."""
 
-    def __init__(self, root: Path):
-        self.root = root
+    root: Path
 
     def _path(self, lake_id: int, key: str) -> Path:
-        return self.root / f"{lake_id}_grid_{key}.json"
+        return self.root / f"{lake_id}_{key}.npz"
 
-    def get(self, lake_id: int, key: str) -> Any | None:
-        """The stored entry, or None when it is absent or unreadable."""
+    def get(self, lake_id: int, key: str, layout: dict[str, tuple]) -> dict[str, np.ndarray] | None:
+        """The stored arrays, or None unless each array `layout` names is there at its (dtype, shape)."""
         try:
-            with open(self._path(lake_id, key)) as fh:
-                return json.load(fh)
-        except (OSError, ValueError):
+            with open(self._path(lake_id, key), "rb") as fh:
+                entry = np.load(fh, allow_pickle=False)  # never unpickle: an out-dir may be shared
+                arrays = {name: entry[name] for name in layout}
+        except (OSError, EOFError, IndexError, KeyError, ValueError, zipfile.BadZipFile):
             return None
+        return arrays if all((arrays[k].dtype, arrays[k].shape) == v for k, v in layout.items()) else None
 
-    def put(self, lake_id: int, key: str, payload: Any) -> None:
-        """Store `payload`, which must hold only JSON types, as one compact line."""
+    def put(self, lake_id: int, key: str, arrays: dict[str, np.ndarray]) -> None:
+        """Store `arrays` as one uncompressed `.npz`."""
         # Write then rename, so a reader never sees a partial entry.
         path = self._path(lake_id, key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(payload, separators=(",", ":")))
+        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp.npz")  # savez appends .npz to other names
+        np.savez(tmp, **arrays)
         os.replace(tmp, path)
 
 
-def grid_key(lake: PreparedLake, ranking: FeatureRanking, config: RunConfig) -> str:
-    """Digest of everything a feasibility grid's nMAE values depend on.
-
-    The tolerance is left out: a cached grid is re-thresholded instead.
-    """
-    split, completed = lake.split, lake.completed
-    digest = hashlib.sha256()
-    for array in (
-        completed.values,
-        split.pre.sdd,
-        split.test.sdd,
-        split.pre_rows,
-        split.test_rows,
-    ):
-        digest.update(np.ascontiguousarray(array).tobytes())
-    settings = [
-        CACHE_VERSION,
-        lake.series.lake_id,
-        completed.values.shape,
-        completed.feature_schema,
-        ranking.order,
-        config.grid_n_min,
-        config.grid_stride,
-        config.penalty,
-    ]
-    digest.update(json.dumps(settings).encode())
-    return digest.hexdigest()[:16]
+def lake_key(series: ds.LakeSeries, config: RunConfig) -> str:
+    """Digest of the post-exclusion series and every setting but `tolerance`, `exclude_fallback` and `lake_ids`."""
+    columns = (series.dates, series.sdd, series.covariates, series.sdd_to_bottom)
+    data = hashlib.sha256(b"".join(np.ascontiguousarray(c).tobytes() for c in columns)).hexdigest()
+    settings = replace(config, tolerance=DEFAULT_TOLERANCE, exclude_fallback=False, lake_ids=None)
+    return config_fingerprint(settings, json.dumps([CACHE_VERSION, series.lake_id, series.feature_schema, data]))
 
 
-def lake_grid(
-    lake: PreparedLake, ranking: FeatureRanking, config: RunConfig, cache: StageCache | None = None
-) -> FeasibilityGrid:
-    """The lake's feasibility grid over `ranking`, from the cache when it holds one."""
-    lake_id = lake.series.lake_id
-    key = grid_key(lake, ranking, config)
-    cached = cache.get(lake_id, key) if cache is not None else None
-    if cached is not None:
-        return grid_from_dict(cached).rethreshold(config.tolerance)
-    grid = feasibility_grid(
-        lake.split, lake.completed, ranking, config.grid_spec(), config.tolerance, config.penalty
-    )
-    if cache is not None:
-        cache.put(lake_id, key, grid_to_dict(grid))
-    return grid
+def entry_layout(series: ds.LakeSeries, split: ds.SplitSeries, config: RunConfig) -> dict[str, tuple]:
+    """(dtype, shape) of each array of the lake's cache entry (see `lake_entry`)."""
+    rows, p = series.covariates.shape
+    n_curve = len(config.curve_sizes(split.n_pre, p))
+    n_grid = len(config.grid_spec().resolve(split.n_pre, p))
+    return {
+        "values": ("f8", (rows, p)), "mask": ("?", (rows, p)), "impute": ("f8", (3,)), "curve": ("f8", (n_curve,)),
+        "scores": ("f8", (p,)), "selection": ("f8", (p,)), "grid_order": ("i8", (p,)), "grid": ("f8", (n_grid, p)),
+    }
+
+
+def lake_entry(lake: PreparedLake, curve: SampleCurve, selection: SelectionResult, grid: FeasibilityGrid) -> dict:
+    """Every result of the lake's report stages that does not depend on the tolerance."""
+    impute, schema = lake.impute_report, lake.completed.feature_schema
+    return {
+        "values": lake.completed.values,
+        "mask": lake.completed.imputed_mask,
+        "impute": np.array([impute.sweeps, impute.final_delta, impute.converged], dtype=float),
+        "scores": np.array([lake.ranking.scores[f] for f in schema]),
+        "curve": np.array([curve.nmae_at[n] for n in curve.grid]),
+        "selection": np.array([selection.nmae_by_k[k] for k in range(1, grid.p + 1)]),
+        "grid": np.array([[grid.nmae.get((n, k), np.nan) for k in range(1, grid.p + 1)] for n in grid.n_grid]),
+        "grid_order": np.array([schema.index(f) for f in grid.feature_order], dtype=np.int64),
+    }
 
 
 def lake_curve(lake: PreparedLake, config: RunConfig) -> SampleCurve:
-    """The lake's sample curve over the grid sizes that fit every feature (n >= p+1)."""
-    p = len(lake.completed.feature_schema)
-    fits = [n for n in config.grid_spec().resolve(lake.split.n_pre, p) if n > p]
-    spec = SizeGridSpec(fits[0] if fits else None, config.grid_stride)
+    """The lake's sample curve over `RunConfig.curve_sizes`."""
+    sizes = config.curve_sizes(lake.split.n_pre, len(lake.completed.feature_schema))
+    spec = SizeGridSpec(sizes[0], config.grid_stride)  # resolves to `sizes`
     return sample_curve(lake.split, lake.completed, spec, config.tolerance, config.penalty)
 
 
@@ -319,9 +303,18 @@ def lake_curve(lake: PreparedLake, config: RunConfig) -> SampleCurve:
 # Per-lake processing
 # --------------------------------------------------------------------------- #
 
-def prepare_lake(series: ds.LakeSeries, config: RunConfig, rank: bool = True) -> PreparedLake:
-    """Split, impute and (unless `rank` is false) rank one exclusion-filtered lake."""
+def prepare_lake(
+    series: ds.LakeSeries, config: RunConfig, rank: bool = True, cache: StageCache | None = None
+) -> PreparedLake:
+    """Split, impute and (unless `rank` is false) rank one exclusion-filtered lake, or read it from `cache`."""
     split = ds.split_test_block(series, config.test_years)
+    entry = cache and cache.get(series.lake_id, lake_key(series, config), entry_layout(series, split, config))
+    if entry is not None:
+        schema, mask = list(series.feature_schema), entry["mask"]
+        sweeps, delta, converged = entry["impute"].tolist()
+        report = ImputeReport(int(sweeps), delta, bool(converged), dict(zip(schema, mask.sum(axis=0).tolist())))
+        ranking = FeatureRanking.from_scores(dict(zip(schema, entry["scores"].tolist())))
+        return PreparedLake(series, split, CompletedMatrix(entry["values"], schema, mask), report, ranking, entry)
     completed, impute_report = impute_series(series, config.impute_config(series.lake_id))
     ranking = rank_features(split, completed, config.forest_config(series.lake_id)) if rank else None
     return PreparedLake(series, split, completed, impute_report, ranking)
@@ -334,7 +327,7 @@ def every_lake_failed(failures: dict[int, str]) -> ConfigError:
 
 
 def prepare_lakes(
-    lakes: Sequence[ds.LakeSeries], config: RunConfig
+    lakes: Sequence[ds.LakeSeries], config: RunConfig, cache: StageCache | None = None
 ) -> tuple[list[PreparedLake], dict[int, str], FeatureRanking | None]:
     """Prepare the lakes `config` selects, in lake-id order.
 
@@ -349,7 +342,7 @@ def prepare_lakes(
     failures: dict[int, str] = {}
     for series in selected:
         try:
-            prepared.append(prepare_lake(series, config))
+            prepared.append(prepare_lake(series, config, cache=cache))
         except LimnoplanError as exc:
             failures[series.lake_id] = str(exc)
     if not prepared:
@@ -381,9 +374,21 @@ def process_lake(
         test_le_train=test_metrics.nmae <= train_metrics.nmae,
     )
 
-    curve = lake_curve(lake, config)
-    selection = forward_selection(split, completed, lake.ranking, config.tolerance, config.penalty)
-    grid = lake_grid(lake, global_ranking or lake.ranking, config, cache)
+    ranking, entry, p = global_ranking or lake.ranking, lake.cached, len(completed.feature_schema)
+    if entry is None:
+        curve = lake_curve(lake, config)
+        selection = forward_selection(split, completed, lake.ranking, config.tolerance, config.penalty)
+    else:
+        curve = SampleCurve.from_nmae(config.curve_sizes(split.n_pre, p), entry["curve"].tolist(), config.tolerance)
+        selection = SelectionResult.from_nmae(entry["selection"].tolist(), lake.ranking.order, config.tolerance)
+    # A grid over another ranking than the cached one's (a global ranking of other lakes) is recomputed.
+    if entry is not None and entry["grid_order"].tolist() == list(map(completed.feature_schema.index, ranking.order)):
+        n_grid = config.grid_spec().resolve(split.n_pre, p)
+        grid = FeasibilityGrid.from_nmae(series.lake_id, n_grid, ranking.order, entry["grid"], config.tolerance)
+    else:
+        grid = feasibility_grid(split, completed, ranking, config.grid_spec(), config.tolerance, config.penalty)
+        if cache is not None:
+            cache.put(series.lake_id, lake_key(series, config), lake_entry(lake, curve, selection, grid))
 
     return LakeReport(
         lake_id=series.lake_id,
@@ -437,14 +442,14 @@ def run_pipeline(
 ) -> PipelineResult:
     """Process every requested lake and write the report bundle.
 
-    `input_digest` only enters the bundle's config hash; the grid cache
+    `input_digest` only enters the bundle's config hash; the stage cache
     is keyed on the data itself.
     """
     out_dir = Path(out_dir)
     config_hash = config_fingerprint(config, input_digest)
     cache = StageCache(out_dir / "cache")
 
-    prepared, failures, shared = prepare_lakes(lakes, config)
+    prepared, failures, shared = prepare_lakes(lakes, config, cache)
     ordered: list[LakeReport] = []
     for lake in prepared:
         try:

@@ -27,6 +27,11 @@ class FeatureRanking:
     scores: dict[str, float]
     order: list[str]
 
+    @classmethod
+    def from_scores(cls, scores: dict[str, float]) -> FeatureRanking:
+        """The scores and the order they induce: descending score, ties broken by name."""
+        return cls(scores, [name for name, _ in sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))])
+
 
 @dataclass
 class SelectionResult:
@@ -35,10 +40,12 @@ class SelectionResult:
     nmae_by_k: dict[int, float]
     full_nmae: float
 
-
-def _sorted_order(scores: dict[str, float]) -> list[str]:
-    # Descending score, ties broken by name.
-    return [name for name, _ in sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))]
+    @classmethod
+    def from_nmae(cls, values: Sequence[float], order: list[str], tolerance: float) -> SelectionResult:
+        """The result for the nMAE `values` of every prefix of `order`, shortest first."""
+        nmae_by_k = dict(enumerate(values, start=1))
+        k_star = minimal_feature_count(nmae_by_k, nmae_by_k[len(order)], tolerance)
+        return cls(k_star, order[:k_star], nmae_by_k, nmae_by_k[len(order)])
 
 
 def minimal_feature_count(
@@ -59,8 +66,7 @@ def rank_features(
     y = split.pre.sdd
     model = fit_forest(X, y, forest_config, feature_schema=completed.feature_schema)
     importances = mdi_importances(model)
-    scores = {name: float(s) for name, s in zip(completed.feature_schema, importances)}
-    return FeatureRanking(scores=scores, order=_sorted_order(scores))
+    return FeatureRanking.from_scores({name: float(s) for name, s in zip(completed.feature_schema, importances)})
 
 
 def forward_selection(
@@ -82,15 +88,7 @@ def forward_selection(
     p = len(ranking.order)
     require_full_fit(split.n_pre, p)
     row = prefix_nmae(split, completed, [split.n_pre], ranking.order, penalty)[0]
-    nmae_by_k = dict(enumerate(row.tolist(), start=1))
-    full_nmae = nmae_by_k[p]
-    k_star = minimal_feature_count(nmae_by_k, full_nmae, tolerance)
-    return SelectionResult(
-        k_star=k_star,
-        subset=ranking.order[:k_star],
-        nmae_by_k=nmae_by_k,
-        full_nmae=full_nmae,
-    )
+    return SelectionResult.from_nmae(row.tolist(), ranking.order, tolerance)
 
 
 def aggregate_ranking(per_lake: Sequence[FeatureRanking]) -> FeatureRanking:
@@ -111,5 +109,4 @@ def aggregate_ranking(per_lake: Sequence[FeatureRanking]) -> FeatureRanking:
         weight = sum(ranking.scores.values())
         for name in names:
             totals[name] += ranking.scores[name] / weight if weight > 0 else 0.0
-    scores = {name: totals[name] / len(per_lake) for name in names}
-    return FeatureRanking(scores=scores, order=_sorted_order(scores))
+    return FeatureRanking.from_scores({name: totals[name] / len(per_lake) for name in names})

@@ -53,6 +53,35 @@ def small_lake_configs(n_lakes=3, n_samples=140):
 FAST = dict(n_trees=25, grid_stride=4, impute_sweeps=8)
 
 
+def bundle(out_dir: Path) -> dict[str, bytes]:
+    """Every file of a report bundle but the stage cache, by relative path."""
+    return {
+        str(path.relative_to(out_dir)): path.read_bytes()
+        for path in sorted(out_dir.rglob("*"))
+        if path.is_file() and "cache" not in path.relative_to(out_dir).parts
+    }
+
+
+def entry_arrays(path: Path) -> dict[str, np.ndarray]:
+    with np.load(path, allow_pickle=False) as entry:
+        return dict(entry)
+
+
+def same_arrays(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> bool:
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k], equal_nan=True) for k in a)
+
+
+def save_npy(path: Path, array: np.ndarray) -> None:
+    with open(path, "wb") as fh:  # np.save would add ".npy" to a path
+        np.save(fh, array)
+
+
+def load_csv(path: Path) -> list:
+    with open(path) as fh:
+        lakes, _ = parse_dataset(fh)
+    return lakes
+
+
 class TestPipeline:
     def test_three_lakes_full_bundle(self, tmp_path):
         csv_path = tmp_path / "lakes.csv"
@@ -121,6 +150,9 @@ class TestPipeline:
         result = run_pipeline(lakes + [runt], RunConfig(seed=3, **FAST), tmp_path / "out")
         assert sorted(r.lake_id for r in result.reports) == [100, 101]
         assert 999 in result.failures
+        again = run_pipeline(lakes + [runt], RunConfig(seed=3, tolerance=0.1, **FAST), tmp_path / "out")
+        assert again.failures == result.failures
+        assert len(list((tmp_path / "out" / "cache").iterdir())) == 2
 
     def test_every_lake_failing_raises_config_error(self, tmp_path):
         runt = series_from_arrays(7, np.array([2.0, 2.1]), np.ones((2, 2)), ["a", "b"])
@@ -211,11 +243,12 @@ class TestPipeline:
         run_pipeline(lakes, config, out)
         summary_before = (out / "summary.json").read_bytes()
         (entry,) = (out / "cache").iterdir()
-        text = entry.read_text()
-        entry.write_text(text[: len(text) // 2])
+        stored = entry_arrays(entry)
+        data = entry.read_bytes()
+        entry.write_bytes(data[: len(data) // 2])
         run_pipeline(lakes, config, out)
         assert (out / "summary.json").read_bytes() == summary_before
-        assert json.loads(entry.read_text()) == json.loads(text)
+        assert same_arrays(entry_arrays(entry), stored)
         assert list((out / "cache").iterdir()) == [entry]
 
     def test_cache_entry_under_another_version_is_a_miss(self, tmp_path, monkeypatch):
@@ -229,9 +262,9 @@ class TestPipeline:
         run_pipeline(lakes, config, out)
         (old_entry,) = (out / "cache").iterdir()
         # A grid computed the old way, under the old version's key.
-        payload = json.loads(old_entry.read_text())
-        payload["nmae"] = [[n, k, 0.0] for n, k, _ in payload["nmae"]]
-        old_entry.write_text(json.dumps(payload))
+        arrays = entry_arrays(old_entry)
+        arrays["grid"] = np.zeros_like(arrays["grid"])
+        np.savez(old_entry, **arrays)
         monkeypatch.undo()
 
         run_pipeline(lakes, config, out)
@@ -239,6 +272,124 @@ class TestPipeline:
         assert len(list((out / "cache").iterdir())) == 2
         grid = Path("lakes", "100", "grid.csv")
         assert (out / grid).read_bytes() == (tmp_path / "fresh" / grid).read_bytes()
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda path, arrays: np.savez(path, **{k: v for k, v in arrays.items() if k != "curve"}),
+            lambda path, arrays: np.savez(path, **{**arrays, "grid": arrays["grid"][:-1]}),
+            lambda path, arrays: np.savez(path, **{**arrays, "scores": arrays["scores"].astype(np.float32)}),
+            lambda path, arrays: save_npy(path, arrays["values"]),
+            lambda path, arrays: path.write_text(json.dumps({"nmae": [[1, 2]], "excluded": []})),
+            lambda path, arrays: path.write_text("{}"),
+        ],
+        ids=["missing-array", "wrong-shape", "wrong-dtype", "npy-file", "old-json-grid", "empty-json"],
+    )
+    def test_unusable_cache_entry_is_a_miss_and_rewritten(self, tmp_path, tamper):
+        csv_path = tmp_path / "lakes.csv"
+        synth_csv(csv_path, small_lake_configs(1))
+        lakes = load_csv(csv_path)
+        config = RunConfig(seed=4, **FAST)
+        out = tmp_path / "out"
+        run_pipeline(lakes, config, out)
+        cold = bundle(out)
+        (entry,) = (out / "cache").iterdir()
+        stored = entry_arrays(entry)
+        tamper(entry, stored)
+        # A grid file of the earlier JSON cache format is ignored.
+        stale = out / "cache" / "100_grid_0123456789abcdef.json"
+        stale.write_text(json.dumps({"nmae": [[1, 2]]}))
+
+        run_pipeline(lakes, config, out)
+        assert bundle(out) == cold
+        assert same_arrays(entry_arrays(entry), stored)
+        assert sorted((out / "cache").iterdir()) == [entry, stale]
+
+    @pytest.mark.parametrize("use_global_ranking", [False, True], ids=["per-lake", "global"])
+    def test_rethreshold_fits_nothing_and_matches_a_cold_run(self, tmp_path, monkeypatch, use_global_ranking):
+        csv_path = tmp_path / "lakes.csv"
+        synth_csv(csv_path, small_lake_configs(3))
+        lakes = load_csv(csv_path)
+        config = RunConfig(seed=4, use_global_ranking=use_global_ranking, **FAST)
+        out = tmp_path / "out"
+        run_pipeline(lakes, config, out)
+
+        def refit(*args, **kwargs):
+            raise AssertionError("a re-thresholded run imputed or fitted")
+
+        for target in (
+            "limnoplan.report.impute_series",
+            "limnoplan.report.rank_features",
+            "limnoplan.evaluation.prefix_nmae",
+            "limnoplan.selection.prefix_nmae",
+            "limnoplan.joint.prefix_nmae",
+        ):
+            monkeypatch.setattr(target, refit)
+        retol = dataclasses.replace(config, tolerance=0.10)
+        again = run_pipeline(lakes, retol, out)
+        monkeypatch.undo()
+        cold = run_pipeline(lakes, retol, tmp_path / "cold")
+        assert bundle(out) == bundle(tmp_path / "cold")
+        assert [r.minimal for r in again.reports] == [r.minimal for r in cold.reports]
+
+    def test_tampered_input_cell_misses_the_cache(self, tmp_path):
+        csv_path = tmp_path / "lakes.csv"
+        synth_csv(csv_path, small_lake_configs(2))
+        config = RunConfig(seed=4, **FAST)
+        shared = tmp_path / "shared"
+        run_pipeline(load_csv(csv_path), config, shared)
+        lines = csv_path.read_text().splitlines(keepends=True)
+        header = lines[0].rstrip("\n").split(",")
+        row = lines[-3].rstrip("\n").split(",")  # a visit of lake 101
+        column = next(j for j, name in enumerate(header) if name.startswith("x") and row[j])
+        row[column] = repr(float(row[column]) + 0.5)
+        lines[-3] = ",".join(row) + "\n"
+        csv_path.write_text("".join(lines))
+
+        run_pipeline(load_csv(csv_path), config, shared)
+        run_pipeline(load_csv(csv_path), config, tmp_path / "fresh")
+        assert bundle(shared) == bundle(tmp_path / "fresh")
+        assert len(list((shared / "cache").glob("101_*.npz"))) == 2
+        assert len(list((shared / "cache").glob("100_*.npz"))) == 1
+
+    @pytest.mark.parametrize(
+        "change", [dict(seed=5), dict(n_trees=30), dict(penalty=0.5), dict(test_years=4)],
+        ids=["seed", "trees", "lambda", "test-years"],
+    )
+    def test_changed_setting_misses_the_cache(self, tmp_path, change):
+        csv_path = tmp_path / "lakes.csv"
+        synth_csv(csv_path, small_lake_configs(1))
+        lakes = load_csv(csv_path)
+        config = RunConfig(seed=4, **FAST)
+        shared = tmp_path / "shared"
+        run_pipeline(lakes, config, shared)
+        changed = dataclasses.replace(config, **change)
+        run_pipeline(lakes, changed, shared)
+        run_pipeline(lakes, changed, tmp_path / "fresh")
+        assert bundle(shared) == bundle(tmp_path / "fresh")
+        assert len(list((shared / "cache").iterdir())) == 2
+
+    def test_global_ranking_over_other_lakes_recomputes_the_grid(self, tmp_path):
+        csv_path = tmp_path / "lakes.csv"
+        configs = small_lake_configs(3)
+        configs[2] = dataclasses.replace(configs[2], true_weights=(0.0, 0.3, -0.5, 1.5))
+        synth_csv(csv_path, configs)
+        lakes = load_csv(csv_path)
+        config = RunConfig(seed=4, use_global_ranking=True, **FAST)
+        shared = tmp_path / "shared"
+        every = run_pipeline(lakes, config, shared)
+        entries = sorted((shared / "cache").iterdir())
+        subset = dataclasses.replace(config, lake_ids=(100, 101))
+        some = run_pipeline(lakes, subset, shared)
+        run_pipeline(lakes, subset, tmp_path / "fresh")
+        assert some.reports[0].grid.feature_order != every.reports[0].grid.feature_order
+        fresh = bundle(tmp_path / "fresh")  # lakes/102 stays behind in `shared`
+        assert {name: data for name, data in bundle(shared).items() if name in fresh} == fresh
+        # The subset's entries now hold their grid over the subset's ranking.
+        assert sorted((shared / "cache").iterdir()) == entries
+        schema = some.reports[0].lake.completed.feature_schema
+        order = [schema.index(f) for f in some.reports[0].grid.feature_order]
+        assert entry_arrays(entries[0])["grid_order"].tolist() == order
 
 
 class TestTrainTestTable:
