@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Commands: ingest, lakes rank, impute, sample-curve, feature-rank,
-feature-select, joint, synth, report. Exit codes: 0 success, 1 partial
-failure (some lakes failed a stage), 2 configuration error.
+Commands: ingest, lakes rank, impute, sample-curve, feature-rank, feature-select,
+joint, synth, report. Exit codes: 0 success, 1 partial failure (some lakes
+failed a stage), 2 configuration error, an unreadable input header included.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset as ds
-from .errors import ConfigError, LimnoplanError
+from .errors import ConfigError, LimnoplanError, SchemaError
 from .imputation import impute_series
 from .joint import aggregate_configs, feasibility_grid, minimal_config
 from .report import (
@@ -131,17 +132,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_lakes(args: argparse.Namespace, exclusions: bool = True):
+    """The input's lakes, its malformed rows, and the digest of its bytes, from one read of the file."""
     schema = ds.IngestSchema().with_na_token(args.na_token)
     path = Path(args.input)
     if not path.exists():
         raise ConfigError(f"input file not found: {path}")
-    with open(path, newline="") as fh:
-        lakes, errors = ds.parse_dataset(fh, schema)
+    data = path.read_bytes()
+    lakes, errors = ds.parse_dataset(io.TextIOWrapper(io.BytesIO(data), newline=""), schema)
     for err in errors:
         print(f"line {err.line}: {err.message}", file=sys.stderr)
     if exclusions:
         lakes = [ds.apply_exclusions(s) for s in lakes]
-    return lakes, errors
+    return lakes, errors, hashlib.sha256(data).hexdigest()[:16]
 
 
 def _one_lake(lakes, lake_id: int) -> ds.LakeSeries:
@@ -182,12 +184,8 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**fields)
 
 
-def _input_digest(path: str) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
-
-
 def _cmd_ingest(args) -> int:
-    lakes, errors = _load_lakes(args, exclusions=False)
+    lakes, errors, _ = _load_lakes(args, exclusions=False)
     summary = []
     for series in lakes:
         summary.append(
@@ -207,7 +205,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_lakes_rank(args) -> int:
-    lakes, _ = _load_lakes(args)
+    lakes = _load_lakes(args)[0]
     if args.top < 1:
         raise ConfigError(f"--top must be at least 1, got {args.top}")
     if args.top > len(lakes):
@@ -225,7 +223,7 @@ def _cmd_lakes_rank(args) -> int:
 
 
 def _cmd_impute(args) -> int:
-    lakes, _ = _load_lakes(args)
+    lakes = _load_lakes(args)[0]
     series = _one_lake(lakes, args.lake)
     config = _run_config(args)
     completed, fit_report = impute_series(series, config.impute_config(series.lake_id))
@@ -237,7 +235,7 @@ def _cmd_impute(args) -> int:
 
 
 def _cmd_sample_curve(args) -> int:
-    lakes, _ = _load_lakes(args)
+    lakes = _load_lakes(args)[0]
     config = _run_config(args)
     lake = prepare_lake(_one_lake(lakes, args.lake), config, rank=False)
     curve = lake_curve(lake, config)
@@ -247,7 +245,7 @@ def _cmd_sample_curve(args) -> int:
 
 
 def _cmd_feature_rank(args) -> int:
-    lakes, _ = _load_lakes(args)
+    lakes = _load_lakes(args)[0]
     lake = prepare_lake(_one_lake(lakes, args.lake), _run_config(args))
     write_result(Path(args.out), lake.ranking, lake_id=args.lake)
     print(f"lake {args.lake}: top feature {lake.ranking.order[0]}")
@@ -255,7 +253,7 @@ def _cmd_feature_rank(args) -> int:
 
 
 def _cmd_feature_select(args) -> int:
-    lakes, _ = _load_lakes(args)
+    lakes = _load_lakes(args)[0]
     config = _run_config(args)
     lake = prepare_lake(_one_lake(lakes, args.lake), config)
     result = forward_selection(lake.split, lake.completed, lake.ranking, config.tolerance, config.penalty)
@@ -265,7 +263,7 @@ def _cmd_feature_select(args) -> int:
 
 
 def _cmd_joint(args) -> int:
-    lakes, _ = _load_lakes(args, exclusions=False)
+    lakes = _load_lakes(args, exclusions=False)[0]
     config = _run_config(args)
     prepared, failures, shared = prepare_lakes(lakes, config)
     configs = []
@@ -281,7 +279,7 @@ def _cmd_joint(args) -> int:
             continue
         configs.append(minimal_config(grid))
         if args.emit_grid:
-            rows.extend([lake_id, *row] for row in grid_rows(grid))
+            rows.extend(f"{lake_id},{line}" for line in grid_rows(grid))
 
     if not configs:
         raise every_lake_failed(failures)
@@ -295,7 +293,7 @@ def _cmd_joint(args) -> int:
         },
     )
     if args.emit_grid:
-        write_csv(Path(args.emit_grid), ["lake_id", "n", "k", "nmae", "feasible"], rows)
+        write_csv(Path(args.emit_grid), [["lake_id", "n", "k", "nmae", "feasible"]], rows)
     print(
         f"{summary.n_lakes} lake(s): median n_hat {summary.median_n:g}, median k_hat {summary.median_k:g}"
     )
@@ -324,8 +322,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    lakes, _ = _load_lakes(args, exclusions=False)
-    result = run_pipeline(lakes, _run_config(args), Path(args.out_dir), input_digest=_input_digest(args.input))
+    lakes, _, digest = _load_lakes(args, exclusions=False)
+    result = run_pipeline(lakes, _run_config(args), Path(args.out_dir), input_digest=digest)
     print(train_test_table([r.table_row for r in result.reports]))
     if result.mean_n_star is not None:
         print(f"\nmean minimal sample count: {result.mean_n_star:.1f}")
@@ -358,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "lakes":
             return _cmd_lakes_rank(args)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, SchemaError) as exc:  # a SchemaError here is an input file's, not a lake's
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LimnoplanError as exc:

@@ -153,13 +153,10 @@ def _format_cell(value: float) -> str:
 
 def _parse_seccbot(raw: str, na_tokens: frozenset[str]) -> bool:
     text = raw.strip()
-    if text in na_tokens:
+    if text in na_tokens or text.lower() == "no":
         return False
-    lowered = text.lower()
-    if lowered == "yes":
+    if text.lower() == "yes":
         return True
-    if lowered == "no":
-        return False
     raise ValueError(f"unrecognized seccbot value {raw!r}")
 
 
@@ -184,66 +181,62 @@ def parse_dataset(
 
     Returns the series (sorted by lake id, visits stably sorted by date)
     and the list of malformed rows that were skipped. A missing
-    mandatory column raises SchemaError; bad cells only fail their own
-    row.
+    mandatory column or a repeated column name raises SchemaError; bad
+    cells only fail their own row.
     """
-    reader = csv.DictReader(stream)
-    header = reader.fieldnames
+    reader = csv.reader(stream)
+    header = next(reader, None)
     if header is None:
         raise SchemaError("input has no header row")
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise SchemaError(f"repeated column name(s): {', '.join(repeated)}")
 
     mandatory = (schema.id_column, schema.date_column, schema.sdd_column)
     absent = [c for c in mandatory if c not in header]
     if absent:
         raise SchemaError(f"missing mandatory column(s): {', '.join(absent)}")
 
-    role_columns = {
-        schema.id_column,
-        schema.name_column,
-        schema.date_column,
-        schema.sdd_column,
-        schema.seccbot_column,
-    }
-    features = [c for c in header if c not in role_columns]
+    roles = (schema.id_column, schema.date_column, schema.sdd_column, schema.seccbot_column, schema.name_column)
+    width, at = len(header), {c: i for i, c in enumerate(header)}
+    features = [c for c in header if c not in roles]
+    # An optional column the header lacks is read at index `width`, the None each row is padded with.
+    id_at, date_at, sdd_at, seccbot_at, name_at = (at.get(c, width) for c in roles)
+    feature_at = [at[c] for c in features]
+    na = schema.na_tokens
 
     errors: list[RowError] = []
-    visits: dict[int, list[tuple[date, float, list[float], bool]]] = {}
+    visits: dict[int, list[tuple[str, float, list[float], bool]]] = {}
     names: dict[int, str] = {}
 
     for row in reader:
-        line = reader.line_num
+        if not row:
+            continue  # a blank line
+        cells = len(row)
+        del row[width:]  # extra cells are ignored
+        row += [None] * (width + 1 - len(row))  # a short row's missing cells are None
         try:
-            lake_id = int(row[schema.id_column].strip())
-            timestamp = parse_date(row[schema.date_column])
-            sdd = _parse_cell(row[schema.sdd_column], schema.na_tokens)
+            lake_id = int(row[id_at].strip())
+            day = parse_date(row[date_at]).isoformat()  # numpy reads ISO text far faster than date objects
+            sdd = _parse_cell(row[sdd_at], na)
             if sdd <= 0:  # false for a gap (NaN)
                 raise ValueError(f"non-positive Secchi depth {sdd}")
-            seccbot = _parse_seccbot(row.get(schema.seccbot_column) or "", schema.na_tokens)
-            covariates = [_parse_cell(row[f], schema.na_tokens) for f in features]
-        except (ValueError, TypeError, KeyError, AttributeError) as exc:
-            # AttributeError covers short rows, where DictReader yields None cells.
-            errors.append(RowError(line=line, message=str(exc) or "short row"))
+            seccbot = _parse_seccbot(row[seccbot_at] or "", na)
+            covariates = [_parse_cell(row[i], na) for i in feature_at]
+        except (ValueError, AttributeError) as exc:
+            # AttributeError: a cell the parser needs is one a short row lacks.
+            message = f"short row ({cells} of {width} cells)" if isinstance(exc, AttributeError) else str(exc)
+            errors.append(RowError(reader.line_num, message))
             continue
 
-        names.setdefault(lake_id, (row.get(schema.name_column) or "").strip() or str(lake_id))
-        visits.setdefault(lake_id, []).append((timestamp, sdd, covariates, seccbot))
+        names.setdefault(lake_id, (row[name_at] or "").strip() or str(lake_id))
+        visits.setdefault(lake_id, []).append((day, sdd, covariates, seccbot))
 
     lakes = []
     for lake_id, rows in sorted(visits.items()):
+        rows.sort(key=lambda visit: visit[0])  # stable, and ISO dates sort as text
         dates, sdd, covariates, seccbot = zip(*rows)
-        dates = np.array(dates, dtype="datetime64[D]")
-        order = np.argsort(dates, kind="stable")
-        lakes.append(
-            LakeSeries(
-                lake_id=lake_id,
-                name=names[lake_id],
-                dates=dates[order],
-                sdd=np.array(sdd)[order],
-                covariates=np.array(covariates, dtype=float)[order],
-                feature_schema=list(features),
-                sdd_to_bottom=np.array(seccbot)[order],
-            )
-        )
+        lakes.append(LakeSeries(lake_id, names[lake_id], dates, sdd, covariates, list(features), seccbot))
     return lakes, errors
 
 

@@ -17,10 +17,11 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import zipfile
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -174,12 +175,12 @@ def write_json(path: Path, payload: Any) -> None:
         fh.write("\n")
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+def write_csv(path: Path, rows: Sequence[Sequence[Any]], lines: Iterable[str] = ()) -> None:
+    """`rows`, the header first, quoted by `csv`; then `lines`, rows the caller joined, each ending in a newline."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+        fh.writelines(lines)
 
 
 # --------------------------------------------------------------------------- #
@@ -193,13 +194,14 @@ def write_result(path: Path, result: Any, **stamp: Any) -> None:
     write_json(path, {**stamp, **asdict(result)})
 
 
+# Numeric CSV lines are joined here from Python floats: each cell is its repr, as `csv` writes it.
 def write_completed(path: Path, completed: CompletedMatrix) -> None:
-    write_csv(path, completed.feature_schema, [[repr(float(v)) for v in row] for row in completed.values])
+    write_csv(path, [completed.feature_schema], [f"{','.join(map(repr, row))}\n" for row in completed.values.tolist()])
 
 
 def write_sample_curve(path: Path, curve: SampleCurve, **stamp: Any) -> None:
     """`n,nmae` CSV at `path` plus a JSON sidecar with the same stem."""
-    write_csv(path, ["n", "nmae"], [[n, repr(curve.nmae_at[n])] for n in curve.grid])
+    write_csv(path, [["n", "nmae"]], [f"{n},{curve.nmae_at[n]!r}\n" for n in curve.grid])
     write_json(
         path.with_suffix(".json"),
         {**stamp, "n_star": curve.n_star, "reference_nmae": curve.reference_nmae, "tolerance": curve.tolerance},
@@ -208,17 +210,17 @@ def write_sample_curve(path: Path, curve: SampleCurve, **stamp: Any) -> None:
 
 def write_selection(path: Path, selection: SelectionResult, **stamp: Any) -> None:
     """`k,nmae` CSV at `path` plus a JSON sidecar with the same stem."""
-    write_csv(path, ["k", "nmae"], [[k, repr(selection.nmae_by_k[k])] for k in sorted(selection.nmae_by_k)])
+    write_csv(path, [["k", "nmae"]], [f"{k},{selection.nmae_by_k[k]!r}\n" for k in sorted(selection.nmae_by_k)])
     write_json(
         path.with_suffix(".json"),
         {**stamp, "k_star": selection.k_star, "subset": selection.subset, "full_nmae": selection.full_nmae},
     )
 
 
-def grid_rows(grid: FeasibilityGrid) -> list[list[Any]]:
-    """`n, k, nmae, feasible` rows in (n, k) order."""
+def grid_rows(grid: FeasibilityGrid) -> list[str]:
+    """`n,k,nmae,feasible` CSV lines in (n, k) order; `feasible` is 0 or 1."""
     tau = grid.tau
-    return [[n, k, repr(value), int(value <= tau)] for (n, k), value in sorted(grid.nmae.items())]
+    return [f"{n},{k},{value!r},{'01'[value <= tau]}\n" for (n, k), value in sorted(grid.nmae.items())]
 
 
 # --------------------------------------------------------------------------- #
@@ -482,7 +484,7 @@ def _write_bundle(out_dir: Path, config: RunConfig, result: PipelineResult, agg_
         write_sample_curve(lake_dir / "sample_curve.csv", report.curve, config_hash=config_hash)
         write_result(lake_dir / "ranking.json", report.lake.ranking, config_hash=config_hash)
         write_selection(lake_dir / "selection.csv", report.selection, config_hash=config_hash)
-        write_csv(lake_dir / "grid.csv", ["n", "k", "nmae", "feasible"], grid_rows(report.grid))
+        write_csv(lake_dir / "grid.csv", [["n", "k", "nmae", "feasible"]], grid_rows(report.grid))
         write_result(
             lake_dir / "minimal_config.json",
             report.minimal,
@@ -491,6 +493,11 @@ def _write_bundle(out_dir: Path, config: RunConfig, result: PipelineResult, agg_
             full_nmae=report.grid.full_nmae,
         )
 
+    # Lake directories an earlier run into this out-dir left, of lakes this run did not report, go.
+    reported = {str(r.lake_id) for r in reports}
+    for path in (out_dir / "lakes").iterdir():
+        if path.name not in reported and path.name.lstrip("-").isdecimal() and path.is_dir():
+            shutil.rmtree(path)
     write_json(
         out_dir / "summary.json",
         {
@@ -506,7 +513,7 @@ def _write_bundle(out_dir: Path, config: RunConfig, result: PipelineResult, agg_
     )
     write_csv(
         out_dir / "train_test.csv",
-        [f.name for f in fields(TableRow)][1:],
         # Every column but lake_id; csv writes a float as its repr, the flag as 0/1.
-        [[*astuple(r.table_row)[1:-1], int(r.table_row.test_le_train)] for r in reports],
+        [[f.name for f in fields(TableRow)][1:]]
+        + [[*astuple(r.table_row)[1:-1], int(r.table_row.test_le_train)] for r in reports],
     )

@@ -10,6 +10,7 @@ import pytest
 from limnoplan.dataset import (
     IngestSchema,
     LakeSeries,
+    RowError,
     apply_exclusions,
     missingness_profile,
     parse_dataset,
@@ -168,6 +169,22 @@ class TestParse:
         assert len(lakes[0]) == 1
         assert [e.line for e in errors] == [3]
 
+    def test_short_row_names_its_cell_count(self):
+        lakes, errors = _parse(HEADER + "1,A,2001-06-01,No,3.0,1.0\n")
+        assert lakes == [] and errors == [RowError(2, "short row (6 of 7 cells)")]
+
+    def test_short_row_lacking_only_optional_cells_still_parses(self):
+        # Name and seccbot cells are optional: a row that ends before them reads them as empty.
+        lakes, errors = _parse("midas,date,zS_m,x1,seccbot,lake\n1,2001-06-01,3.0,1.0\n")
+        assert errors == [] and lakes[0].name == "1" and lakes[0].sdd_to_bottom.tolist() == [False]
+
+    @pytest.mark.parametrize(
+        "header, repeated", [("midas,lake,date,seccbot,zS_m,x1,x1", "x1"), ("midas,date,zS_m,date,x1", "date")]
+    )
+    def test_repeated_column_name_is_a_schema_error(self, header, repeated):
+        with pytest.raises(SchemaError, match=f"repeated column name\\(s\\): {repeated}$"):
+            _parse(header + "\n1,A,2001-06-01,No,3.0,1.0,2.0\n")
+
     def test_configured_na_token(self):
         schema = IngestSchema().with_na_token("-999")
         text = HEADER + "1,A,2001-06-01,No,2.0,-999,2\n"
@@ -190,6 +207,43 @@ class TestParse:
         assert errors == []
         assert lakes[0].feature_schema == series.feature_schema
         assert_same_series(lakes[0], series)
+
+
+class TestIngestTable:
+    """Ingest rules pinned on one table, cell case by cell case."""
+
+    TEXT = (
+        "midas,lake,date,seccbot,zS_m,x1,x2\n"
+        "1, Lake A ,2001-06-01,No,3.0,1.0,2.0,extra,cells\n"  # 2: extra cells are ignored
+        "\n"  # 3: a blank line is skipped
+        '1,"Lake, A",2001-06-02, no , 3.5 , NA ,\n'  # 4: cells are stripped; NA and empty are gaps
+        "1,A,2001-06-03,,4.0,-999,  \n"  # 5: the --na-token is a gap, so is a blank cell
+        '1,"multi\nline name",2001-06-04,No,2.0,nan,1\n'  # 6-7: one record over two lines
+        "1,A,2001-06-05,No,inf,1,1\n"  # 8
+        "1,A,2001-06-06,No,2.0,1,1e400\n"  # 9: overflows to inf
+        "1,A,2001-06-07,No,2.0,1.5,1\n"  # 10
+        '2,"Two, B",2001-06-01,YES,2.0,1,2\n'  # 11: a quoted name with a comma is read whole
+        "2,B,2001-06-02,No,2.0,1,2\n"  # 12
+    )
+
+    def test_table(self):
+        lakes, errors = _parse(self.TEXT, IngestSchema().with_na_token("-999"))
+        assert errors == [
+            RowError(7, "non-finite value 'nan'"),
+            RowError(8, "non-finite value 'inf'"),
+            RowError(9, "non-finite value '1e400'"),
+        ]
+        one, two = lakes
+        assert one.name == "Lake A" and two.name == "Two, B"
+        assert one.dates.astype(str).tolist() == ["2001-06-01", "2001-06-02", "2001-06-03", "2001-06-07"]
+        assert one.sdd.tolist() == [3.0, 3.5, 4.0, 2.0]
+        np.testing.assert_array_equal(one.covariates, [[1.0, 2.0], [np.nan, np.nan], [np.nan, np.nan], [1.5, 1.0]])
+        assert one.sdd_to_bottom.tolist() == [False] * 4 and two.sdd_to_bottom.tolist() == [True, False]
+        assert one.feature_schema == two.feature_schema == ["x1", "x2"]
+
+    def test_without_the_na_token_its_cells_are_numbers(self):
+        lakes, errors = _parse(self.TEXT)
+        assert len(errors) == 3 and lakes[0].covariates[2, 0] == -999.0
 
 
 class TestExclusions:

@@ -154,6 +154,24 @@ class TestPipeline:
         assert again.failures == result.failures
         assert len(list((tmp_path / "out" / "cache").iterdir())) == 2
 
+    def test_rerun_over_fewer_lakes_removes_the_other_lake_directories(self, tmp_path):
+        csv_path = tmp_path / "lakes.csv"
+        synth_csv(csv_path, small_lake_configs())
+        wanted = tmp_path / "wanted.json"
+        wanted.write_text("[100, 101]")
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        flags = ["--input", str(csv_path), "--trees", "25", "--n-stride", "4"]
+        assert main(["report", *flags, "--out-dir", str(out)]) == 0
+        (out / "lakes" / "notes").mkdir()
+        (out / "lakes" / "7").write_text("not a lake directory")
+        assert main(["report", *flags, "--lakes", str(wanted), "--out-dir", str(out)]) == 0
+        assert main(["report", *flags, "--lakes", str(wanted), "--out-dir", str(fresh)]) == 0
+        assert json.loads((out / "summary.json").read_text())["lakes"] == [100, 101]
+        assert sorted(p.name for p in (out / "lakes").iterdir()) == ["100", "101", "7", "notes"]
+        kept = bundle(out)
+        assert kept.pop("lakes/7") == b"not a lake directory"
+        assert kept == bundle(fresh)
+
     def test_every_lake_failing_raises_config_error(self, tmp_path):
         runt = series_from_arrays(7, np.array([2.0, 2.1]), np.ones((2, 2)), ["a", "b"])
         with pytest.raises(ConfigError):
@@ -450,6 +468,86 @@ class TestTrainTestTable:
         with open(tmp_path / "out" / "train_test.csv") as fh:
             header = next(csv.reader(fh))
         assert header == ["lake", "train_mae", "test_mae", "train_nmae", "test_nmae", "test_le_train"]
+
+
+def old_rule_csv(header: list, rows) -> bytes:
+    """The bytes the bundle writers first produced: `csv.writer` over the cells, each float as `repr(float(v))`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([repr(float(c)) if isinstance(c, (float, np.floating)) else c for c in row] for row in rows)
+    return buf.getvalue().encode()
+
+
+def old_rule_grid(grid, *prefix) -> list:
+    """`[*prefix, n, k, nmae, feasible]` rows sorted by (n, k)."""
+    return [[*prefix, n, k, value, int(value <= grid.tau)] for (n, k), value in sorted(grid.nmae.items())]
+
+
+def old_rule_lake_csvs(completed, curve, selection, grid) -> dict[str, bytes]:
+    return {
+        "completed.csv": old_rule_csv(completed.feature_schema, completed.values),
+        "sample_curve.csv": old_rule_csv(["n", "nmae"], [[n, curve.nmae_at[n]] for n in curve.grid]),
+        "selection.csv": old_rule_csv(["k", "nmae"], sorted(selection.nmae_by_k.items())),
+        "grid.csv": old_rule_csv(["n", "k", "nmae", "feasible"], old_rule_grid(grid)),
+    }
+
+
+# Floats whose repr is in exponent notation, is subnormal, or needs all 17 significant digits.
+EDGE_FLOATS = [1e-300, 5e-324, 1e16, 123456789012345.6, 1e-05, 0.0001, 1e22, -0.0, 0.1 + 0.2, 1 / 3]
+
+
+class TestWriterBytes:
+    """Every bundle CSV and the `joint --emit-grid` file, byte for byte against the old rule."""
+
+    def test_bundle_and_grid_dump_match_the_old_rule(self, tmp_path):
+        csv_path = tmp_path / "lakes.csv"
+        synth_csv(csv_path, small_lake_configs())
+        with open(csv_path) as fh:
+            lakes, _ = parse_dataset(fh)
+        out = tmp_path / "out"
+        for tolerance in (0.05, 0.1):  # a cold run, then a re-threshold from the cache
+            result = run_pipeline(lakes, RunConfig(n_trees=25, grid_stride=4, tolerance=tolerance), out)
+            for lake in result.reports:
+                expected = old_rule_lake_csvs(lake.lake.completed, lake.curve, lake.selection, lake.grid)
+                for name, content in expected.items():
+                    assert (out / "lakes" / str(lake.lake_id) / name).read_bytes() == content, name
+            rows = [dataclasses.astuple(lake.table_row)[1:] for lake in result.reports]
+            header = ["lake", "train_mae", "test_mae", "train_nmae", "test_nmae", "test_le_train"]
+            assert (out / "train_test.csv").read_bytes() == old_rule_csv(header, [[*r[:-1], int(r[-1])] for r in rows])
+
+        grid_csv = tmp_path / "grid.csv"
+        flags = ["--input", str(csv_path), "--trees", "25", "--n-stride", "4", "--tolerance", "0.1"]
+        assert main(["joint", *flags, "--out", str(tmp_path / "joint.json"), "--emit-grid", str(grid_csv)]) == 0
+        rows = [row for lake in result.reports for row in old_rule_grid(lake.grid, lake.lake_id)]
+        assert grid_csv.read_bytes() == old_rule_csv(["lake_id", "n", "k", "nmae", "feasible"], rows)
+
+    def test_edge_floats_match_the_old_rule(self, tmp_path):
+        csv_path = tmp_path / "lakes.csv"
+        synth_csv(csv_path, small_lake_configs(1))
+        with open(csv_path) as fh:
+            lakes, _ = parse_dataset(fh)
+        lake = run_pipeline(lakes, RunConfig(**FAST), tmp_path / "out").reports[0]
+        values = lake.lake.completed.values.copy()
+        values.flat[: len(EDGE_FLOATS)] = EDGE_FLOATS
+        completed = dataclasses.replace(lake.lake.completed, values=values)
+
+        def with_edges(cells: dict) -> dict:
+            """`cells` with its first values, in key order, replaced by the edge floats."""
+            return {**cells, **dict(zip(sorted(cells), EDGE_FLOATS))}
+
+        curve = dataclasses.replace(lake.curve, nmae_at=with_edges(lake.curve.nmae_at))
+        selection = dataclasses.replace(lake.selection, nmae_by_k=with_edges(lake.selection.nmae_by_k))
+        grid = dataclasses.replace(lake.grid, nmae=with_edges(lake.grid.nmae))
+
+        report.write_completed(tmp_path / "completed.csv", completed)
+        report.write_sample_curve(tmp_path / "sample_curve.csv", curve)
+        report.write_selection(tmp_path / "selection.csv", selection)
+        report.write_csv(tmp_path / "grid.csv", [["n", "k", "nmae", "feasible"]], report.grid_rows(grid))
+        for name, content in old_rule_lake_csvs(completed, curve, selection, grid).items():
+            assert (tmp_path / name).read_bytes() == content, name
+        grid_bytes = (tmp_path / "grid.csv").read_bytes()
+        assert b",5e-324,1\n" in grid_bytes and b",1e+16,0\n" in grid_bytes
 
 
 class TestCli:
@@ -775,6 +873,12 @@ class TestCli:
         assert main(["impute", "--input", str(csv_path), "--lake", "100", "--sweeps", "0", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: impute_sweeps")
         assert not out.exists()
+
+    def test_repeated_column_name_is_config_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "repeated.csv"
+        csv_path.write_text("midas,lake,date,seccbot,zS_m,x1,x1\n1,A,2001-06-01,No,3.0,1.0,2.0\n")
+        assert main(["ingest", "--input", str(csv_path)]) == 2
+        assert capsys.readouterr().err == "error: repeated column name(s): x1\n"
 
     def test_missing_input_is_config_error(self, tmp_path):
         assert main(["ingest", "--input", str(tmp_path / "nope.csv")]) == 2
