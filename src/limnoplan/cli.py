@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands: ingest, lakes rank, impute, sample-curve, feature-rank, feature-select,
-joint, synth, report. Exit codes: 0 success, 1 partial failure (some lakes
-failed a stage), 2 configuration error, an unreadable input header included.
+joint, synth, report. Exit codes: 0 success, 1 partial failure (some lakes failed
+a stage), 2 configuration error, a non-UTF-8 input or unreadable header included.
 """
 
 from __future__ import annotations
@@ -138,7 +138,11 @@ def _load_lakes(args: argparse.Namespace, exclusions: bool = True):
     if not path.exists():
         raise ConfigError(f"input file not found: {path}")
     data = path.read_bytes()
-    lakes, errors = ds.parse_dataset(io.TextIOWrapper(io.BytesIO(data), newline=""), schema)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"input file {path} is not UTF-8: {exc}") from exc
+    lakes, errors = ds.parse_dataset(io.StringIO(text, newline=""), schema)
     for err in errors:
         print(f"line {err.line}: {err.message}", file=sys.stderr)
     if exclusions:

@@ -29,6 +29,8 @@ import numpy as np
 from .errors import InsufficientDataError, SchemaError
 
 DEFAULT_NA_TOKENS = frozenset({"", "NA"})
+# The fixed column roles of the layout above.
+ID_COLUMN, NAME_COLUMN, DATE_COLUMN, SECCBOT_COLUMN, SDD_COLUMN = "midas", "lake", "date", "seccbot", "zS_m"
 
 # Covariate names dropped because they are near-proxies of water clarity
 # (lower case; matched case-insensitively).
@@ -115,13 +117,8 @@ class SplitSeries:
 
 @dataclass(frozen=True)
 class IngestSchema:
-    """Column roles and NA conventions for CSV ingest."""
+    """NA conventions for CSV ingest; the column roles are fixed (`ID_COLUMN`, ...)."""
 
-    id_column: str = "midas"
-    name_column: str = "lake"
-    date_column: str = "date"
-    sdd_column: str = "zS_m"
-    seccbot_column: str = "seccbot"
     na_tokens: frozenset[str] = DEFAULT_NA_TOKENS
 
     def with_na_token(self, token: str) -> "IngestSchema":
@@ -192,12 +189,11 @@ def parse_dataset(
     if repeated:
         raise SchemaError(f"repeated column name(s): {', '.join(repeated)}")
 
-    mandatory = (schema.id_column, schema.date_column, schema.sdd_column)
-    absent = [c for c in mandatory if c not in header]
+    absent = [c for c in (ID_COLUMN, DATE_COLUMN, SDD_COLUMN) if c not in header]
     if absent:
         raise SchemaError(f"missing mandatory column(s): {', '.join(absent)}")
 
-    roles = (schema.id_column, schema.date_column, schema.sdd_column, schema.seccbot_column, schema.name_column)
+    roles = (ID_COLUMN, DATE_COLUMN, SDD_COLUMN, SECCBOT_COLUMN, NAME_COLUMN)
     width, at = len(header), {c: i for i, c in enumerate(header)}
     features = [c for c in header if c not in roles]
     # An optional column the header lacks is read at index `width`, the None each row is padded with.
@@ -240,13 +236,10 @@ def parse_dataset(
     return lakes, errors
 
 
-def write_series_csv(series: LakeSeries, stream: TextIO, schema: IngestSchema = IngestSchema()) -> None:
+def write_series_csv(series: LakeSeries, stream: TextIO) -> None:
     """Write a series back out in the ingest CSV layout."""
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(
-        [schema.id_column, schema.name_column, schema.date_column, schema.seccbot_column, schema.sdd_column]
-        + list(series.feature_schema)
-    )
+    writer.writerow([ID_COLUMN, NAME_COLUMN, DATE_COLUMN, SECCBOT_COLUMN, SDD_COLUMN, *series.feature_schema])
     for day, flag, sdd, covariates in zip(
         series.dates.astype(str).tolist(),
         series.sdd_to_bottom.tolist(),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .models import (
 
 DEFAULT_TOLERANCE = 0.05
 _CHUNK = 16  # training sizes solved and scored together; bounds the temporaries
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,18 @@ class SampleCurve:
         nmae_at = dict(zip(grid, values))
         reference = nmae_at[grid[-1]]
         return cls(grid, nmae_at, reference, minimal_size(grid, nmae_at, reference, tolerance), tolerance)
+
+
+def feasibility_threshold(reference: float, tolerance: float) -> float:
+    """The largest nMAE within `tolerance` of `reference`: the feasibility rule of every search."""
+    if not 0 < tolerance < math.inf:  # false for NaN too
+        raise EvaluationError(f"tolerance must be finite and positive, got {tolerance}")
+    return (1.0 + tolerance) * reference
+
+
+def first_within(candidates: Iterable[T], nmae: dict[T, float], threshold: float) -> T | None:
+    """The first of `candidates`, in search order, whose nMAE is at most `threshold`; one without an nMAE never is."""
+    return next((c for c in candidates if nmae.get(c, math.nan) <= threshold), None)
 
 
 def mae(y: np.ndarray, y_hat: np.ndarray) -> float:
@@ -297,8 +310,6 @@ def sample_curve(
     the minimal sample count is the smallest grid size within
     (1 + tolerance) of it.
     """
-    if tolerance <= 0:
-        raise EvaluationError("tolerance must be positive")
     p = len(completed.feature_schema)
     grid = grid_spec.resolve(split.n_pre, p)
     if grid[0] < p + 1:
@@ -317,11 +328,7 @@ def minimal_size(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> int | None:
     """Smallest grid size whose nMAE is within (1+tolerance) of the reference."""
-    threshold = (1.0 + tolerance) * reference
-    for n in sorted(grid):
-        if nmae_at[n] <= threshold:
-            return n
-    return None
+    return first_within(sorted(grid), nmae_at, feasibility_threshold(reference, tolerance))
 
 
 def complete_case_eval(

@@ -22,7 +22,9 @@ import numpy as np
 
 from .dataset import SplitSeries
 from .errors import EvaluationError
-from .evaluation import DEFAULT_TOLERANCE, SizeGridSpec, prefix_nmae, require_full_fit
+from .evaluation import (
+    DEFAULT_TOLERANCE, SizeGridSpec, feasibility_threshold, first_within, prefix_nmae, require_full_fit
+)
 from .imputation import CompletedMatrix
 from .models import DEFAULT_RIDGE_PENALTY
 from .selection import FeatureRanking
@@ -42,9 +44,12 @@ class FeasibilityGrid:
     full_nmae: float
     tolerance: float
 
+    def __post_init__(self) -> None:
+        feasibility_threshold(self.full_nmae, self.tolerance)  # rejects a tolerance that is not finite and positive
+
     @property
     def tau(self) -> float:
-        return (1.0 + self.tolerance) * self.full_nmae
+        return feasibility_threshold(self.full_nmae, self.tolerance)
 
     def is_feasible(self, n: int, k: int) -> bool:
         return (n, k) in self.nmae and self.nmae[(n, k)] <= self.tau
@@ -71,8 +76,6 @@ class FeasibilityGrid:
 
     def rethreshold(self, tolerance: float) -> "FeasibilityGrid":
         """Same evaluations, new tolerance; no refitting happens."""
-        if tolerance <= 0:
-            raise EvaluationError("tolerance must be positive")
         return replace(self, tolerance=tolerance)
 
 
@@ -110,8 +113,6 @@ def feasibility_grid(
 
     One stacked factorization covers every training size and every k.
     """
-    if tolerance <= 0:
-        raise EvaluationError("tolerance must be positive")
     p = len(completed.feature_schema)
     order = ranking.order
     if len(order) != p:
@@ -129,26 +130,10 @@ def minimal_config(grid: FeasibilityGrid) -> MinimalConfig:
     An empty feasible set falls back to the full configuration
     (N_pre, p), flagged, so the result is total.
     """
-    lake_id = grid.lake_id
-    tau = grid.tau
-    for n in sorted(grid.n_grid):
-        for k in range(1, grid.p + 1):
-            value = grid.nmae.get((n, k))
-            if value is not None and value <= tau:
-                return MinimalConfig(
-                    lake_id=lake_id,
-                    n_hat=n,
-                    k_hat=k,
-                    selected_features=grid.feature_order[:k],
-                    fallback=False,
-                )
-    return MinimalConfig(
-        lake_id=lake_id,
-        n_hat=grid.n_pre,
-        k_hat=grid.p,
-        selected_features=list(grid.feature_order),
-        fallback=True,
-    )
+    cells = ((n, k) for n in sorted(grid.n_grid) for k in range(1, grid.p + 1))
+    found = first_within(cells, grid.nmae, grid.tau)
+    n, k = found or (grid.n_pre, grid.p)
+    return MinimalConfig(grid.lake_id, n, k, grid.feature_order[:k], fallback=found is None)
 
 
 def aggregate_configs(

@@ -32,6 +32,7 @@ from .evaluation import (
     SampleCurve,
     SizeGridSpec,
     fit_reference,
+    require_full_fit,
     sample_curve,
     score_predictions,
 )
@@ -63,8 +64,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.test_years < 1:
             raise ConfigError("test_years must be >= 1")
-        if self.tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:  # the test of `evaluation.feasibility_threshold`
+            raise ConfigError(f"tolerance must be finite and positive, got {self.tolerance}")
+        if not 0 <= self.penalty < math.inf:
+            raise ConfigError(f"penalty must be finite and nonnegative, got {self.penalty}")
         for name in ("impute_sweeps", "grid_stride", "n_trees"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
@@ -335,7 +338,8 @@ def prepare_lakes(
 
     Returns the prepared lakes, the failure message of each lake that
     could not be prepared, and, in global-ranking mode, the average of
-    the prepared lakes' rankings (None otherwise).
+    the prepared lakes' rankings (None otherwise). A lake too short to
+    fit every feature fails here, so it never enters that average.
     """
     selected = [ds.apply_exclusions(s) for s in _select_series(lakes, config.lake_ids)]
     if not selected:
@@ -344,7 +348,9 @@ def prepare_lakes(
     failures: dict[int, str] = {}
     for series in selected:
         try:
-            prepared.append(prepare_lake(series, config, cache=cache))
+            lake = prepare_lake(series, config, cache=cache)
+            require_full_fit(lake.split.n_pre, len(lake.completed.feature_schema))
+            prepared.append(lake)
         except LimnoplanError as exc:
             failures[series.lake_id] = str(exc)
     if not prepared:
@@ -462,7 +468,7 @@ def run_pipeline(
         raise every_lake_failed(failures)
 
     summary = aggregate_configs([r.minimal for r in ordered], config.exclude_fallback)
-    agg_ranking = aggregate_ranking([r.lake.ranking for r in ordered])
+    agg_ranking = shared or aggregate_ranking([r.lake.ranking for r in ordered])
     star_values = [r.curve.n_star for r in ordered if r.curve.n_star is not None]
     mean_n_star = float(np.mean(star_values)) if star_values else None
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .dataset import SplitSeries
-from .errors import SchemaError
-from .evaluation import DEFAULT_TOLERANCE, prefix_nmae, require_full_fit
+from .errors import EvaluationError, SchemaError
+from .evaluation import DEFAULT_TOLERANCE, feasibility_threshold, first_within, prefix_nmae, require_full_fit
 from .imputation import CompletedMatrix
 from .models import DEFAULT_RIDGE_PENALTY, ForestConfig, fit_forest, mdi_importances
 
@@ -52,8 +52,10 @@ def minimal_feature_count(
     nmae_by_k: dict[int, float], full_nmae: float, tolerance: float = DEFAULT_TOLERANCE
 ) -> int:
     """Smallest prefix length within (1+tolerance) of the all-features error."""
-    threshold = (1.0 + tolerance) * full_nmae
-    return next(k for k in sorted(nmae_by_k) if nmae_by_k[k] <= threshold)
+    k = first_within(sorted(nmae_by_k), nmae_by_k, feasibility_threshold(full_nmae, tolerance))
+    if k is None:
+        raise EvaluationError("no ranking prefix is within tolerance of the all-features error")
+    return k
 
 
 def rank_features(

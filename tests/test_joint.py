@@ -15,7 +15,7 @@ from limnoplan.joint import (
     minimal_config,
 )
 from limnoplan.models import ForestConfig
-from limnoplan.selection import FeatureRanking, forward_selection, rank_features
+from limnoplan.selection import FeatureRanking, forward_selection, minimal_feature_count, rank_features
 from limnoplan.synth import SynthConfig, generate_lake
 
 from conftest import completed_from_series, series_from_arrays
@@ -241,6 +241,48 @@ class TestToleranceMonotonicity:
         grid = feasibility_grid(split, completed, ranking, SizeGridSpec(stride=15))
         with pytest.raises(EvaluationError):
             grid.rethreshold(0.0)
+
+
+BAD_TOLERANCES = [0.0, -0.1, float("nan"), float("inf")]
+
+
+class TestOneToleranceRule:
+    """Every search applies `evaluation.feasibility_threshold`, so each rejects the same tolerances."""
+
+    @pytest.mark.parametrize("tolerance", BAD_TOLERANCES)
+    def test_every_stage_rejects_a_tolerance_that_is_not_finite_and_positive(self, tolerance):
+        split, completed, ranking = _prepared_lake(seed=9)
+        spec = SizeGridSpec(stride=15)
+        grid = feasibility_grid(split, completed, ranking, spec)
+        stages = {
+            "sample_curve": lambda: sample_curve(split, completed, spec, tolerance),
+            "forward_selection": lambda: forward_selection(split, completed, ranking, tolerance),
+            "feasibility_grid": lambda: feasibility_grid(split, completed, ranking, spec, tolerance),
+            "rethreshold": lambda: grid.rethreshold(tolerance),
+            "minimal_size": lambda: evaluation.minimal_size([10, 20], {10: 0.3, 20: 0.2}, 0.2, tolerance),
+            "minimal_feature_count": lambda: minimal_feature_count({1: 0.3, 2: 0.2}, 0.2, tolerance),
+        }
+        for stage in stages.values():
+            with pytest.raises(EvaluationError, match="tolerance must be finite and positive"):
+                stage()
+
+    def test_threshold_is_one_plus_tolerance_times_the_reference(self):
+        assert evaluation.feasibility_threshold(0.2, 0.05) == (1.0 + 0.05) * 0.2
+        assert evaluation.feasibility_threshold(0.2, 1e-12) > 0.2
+
+    def test_first_within_keeps_search_order_and_skips_absent_candidates(self):
+        nmae = {"a": 0.5, "b": 0.1, "c": 0.1, "nan": float("nan")}
+        assert evaluation.first_within(["x", "nan", "a", "c", "b"], nmae, 0.2) == "c"
+        assert evaluation.first_within(["a", "x"], nmae, 0.2) is None
+        assert evaluation.first_within(iter(()), nmae, 1.0) is None
+
+    def test_no_prefix_within_tolerance_is_an_evaluation_error(self):
+        with pytest.raises(EvaluationError, match="no ranking prefix"):
+            minimal_feature_count({1: 0.3, 2: 0.2}, 0.1, 0.05)
+
+    def test_fallback_selects_the_whole_order(self):
+        grid = make_grid_by_hand({(3, 1): 2.0, (3, 2): 1.0}, [3], p=2, n_pre=3, full=0.5)
+        assert minimal_config(grid) == MinimalConfig(1, 3, 2, ["f0", "f1"], fallback=True)
 
 
 def _engine_lake(seed, schema, n=70, n_pre=50, constant=None, duplicate=None):

@@ -588,11 +588,12 @@ class TestCli:
     def test_every_lake_failed_names_each_lake(self, tmp_path, capsys, command):
         csv_path = self._write_synth_inputs(tmp_path)
         out = ["--out-dir", str(tmp_path / "bundle")] if command == "report" else ["--out", str(tmp_path / "j.json")]
-        assert main([command, "--input", str(csv_path), "--trees", "5", "--lambda", "-1", *out]) == 2
+        # Both records span less than 20 years, so every lake fails its split.
+        assert main([command, "--input", str(csv_path), "--trees", "5", "--test-years", "20", *out]) == 2
         err = capsys.readouterr().err
-        reason = "penalty must be nonnegative"
+        reason = "record does not span more than the 20-year test window"
         assert err.startswith("error: every lake failed: ")
-        assert f"100: {reason}" in err and f"101: {reason}" in err
+        assert f"100: lake 100: {reason}" in err and f"101: lake 101: {reason}" in err
 
     def test_impute_command(self, tmp_path):
         csv_path = self._write_synth_inputs(tmp_path)
@@ -866,6 +867,66 @@ class TestCli:
             assert main([command, "--input", str(csv_path), *lake, flag, "0", *out]) == 2, command
             assert capsys.readouterr().err.startswith(f"error: {field} must be >= 1"), command
         assert not any(tmp_path.glob("*.out")) and not (tmp_path / "bundle").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tolerance", value) for value in ("0", "-0.1", "nan", "inf")]
+        + [("--lambda", value) for value in ("-1", "nan", "inf")],
+    )
+    def test_bad_tolerance_or_penalty_is_one_error_line_before_imputing(
+        self, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        message = {
+            "--tolerance": "tolerance must be finite and positive",
+            "--lambda": "penalty must be finite and nonnegative",
+        }
+        csv_path = self._write_synth_inputs(tmp_path)
+
+        def no_impute(*args, **kwargs):
+            raise AssertionError("imputed a lake under an invalid configuration")
+
+        monkeypatch.setattr(report, "impute_series", no_impute)
+        for command in ("report", "joint", "sample-curve", "feature-select"):
+            lake = [] if command in ("report", "joint") else ["--lake", "100"]
+            out = ["--out-dir" if command == "report" else "--out", str(tmp_path / f"{command}.out")]
+            assert main([command, "--input", str(csv_path), *lake, flag, value, *out]) == 2, command
+            assert capsys.readouterr().err == f"error: {message[flag]}, got {float(value)}\n", command
+        assert not any(tmp_path.glob("*.out"))
+
+    @pytest.mark.parametrize("command", ["ingest", "report"])
+    def test_non_utf8_input_is_config_error(self, tmp_path, capsys, command):
+        csv_path = tmp_path / "latin1.csv"
+        text = "midas,lake,date,seccbot,zS_m,x1\n1,Lac \xe9t\xe9,2001-06-01,No,3.0,1.0\n"
+        csv_path.write_bytes(text.encode("latin-1"))
+        out = ["--out-dir", str(tmp_path / "bundle")] if command == "report" else []
+        assert main([command, "--input", str(csv_path), *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: input file {csv_path} is not UTF-8: ") and err.count("\n") == 1
+        assert not (tmp_path / "bundle").exists()
+
+    def test_global_ranking_leaves_out_a_lake_too_short_to_fit_every_feature(self, tmp_path, capsys):
+        # Lake 103's 135 fortnightly visits leave 4 pre-test rows, too few to fit 6 features.
+        visits = {101: 240, 102: 240, 103: 135}
+        configs = [
+            SynthConfig(n_samples=n, n_features=6, sampling_interval_days=14, lake_id=lake, seed=i)
+            for i, (lake, n) in enumerate(visits.items())
+        ]
+        csv_path, wanted = tmp_path / "lakes.csv", tmp_path / "good.json"
+        synth_csv(csv_path, configs)
+        wanted.write_text("[101, 102]")
+        flags = ["--input", str(csv_path), "--trees", "20", "--global-ranking", "--n-stride", "7"]
+        assert main(["report", *flags, "--out-dir", str(tmp_path / "all")]) == 1
+        assert capsys.readouterr().err == "lake 103 skipped: training size 4 outside [7, 4] for 6 feature(s)\n"
+        assert main(["joint", *flags, "--out", str(tmp_path / "joint.json")]) == 1
+        assert main(["report", *flags, "--lakes", str(wanted), "--out-dir", str(tmp_path / "good")]) == 0
+
+        every, good = (json.loads((tmp_path / name / "summary.json").read_text()) for name in ("all", "good"))
+        assert every["minimal_configs"] == good["minimal_configs"]
+        assert every["aggregate_ranking"] == good["aggregate_ranking"]
+        assert json.loads((tmp_path / "joint.json").read_text())["minimal_configs"] == good["minimal_configs"]
+        for lake in ("101", "102"):
+            grid = Path("lakes", lake, "grid.csv")
+            assert (tmp_path / "all" / grid).read_bytes() == (tmp_path / "good" / grid).read_bytes(), lake
 
     def test_impute_zero_sweeps_is_config_error(self, tmp_path, capsys):
         csv_path = self._write_synth_inputs(tmp_path)
