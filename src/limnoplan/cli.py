@@ -20,22 +20,20 @@ import numpy as np
 from . import dataset as ds
 from .errors import ConfigError, LimnoplanError, SchemaError
 from .imputation import impute_series
-from .joint import aggregate_configs, feasibility_grid, minimal_config
+from .joint import aggregate_configs
 from .report import (
     RunConfig,
-    every_lake_failed,
     grid_rows,
     lake_curve,
     prepare_lake,
-    prepare_lakes,
+    process_lakes,
     run_pipeline,
     train_test_table,
     write_completed,
     write_csv,
     write_json,
     write_result,
-    write_sample_curve,
-    write_selection,
+    write_nmae_table,
 )
 from .selection import forward_selection
 from .synth import config_from_dict, generate_lake
@@ -243,7 +241,7 @@ def _cmd_sample_curve(args) -> int:
     config = _run_config(args)
     lake = prepare_lake(_one_lake(lakes, args.lake), config, rank=False)
     curve = lake_curve(lake, config)
-    write_sample_curve(Path(args.out), curve, lake_id=args.lake)
+    write_nmae_table(Path(args.out), curve, lake_id=args.lake)
     print(f"lake {args.lake}: n_star={curve.n_star}, reference nMAE {curve.reference_nmae:.4f}")
     return 0
 
@@ -261,7 +259,7 @@ def _cmd_feature_select(args) -> int:
     config = _run_config(args)
     lake = prepare_lake(_one_lake(lakes, args.lake), config)
     result = forward_selection(lake.split, lake.completed, lake.ranking, config.tolerance, config.penalty)
-    write_selection(Path(args.out), result, lake_id=args.lake)
+    write_nmae_table(Path(args.out), result, lake_id=args.lake)
     print(f"lake {args.lake}: k_star={result.k_star} ({', '.join(result.subset)})")
     return 0
 
@@ -269,34 +267,18 @@ def _cmd_feature_select(args) -> int:
 def _cmd_joint(args) -> int:
     lakes = _load_lakes(args, exclusions=False)[0]
     config = _run_config(args)
-    prepared, failures, shared = prepare_lakes(lakes, config)
-    configs = []
-    rows = []
-    for lake in prepared:
-        lake_id = lake.series.lake_id
-        try:
-            grid = feasibility_grid(
-                lake.split, lake.completed, shared or lake.ranking, config.grid_spec(), config.tolerance, config.penalty
-            )
-        except LimnoplanError as exc:
-            failures[lake_id] = str(exc)
-            continue
-        configs.append(minimal_config(grid))
-        if args.emit_grid:
-            rows.extend(f"{lake_id},{line}" for line in grid_rows(grid))
-
-    if not configs:
-        raise every_lake_failed(failures)
-    summary = aggregate_configs(configs, config.exclude_fallback)
+    reports, failures, _ = process_lakes(lakes, config)
+    summary = aggregate_configs([r.minimal for r in reports], config.exclude_fallback)
     write_json(
         Path(args.out),
         {
-            "minimal_configs": [dataclasses.asdict(c) for c in configs],
+            "minimal_configs": [dataclasses.asdict(r.minimal) for r in reports],
             "summary": dataclasses.asdict(summary),
             "failures": {str(k): v for k, v in sorted(failures.items())},
         },
     )
     if args.emit_grid:
+        rows = [f"{r.lake_id},{line}" for r in reports for line in grid_rows(r.grid)]
         write_csv(Path(args.emit_grid), [["lake_id", "n", "k", "nmae", "feasible"]], rows)
     print(
         f"{summary.n_lakes} lake(s): median n_hat {summary.median_n:g}, median k_hat {summary.median_k:g}"

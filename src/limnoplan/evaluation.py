@@ -24,6 +24,7 @@ from .imputation import CompletedMatrix
 from .models import (
     DEFAULT_RIDGE_PENALTY,
     RidgeModel,
+    check_penalty,
     fit_ridge,
     predict_ridge,
     ridge_cholesky,
@@ -216,15 +217,18 @@ def prefix_nmae(
     its Cholesky factor L_k is the leading block of L and inv(L_k') that
     of inv(L'): with z = inv(L) Xs'y, w_k = inv(L_k') z[:k] is column k
     of cumsum(inv(L') * z, axis=1). Newest first, every window is a prefix
-    of the pre-test rows, so running sums give each size's means and
-    co-moments, and chunks of sizes are factored, solved and scored in
-    stacked calls.
+    of the pre-test rows, so one running sum, row by row, gives each
+    size's means and co-moments, and chunks of sizes are factored, solved
+    and scored in stacked calls. Each chunk's all-features fits (column p)
+    are solved once more with the features in schema order. So, among
+    calls with the same largest size, an entry depends only on its own
+    size and prefix, not on the other sizes, and column p not on the
+    order of the features either.
     """
     cols = _feature_columns(completed.feature_schema, order)
     p = len(cols)
     n_top = max(sizes)
-    if penalty < 0:
-        raise FitError("penalty must be nonnegative")
+    check_penalty(penalty)
     if n_top > split.n_pre:
         raise EvaluationError(f"training size {n_top} exceeds the {split.n_pre}-row training pool")
     X_pre = completed.values[split.pre_rows][:, cols]
@@ -251,7 +255,7 @@ def prefix_nmae(
                 raise FitError("rank-deficient design with zero penalty")
 
     raw = np.column_stack([X_pre[-n_top:, :q], y_pre[-n_top:]])[::-1]
-    center = raw.mean(axis=0)
+    center = np.ascontiguousarray(raw.T).mean(axis=1)  # one contiguous row per column, whatever raw's layout
     block = raw - center
     counts = np.arange(1, n_top + 1)
     running = np.cumsum(block, axis=0) / counts[:, None]
@@ -261,39 +265,55 @@ def prefix_nmae(
     dev = block[1:] - running[:-1]
     dev_scaled = dev * (counts[:-1] / counts[1:])[:, None]
     # As in `standardize_columns`, a constant column is zero with std 1.
-    top, low = np.maximum.accumulate(raw[:, :q]), np.minimum.accumulate(raw[:, :q])
+    flat_at = np.maximum.accumulate(raw[:, :q]) == np.minimum.accumulate(raw[:, :q])
     X_test_c, y_test_c = X_test[:, :q] - center[:q], y_test - center[q]
     diag = np.arange(q)
-    # Ascending sizes in chunks keep the temporaries small; `carry` is the
-    # co-moment of the first `done` rows.
-    carry, done = 0.0, 1
-    for lo in range(0, len(rows), _CHUNK):
-        part = rows[lo : lo + _CHUNK]
-        size = n[part]
-        skip, new = slice(done - 1, size[0] - 1), slice(size[0] - 1, size[-1] - 1)
-        acc = np.empty((size[-1] - size[0] + 1, q + 1, q + 1))
-        acc[0] = carry + dev[skip].T @ dev_scaled[skip]  # rows no size in the chunk ends at
-        np.multiply(dev[new, :, None], dev_scaled[new, None, :], out=acc[1:])
-        comoment = np.cumsum(acc, axis=0, out=acc)[size - size[0]]
-        carry, done = acc[-1], size[-1]
-        means = running[size - 1]
-        flat = top[size - 1] == low[size - 1]
+
+    def system(comoment: np.ndarray, size: np.ndarray, fitted: np.ndarray | bool, flat: np.ndarray) -> tuple:
+        """The sizes' standardized ridge systems (Gram matrix and right-hand side) and column stds."""
         stds = np.where(flat, 1.0, np.sqrt(comoment[:, diag, diag] / size[:, None]))
-        fitted = diag < kmax[part, None]
         live = fitted & ~flat
         scale = stds[:, :, None] * stds[:, None, :]
         gram = np.where(live[:, :, None] & live[:, None, :], comoment[:, :q, :q] / scale, 0.0)
         gram[:, diag, diag] += np.where(fitted, penalty, 1.0)  # the identity beyond kmax
-        rhs = np.where(live, comoment[:, :q, q], 0.0) / stds
+        return gram, np.where(live, comoment[:, :q, q], 0.0) / stds, stds
+
+    # Ascending sizes in chunks keep the temporaries small. Every row enters
+    # the co-moment by the same sequential sum; `carry` is that of the first
+    # `done` rows.
+    carry, done = 0.0, 1
+    for lo in range(0, len(rows), _CHUNK):
+        part = rows[lo : lo + _CHUNK]
+        size = n[part]
+        acc = np.empty((size[-1] - done + 1, q + 1, q + 1))
+        acc[0] = carry
+        new = slice(done - 1, size[-1] - 1)
+        np.multiply(dev[new, :, None], dev_scaled[new, None, :], out=acc[1:])
+        comoment = np.cumsum(acc, axis=0, out=acc)[size - done]
+        carry, done = acc[-1], size[-1]
+        fitted = diag < kmax[part, None]
+        gram, rhs, stds = system(comoment, size, fitted, flat_at[size - 1])
         chol = ridge_cholesky(gram)
         z = np.linalg.solve(chol, rhs[..., None])[..., 0]
         weights = np.cumsum(np.linalg.inv(np.swapaxes(chol, 1, 2)) * z[:, None, :], axis=2) / stds[:, :, None]
+        means = running[size - 1]
         residuals = (X_test_c - means[:, None, :q]) @ weights
         residuals -= (y_test_c - means[:, q, None])[:, :, None]
         values = np.abs(residuals, out=residuals).mean(axis=1) / denom
         if not np.isfinite(values[fitted]).all():
             raise EvaluationError("nMAE is not finite")
         out[part, :q] = np.where(fitted, values, np.nan)
+        full = kmax[part] == p  # so q == p
+        if full.any():
+            # The all-features systems again, permuted to schema order (the
+            # target last); those above have been factored and scored already.
+            schema = np.append(np.argsort(cols), p)
+            size, means, comoment = size[full], means[full][:, schema], comoment[full][:, schema[:, None], schema]
+            gram, rhs, stds = system(comoment, size, True, flat_at[size - 1][:, schema[:p]])
+            weights = np.linalg.solve(gram, rhs[..., None])[..., 0] / stds
+            offset = (means[:, :p] * weights).sum(axis=1) - means[:, p]
+            residuals = (X_test_c[:, schema[:p]] @ weights[..., None])[..., 0] - offset[:, None] - y_test_c
+            out[part[full], p - 1] = np.abs(residuals).mean(axis=1) / denom
     return out
 
 

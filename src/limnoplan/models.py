@@ -64,6 +64,12 @@ def ridge_cholesky(gram: np.ndarray) -> np.ndarray:
         ) from exc
 
 
+def check_penalty(penalty: float) -> None:
+    """A ridge penalty must be finite and nonnegative."""
+    if not 0 <= penalty < math.inf:  # false for NaN too
+        raise FitError(f"penalty must be finite and nonnegative, got {penalty}")
+
+
 def solve_standardized_ridge(Xs: np.ndarray, y_centered: np.ndarray, penalty: float) -> np.ndarray:
     """Solve (Xs'Xs + penalty*I) w = Xs'y via Cholesky on the Gram matrix."""
     chol = ridge_cholesky(Xs.T @ Xs + penalty * np.eye(Xs.shape[1]))
@@ -88,8 +94,7 @@ def fit_ridge(
     n, k = X.shape
     if n < k + 1:
         raise FitError(f"under-determined fit: {n} rows for {k} features (need >= {k + 1})")
-    if penalty < 0:
-        raise FitError("penalty must be nonnegative")
+    check_penalty(penalty)
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise FitError("non-finite values in design or target")
 

@@ -1,13 +1,16 @@
 """End-to-end pipeline and report generation.
 
-Wires ingest -> exclusions -> imputation -> reference fit -> sample
-curve -> feature ranking/selection -> joint feasibility search, per
-lake, then aggregates across lakes. All outputs are JSON (machine) and
-CSV (plot data); every report embeds the hash of the run configuration
-that produced it, and identical configurations reproduce byte-identical
-reports. Each lake's results that do not depend on the tolerance are
-cached on disk as one entry, so a re-run at a new tolerance imputes and
-fits nothing: it only re-thresholds the cached nMAE values.
+Wires ingest -> exclusions -> imputation -> feature ranking ->
+reference fit -> forward selection -> joint feasibility search, per
+lake, then aggregates across lakes. The sample curve is the grid's
+all-features column, so the curve, the selection and the grid share
+one full-pool, full-feature reference nMAE. All outputs are JSON
+(machine) and CSV (plot data); every report embeds the hash of the run
+configuration that produced it, and identical configurations reproduce
+byte-identical reports. Each lake's results that do not depend on the
+tolerance are cached on disk as one entry, so a re-run at a new
+tolerance imputes and fits nothing: it only re-thresholds the cached
+nMAE values.
 """
 
 from __future__ import annotations
@@ -202,22 +205,19 @@ def write_completed(path: Path, completed: CompletedMatrix) -> None:
     write_csv(path, [completed.feature_schema], [f"{','.join(map(repr, row))}\n" for row in completed.values.tolist()])
 
 
-def write_sample_curve(path: Path, curve: SampleCurve, **stamp: Any) -> None:
-    """`n,nmae` CSV at `path` plus a JSON sidecar with the same stem."""
-    write_csv(path, [["n", "nmae"]], [f"{n},{curve.nmae_at[n]!r}\n" for n in curve.grid])
-    write_json(
-        path.with_suffix(".json"),
-        {**stamp, "n_star": curve.n_star, "reference_nmae": curve.reference_nmae, "tolerance": curve.tolerance},
-    )
+def write_nmae_table(path: Path, result: SampleCurve | SelectionResult, **stamp: Any) -> None:
+    """A curve's `n,nmae` or a selection's `k,nmae` CSV at `path`, plus a JSON sidecar with the same stem.
+
+    The sidecar holds the stamp and the result's other fields, but a curve's `grid`, whose sizes are the CSV's.
+    """
+    sidecar = asdict(result)
+    sidecar.pop("grid", None)
+    key, nmae = ("n", sidecar.pop("nmae_at")) if isinstance(result, SampleCurve) else ("k", sidecar.pop("nmae_by_k"))
+    write_csv(path, [[key, "nmae"]], [f"{x},{nmae[x]!r}\n" for x in sorted(nmae)])
+    write_json(path.with_suffix(".json"), {**stamp, **sidecar})
 
 
-def write_selection(path: Path, selection: SelectionResult, **stamp: Any) -> None:
-    """`k,nmae` CSV at `path` plus a JSON sidecar with the same stem."""
-    write_csv(path, [["k", "nmae"]], [f"{k},{selection.nmae_by_k[k]!r}\n" for k in sorted(selection.nmae_by_k)])
-    write_json(
-        path.with_suffix(".json"),
-        {**stamp, "k_star": selection.k_star, "subset": selection.subset, "full_nmae": selection.full_nmae},
-    )
+write_sample_curve = write_selection = write_nmae_table  # the one writer, under each table's name
 
 
 def grid_rows(grid: FeasibilityGrid) -> list[str]:
@@ -231,7 +231,7 @@ def grid_rows(grid: FeasibilityGrid) -> list[str]:
 # --------------------------------------------------------------------------- #
 
 # Part of every entry's key; bumped by any change to a cached value, even in the last bits.
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 
 @dataclass
@@ -274,15 +274,14 @@ def lake_key(series: ds.LakeSeries, config: RunConfig) -> str:
 def entry_layout(series: ds.LakeSeries, split: ds.SplitSeries, config: RunConfig) -> dict[str, tuple]:
     """(dtype, shape) of each array of the lake's cache entry (see `lake_entry`)."""
     rows, p = series.covariates.shape
-    n_curve = len(config.curve_sizes(split.n_pre, p))
     n_grid = len(config.grid_spec().resolve(split.n_pre, p))
     return {
-        "values": ("f8", (rows, p)), "mask": ("?", (rows, p)), "impute": ("f8", (3,)), "curve": ("f8", (n_curve,)),
+        "values": ("f8", (rows, p)), "mask": ("?", (rows, p)), "impute": ("f8", (3,)),
         "scores": ("f8", (p,)), "selection": ("f8", (p,)), "grid_order": ("i8", (p,)), "grid": ("f8", (n_grid, p)),
     }
 
 
-def lake_entry(lake: PreparedLake, curve: SampleCurve, selection: SelectionResult, grid: FeasibilityGrid) -> dict:
+def lake_entry(lake: PreparedLake, selection: SelectionResult, grid: FeasibilityGrid) -> dict:
     """Every result of the lake's report stages that does not depend on the tolerance."""
     impute, schema = lake.impute_report, lake.completed.feature_schema
     return {
@@ -290,7 +289,6 @@ def lake_entry(lake: PreparedLake, curve: SampleCurve, selection: SelectionResul
         "mask": lake.completed.imputed_mask,
         "impute": np.array([impute.sweeps, impute.final_delta, impute.converged], dtype=float),
         "scores": np.array([lake.ranking.scores[f] for f in schema]),
-        "curve": np.array([curve.nmae_at[n] for n in curve.grid]),
         "selection": np.array([selection.nmae_by_k[k] for k in range(1, grid.p + 1)]),
         "grid": np.array([[grid.nmae.get((n, k), np.nan) for k in range(1, grid.p + 1)] for n in grid.n_grid]),
         "grid_order": np.array([schema.index(f) for f in grid.feature_order], dtype=np.int64),
@@ -325,40 +323,6 @@ def prepare_lake(
     return PreparedLake(series, split, completed, impute_report, ranking)
 
 
-def every_lake_failed(failures: dict[int, str]) -> ConfigError:
-    return ConfigError(
-        "every lake failed: " + "; ".join(f"{i}: {m}" for i, m in sorted(failures.items()))
-    )
-
-
-def prepare_lakes(
-    lakes: Sequence[ds.LakeSeries], config: RunConfig, cache: StageCache | None = None
-) -> tuple[list[PreparedLake], dict[int, str], FeatureRanking | None]:
-    """Prepare the lakes `config` selects, in lake-id order.
-
-    Returns the prepared lakes, the failure message of each lake that
-    could not be prepared, and, in global-ranking mode, the average of
-    the prepared lakes' rankings (None otherwise). A lake too short to
-    fit every feature fails here, so it never enters that average.
-    """
-    selected = [ds.apply_exclusions(s) for s in _select_series(lakes, config.lake_ids)]
-    if not selected:
-        raise ConfigError("no lakes to process")
-    prepared: list[PreparedLake] = []
-    failures: dict[int, str] = {}
-    for series in selected:
-        try:
-            lake = prepare_lake(series, config, cache=cache)
-            require_full_fit(lake.split.n_pre, len(lake.completed.feature_schema))
-            prepared.append(lake)
-        except LimnoplanError as exc:
-            failures[series.lake_id] = str(exc)
-    if not prepared:
-        raise every_lake_failed(failures)
-    shared = aggregate_ranking([lake.ranking for lake in prepared]) if config.use_global_ranking else None
-    return prepared, failures, shared
-
-
 def process_lake(
     lake: PreparedLake,
     config: RunConfig,
@@ -384,10 +348,8 @@ def process_lake(
 
     ranking, entry, p = global_ranking or lake.ranking, lake.cached, len(completed.feature_schema)
     if entry is None:
-        curve = lake_curve(lake, config)
         selection = forward_selection(split, completed, lake.ranking, config.tolerance, config.penalty)
     else:
-        curve = SampleCurve.from_nmae(config.curve_sizes(split.n_pre, p), entry["curve"].tolist(), config.tolerance)
         selection = SelectionResult.from_nmae(entry["selection"].tolist(), lake.ranking.order, config.tolerance)
     # A grid over another ranking than the cached one's (a global ranking of other lakes) is recomputed.
     if entry is not None and entry["grid_order"].tolist() == list(map(completed.feature_schema.index, ranking.order)):
@@ -396,7 +358,10 @@ def process_lake(
     else:
         grid = feasibility_grid(split, completed, ranking, config.grid_spec(), config.tolerance, config.penalty)
         if cache is not None:
-            cache.put(series.lake_id, lake_key(series, config), lake_entry(lake, curve, selection, grid))
+            cache.put(series.lake_id, lake_key(series, config), lake_entry(lake, selection, grid))
+    # The sample curve is the grid's all-features column, which does not depend on the feature order.
+    sizes = config.curve_sizes(split.n_pre, p)
+    curve = SampleCurve.from_nmae(sizes, [grid.nmae[(n, p)] for n in sizes], config.tolerance)
 
     return LakeReport(
         lake_id=series.lake_id,
@@ -442,6 +407,41 @@ def _select_series(
     return [by_id[i] for i in sorted(set(lake_ids))]
 
 
+def process_lakes(
+    lakes: Sequence[ds.LakeSeries], config: RunConfig, cache: StageCache | None = None
+) -> tuple[list[LakeReport], dict[int, str], FeatureRanking | None]:
+    """Prepare and process the lakes `config` selects, in lake-id order.
+
+    Returns the reports, the failure message of each lake that failed a
+    stage, and, in global-ranking mode, the average of the prepared
+    lakes' rankings that every grid used (None otherwise). A lake too
+    short to fit every feature fails before that average, so it never
+    enters it.
+    """
+    selected = [ds.apply_exclusions(s) for s in _select_series(lakes, config.lake_ids)]
+    if not selected:
+        raise ConfigError("no lakes to process")
+    prepared: list[PreparedLake] = []
+    failures: dict[int, str] = {}
+    for series in selected:
+        try:
+            lake = prepare_lake(series, config, cache=cache)
+            require_full_fit(lake.split.n_pre, len(lake.completed.feature_schema))
+            prepared.append(lake)
+        except LimnoplanError as exc:
+            failures[series.lake_id] = str(exc)
+    shared = aggregate_ranking([lake.ranking for lake in prepared]) if config.use_global_ranking and prepared else None
+    reports: list[LakeReport] = []
+    for lake in prepared:
+        try:
+            reports.append(process_lake(lake, config, cache, shared))
+        except LimnoplanError as exc:
+            failures[lake.series.lake_id] = str(exc)
+    if not reports:
+        raise ConfigError("every lake failed: " + "; ".join(f"{i}: {m}" for i, m in sorted(failures.items())))
+    return reports, failures, shared
+
+
 def run_pipeline(
     lakes: Sequence[ds.LakeSeries],
     config: RunConfig,
@@ -455,17 +455,7 @@ def run_pipeline(
     """
     out_dir = Path(out_dir)
     config_hash = config_fingerprint(config, input_digest)
-    cache = StageCache(out_dir / "cache")
-
-    prepared, failures, shared = prepare_lakes(lakes, config, cache)
-    ordered: list[LakeReport] = []
-    for lake in prepared:
-        try:
-            ordered.append(process_lake(lake, config, cache, shared))
-        except LimnoplanError as exc:
-            failures[lake.series.lake_id] = str(exc)
-    if not ordered:
-        raise every_lake_failed(failures)
+    ordered, failures, shared = process_lakes(lakes, config, StageCache(out_dir / "cache"))
 
     summary = aggregate_configs([r.minimal for r in ordered], config.exclude_fallback)
     agg_ranking = shared or aggregate_ranking([r.lake.ranking for r in ordered])

@@ -1,5 +1,7 @@
 """Feasibility grid, lexicographic minima, fallback, aggregation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from limnoplan.joint import (
     feasibility_grid,
     minimal_config,
 )
-from limnoplan.models import ForestConfig
+from limnoplan.models import ForestConfig, fit_ridge
 from limnoplan.selection import FeatureRanking, forward_selection, minimal_feature_count, rank_features
 from limnoplan.synth import SynthConfig, generate_lake
 
@@ -357,6 +359,69 @@ class TestPrefixEngineAgainstOracle:
             sample_curve(split, completed)
         with pytest.raises(EvaluationError):
             forward_selection(split, completed, ranking)
+
+
+class TestOneValuePerCell:
+    """Among engine calls whose sizes end at the full pool, a cell's nMAE
+    depends only on its own size and prefix, and the all-features column
+    not on the order the features were asked in."""
+
+    SCHEMA = ["x01", "x02", "flat", "x03", "x04"]
+    ORDER = ["x03", "x01", "flat", "x04", "x02"]
+
+    def test_shared_cells_are_bit_equal_across_size_sets(self):
+        split, completed = _engine_lake(12, self.SCHEMA, n=200, n_pre=160, constant="flat")
+        n_pre, p = split.n_pre, len(self.SCHEMA)
+        size_sets = [
+            SizeGridSpec(n_min=2).resolve(n_pre, p),
+            SizeGridSpec(n_min=2, stride=3).resolve(n_pre, p),
+            SizeGridSpec(stride=4).resolve(n_pre, p),
+            SizeGridSpec(n_min=9, stride=7).resolve(n_pre, p),
+            [n_pre],
+        ]
+        assert len(size_sets[0]) > 3 * evaluation._CHUNK
+        cells: dict[tuple[int, int], list[float]] = {}
+        for sizes in size_sets:
+            for n, row in zip(sizes, prefix_nmae(split, completed, sizes, self.ORDER).tolist()):
+                for k, value in enumerate(row, start=1):
+                    if not math.isnan(value):
+                        cells.setdefault((n, k), []).append(value)
+        shared = {cell: values for cell, values in cells.items() if len(values) > 1}
+        assert len(shared) > 200 and all(len(cells[(n_pre, k)]) == len(size_sets) for k in range(1, p + 1))
+        assert [cell for cell, values in shared.items() if len(set(values)) > 1] == []
+
+    def test_all_features_column_is_bit_equal_under_shuffled_orders(self):
+        split, completed = _engine_lake(13, self.SCHEMA, n=200, n_pre=160, constant="flat")
+        p = len(self.SCHEMA)
+        sizes = SizeGridSpec(n_min=2, stride=3).resolve(split.n_pre, p)
+        column = prefix_nmae(split, completed, sizes, self.SCHEMA)[:, p - 1]
+        rng = np.random.default_rng(13)
+        for _ in range(4):
+            order = [str(name) for name in rng.permutation(self.SCHEMA)]
+            assert np.array_equal(prefix_nmae(split, completed, sizes, order)[:, p - 1], column, equal_nan=True), order
+        for n, value in zip(sizes, column.tolist()):
+            if n > p:
+                expected = backward_eval(split, completed, n, self.SCHEMA).nmae
+                assert value == pytest.approx(expected, rel=1e-12, abs=0.0), n
+            else:
+                assert math.isnan(value)
+
+
+@pytest.mark.parametrize("penalty", [math.nan, math.inf, -1.0])
+def test_penalty_that_is_not_finite_and_nonnegative_is_a_fit_error(penalty):
+    schema = ["x01", "x02", "x03"]
+    split, completed = _engine_lake(14, schema)
+    ranking = FeatureRanking(scores={}, order=schema)
+    X, y = completed.values[split.pre_rows], split.pre.sdd
+    calls = [
+        lambda: fit_ridge(X, y, penalty),
+        lambda: feasibility_grid(split, completed, ranking, penalty=penalty),
+        lambda: sample_curve(split, completed, penalty=penalty),
+        lambda: forward_selection(split, completed, ranking, penalty=penalty),
+    ]
+    for call in calls:
+        with pytest.raises(FitError, match="penalty must be finite and nonnegative"):
+            call()
 
 
 def _trending_lake(seed, n=260, n_pre=200, steady_rows=0):

@@ -201,6 +201,21 @@ class TestPipeline:
         orders = {tuple(r.grid.feature_order) for r in result.reports}
         assert len(orders) == 1  # every lake's joint stage used the same ranking
 
+    @pytest.mark.parametrize("use_global_ranking", [False, True], ids=["per-lake", "global"])
+    def test_one_reference_nmae_in_every_file(self, tmp_path, use_global_ranking):
+        csv_path = tmp_path / "lakes.csv"
+        synth_csv(csv_path, small_lake_configs(3))
+        config = RunConfig(seed=4, use_global_ranking=use_global_ranking, **FAST)
+        result = run_pipeline(load_csv(csv_path), config, tmp_path / "out")
+        assert len(result.reports) == 3
+        for lake in result.reports:
+            lake_dir = tmp_path / "out" / "lakes" / str(lake.lake_id)
+            curve, selection, minimal = (
+                json.loads((lake_dir / name).read_text())
+                for name in ("sample_curve.json", "selection.json", "minimal_config.json")
+            )
+            assert curve["reference_nmae"] == selection["full_nmae"] == minimal["full_nmae"], lake.lake_id
+
     def test_cache_reuse_preserves_results(self, tmp_path):
         csv_path = tmp_path / "lakes.csv"
         synth_csv(csv_path, small_lake_configs(1))
@@ -294,7 +309,7 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "tamper",
         [
-            lambda path, arrays: np.savez(path, **{k: v for k, v in arrays.items() if k != "curve"}),
+            lambda path, arrays: np.savez(path, **{k: v for k, v in arrays.items() if k != "selection"}),
             lambda path, arrays: np.savez(path, **{**arrays, "grid": arrays["grid"][:-1]}),
             lambda path, arrays: np.savez(path, **{**arrays, "scores": arrays["scores"].astype(np.float32)}),
             lambda path, arrays: save_npy(path, arrays["values"]),
