@@ -27,12 +27,10 @@ from .models import (
     check_penalty,
     fit_ridge,
     predict_ridge,
-    ridge_cholesky,
     standardize_columns,
 )
 
 DEFAULT_TOLERANCE = 0.05
-_CHUNK = 16  # training sizes solved and scored together; bounds the temporaries
 T = TypeVar("T")
 
 
@@ -212,18 +210,15 @@ def prefix_nmae(
 
     Entry [i, k-1] is the nMAE `backward_eval(split, completed, sizes[i],
     order[:k], penalty)` gives, up to rounding; entries with
-    sizes[i] < k+1 are NaN. The standardized Gram matrix of the top k
-    features is the leading k x k block of the one for the top kmax, so
-    its Cholesky factor L_k is the leading block of L and inv(L_k') that
-    of inv(L'): with z = inv(L) Xs'y, w_k = inv(L_k') z[:k] is column k
-    of cumsum(inv(L') * z, axis=1). Newest first, every window is a prefix
-    of the pre-test rows, so one running sum, row by row, gives each
-    size's means and co-moments, and chunks of sizes are factored, solved
-    and scored in stacked calls. Each chunk's all-features fits (column p)
-    are solved once more with the features in schema order. So, among
-    calls with the same largest size, an entry depends only on its own
-    size and prefix, not on the other sizes, and column p not on the
-    order of the features either.
+    sizes[i] < k+1 are NaN. Newest first, every window is a prefix of the
+    pre-test rows, so one running sum, row by row, gives each size's means
+    and co-moments, and from them its standardized Gram matrix and
+    right-hand side. The top-k features' system is the leading k x k block
+    of those, so one stacked solve per k fits every size with at least k+1
+    rows; the all-features block is taken in schema order. So, among calls
+    with the same largest size, an entry depends only on its own size and
+    prefix, not on the other sizes, and column p not on the order of the
+    features either.
     """
     cols = _feature_columns(completed.feature_schema, order)
     p = len(cols)
@@ -247,7 +242,6 @@ def prefix_nmae(
     n = np.asarray(sizes)
     kmax = np.minimum(n - 1, q)
     rows = np.flatnonzero(kmax >= 1)  # sizes below 2 fit nothing
-    rows = rows[np.argsort(n[rows], kind="stable")]
     if penalty == 0:
         for size, k in zip(n[rows].tolist(), kmax[rows].tolist()):
             # Every prefix longer than a deficient one is deficient too.
@@ -263,57 +257,39 @@ def prefix_nmae(
     # updating form of Chan, Golub & LeVeque (1983), which does not cancel
     # when a window's mean is far from the pool's, as S2 - n m m' does.
     dev = block[1:] - running[:-1]
-    dev_scaled = dev * (counts[:-1] / counts[1:])[:, None]
+    comoment = np.empty((n_top, q + 1, q + 1))
+    comoment[0] = 0.0
+    np.multiply(dev[:, :, None], (dev * (counts[:-1] / counts[1:])[:, None])[:, None, :], out=comoment[1:])
+    size = n[rows]
+    comoment = np.cumsum(comoment, axis=0, out=comoment)[size - 1]  # a copy; the running stack is freed
     # As in `standardize_columns`, a constant column is zero with std 1.
-    flat_at = np.maximum.accumulate(raw[:, :q]) == np.minimum.accumulate(raw[:, :q])
-    X_test_c, y_test_c = X_test[:, :q] - center[:q], y_test - center[q]
+    live = (np.maximum.accumulate(raw[:, :q]) > np.minimum.accumulate(raw[:, :q]))[size - 1]
     diag = np.arange(q)
-
-    def system(comoment: np.ndarray, size: np.ndarray, fitted: np.ndarray | bool, flat: np.ndarray) -> tuple:
-        """The sizes' standardized ridge systems (Gram matrix and right-hand side) and column stds."""
-        stds = np.where(flat, 1.0, np.sqrt(comoment[:, diag, diag] / size[:, None]))
-        live = fitted & ~flat
-        scale = stds[:, :, None] * stds[:, None, :]
-        gram = np.where(live[:, :, None] & live[:, None, :], comoment[:, :q, :q] / scale, 0.0)
-        gram[:, diag, diag] += np.where(fitted, penalty, 1.0)  # the identity beyond kmax
-        return gram, np.where(live, comoment[:, :q, q], 0.0) / stds, stds
-
-    # Ascending sizes in chunks keep the temporaries small. Every row enters
-    # the co-moment by the same sequential sum; `carry` is that of the first
-    # `done` rows.
-    carry, done = 0.0, 1
-    for lo in range(0, len(rows), _CHUNK):
-        part = rows[lo : lo + _CHUNK]
-        size = n[part]
-        acc = np.empty((size[-1] - done + 1, q + 1, q + 1))
-        acc[0] = carry
-        new = slice(done - 1, size[-1] - 1)
-        np.multiply(dev[new, :, None], dev_scaled[new, None, :], out=acc[1:])
-        comoment = np.cumsum(acc, axis=0, out=acc)[size - done]
-        carry, done = acc[-1], size[-1]
-        fitted = diag < kmax[part, None]
-        gram, rhs, stds = system(comoment, size, fitted, flat_at[size - 1])
-        chol = ridge_cholesky(gram)
-        z = np.linalg.solve(chol, rhs[..., None])[..., 0]
-        weights = np.cumsum(np.linalg.inv(np.swapaxes(chol, 1, 2)) * z[:, None, :], axis=2) / stds[:, :, None]
-        means = running[size - 1]
-        residuals = (X_test_c - means[:, None, :q]) @ weights
-        residuals -= (y_test_c - means[:, q, None])[:, :, None]
+    stds = np.where(live, np.sqrt(comoment[:, diag, diag] / size[:, None]), 1.0)
+    rhs = np.where(live, comoment[:, :q, q], 0.0) / stds
+    gram = comoment[:, :q, :q]  # scaled in place: no second stack of this size
+    gram /= stds[:, :, None] * stds[:, None, :]
+    gram[~(live[:, :, None] & live[:, None, :])] = 0.0
+    gram[:, diag, diag] += penalty
+    means = running[size - 1]
+    X_test_c, y_test_c = X_test[:, :q] - center[:q], y_test - center[q]
+    for k in range(1, q + 1):
+        at = np.flatnonzero(size > k)  # the sizes with at least k+1 rows
+        pick = np.argsort(cols) if k == p else np.arange(k)  # all features in schema order
+        try:
+            weights = np.linalg.solve(gram[np.ix_(at, pick, pick)], rhs[np.ix_(at, pick)][..., None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise FitError("singular penalized system; a positive penalty keeps the fit well-posed") from exc
+        weights /= stds[np.ix_(at, pick)]
+        offset = (means[np.ix_(at, pick)] * weights).sum(axis=1) - means[at, q]
+        residuals = (X_test_c[:, pick] @ weights[..., None])[..., 0]
+        residuals -= offset[:, None]
+        residuals -= y_test_c
         values = np.abs(residuals, out=residuals).mean(axis=1) / denom
-        if not np.isfinite(values[fitted]).all():
+        del residuals  # before the next k allocates its own
+        if not np.isfinite(values).all():
             raise EvaluationError("nMAE is not finite")
-        out[part, :q] = np.where(fitted, values, np.nan)
-        full = kmax[part] == p  # so q == p
-        if full.any():
-            # The all-features systems again, permuted to schema order (the
-            # target last); those above have been factored and scored already.
-            schema = np.append(np.argsort(cols), p)
-            size, means, comoment = size[full], means[full][:, schema], comoment[full][:, schema[:, None], schema]
-            gram, rhs, stds = system(comoment, size, True, flat_at[size - 1][:, schema[:p]])
-            weights = np.linalg.solve(gram, rhs[..., None])[..., 0] / stds
-            offset = (means[:, :p] * weights).sum(axis=1) - means[:, p]
-            residuals = (X_test_c[:, schema[:p]] @ weights[..., None])[..., 0] - offset[:, None] - y_test_c
-            out[part[full], p - 1] = np.abs(residuals).mean(axis=1) / denom
+        out[rows[at], k - 1] = values
     return out
 
 

@@ -111,7 +111,7 @@ def feasibility_grid(
 ) -> FeasibilityGrid:
     """Evaluate every admissible (n, k) cell of the grid.
 
-    One stacked factorization covers every training size and every k.
+    One stacked solve per k covers every training size.
     """
     p = len(completed.feature_schema)
     order = ranking.order

@@ -54,16 +54,6 @@ def standardize_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return (X - means) / stds, means, stds
 
 
-def ridge_cholesky(gram: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a penalized Gram matrix, or of each in a stack."""
-    try:
-        return np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise FitError(
-            "singular penalized system; a positive penalty keeps the fit well-posed"
-        ) from exc
-
-
 def check_penalty(penalty: float) -> None:
     """A ridge penalty must be finite and nonnegative."""
     if not 0 <= penalty < math.inf:  # false for NaN too
@@ -72,7 +62,10 @@ def check_penalty(penalty: float) -> None:
 
 def solve_standardized_ridge(Xs: np.ndarray, y_centered: np.ndarray, penalty: float) -> np.ndarray:
     """Solve (Xs'Xs + penalty*I) w = Xs'y via Cholesky on the Gram matrix."""
-    chol = ridge_cholesky(Xs.T @ Xs + penalty * np.eye(Xs.shape[1]))
+    try:
+        chol = np.linalg.cholesky(Xs.T @ Xs + penalty * np.eye(Xs.shape[1]))
+    except np.linalg.LinAlgError as exc:
+        raise FitError("singular penalized system; a positive penalty keeps the fit well-posed") from exc
     return np.linalg.solve(chol.T, np.linalg.solve(chol, Xs.T @ y_centered))
 
 
@@ -383,8 +376,8 @@ def fit_forest(
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise FitError(f"bad shapes: X {X.shape}, y {y.shape}")
     n, p = X.shape
-    if n < 2:
-        raise FitError(f"need at least 2 rows to grow trees, have {n}")
+    if n < 2 or p < 1:
+        raise FitError(f"need at least 2 rows and 1 feature column to grow trees, have {n} x {p}")
     if config.n_trees < 1:
         raise FitError("n_trees must be >= 1")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):

@@ -231,7 +231,7 @@ def grid_rows(grid: FeasibilityGrid) -> list[str]:
 # --------------------------------------------------------------------------- #
 
 # Part of every entry's key; bumped by any change to a cached value, even in the last bits.
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 
 
 @dataclass

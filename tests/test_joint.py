@@ -379,7 +379,7 @@ class TestOneValuePerCell:
             SizeGridSpec(n_min=9, stride=7).resolve(n_pre, p),
             [n_pre],
         ]
-        assert len(size_sets[0]) > 3 * evaluation._CHUNK
+        assert len(size_sets[0]) > 48
         cells: dict[tuple[int, int], list[float]] = {}
         for sizes in size_sets:
             for n, row in zip(sizes, prefix_nmae(split, completed, sizes, self.ORDER).tolist()):
@@ -424,6 +424,23 @@ def test_penalty_that_is_not_finite_and_nonnegative_is_a_fit_error(penalty):
             call()
 
 
+def test_singular_stacked_solve_is_a_fit_error(monkeypatch):
+    schema = ["x01", "x02", "x03"]
+    split, completed = _engine_lake(14, schema)
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    calls = [
+        lambda: prefix_nmae(split, completed, [8, split.n_pre], schema),
+        lambda: feasibility_grid(split, completed, FeatureRanking({}, schema)),
+    ]
+    for call in calls:
+        with pytest.raises(FitError, match="singular penalized system"):
+            call()
+
+
 def _trending_lake(seed, n=260, n_pre=200, steady_rows=0):
     """Columns `base`, `offset` (about 1e6), `trend` (a strong linear drift)
     and `steady` (scale 1e-9). `steady` is constant over the last
@@ -463,7 +480,7 @@ class TestBatchedEngineEdges:
     def test_offset_and_trend_columns_over_several_chunks(self, penalty):
         split, completed = _trending_lake(7)
         grid = self._assert_grid_matches_oracle(split, completed, SizeGridSpec(n_min=2), penalty)
-        assert len(grid.n_grid) > 3 * evaluation._CHUNK
+        assert len(grid.n_grid) > 48
 
     @pytest.mark.parametrize("penalty", [1e-3, 1.0])
     def test_column_constant_only_in_the_recent_window(self, penalty):

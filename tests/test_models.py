@@ -296,6 +296,10 @@ class TestRidge:
 
 
 class TestForest:
+    def test_design_without_columns_is_fit_error(self):
+        with pytest.raises(FitError, match="1 feature column to grow trees, have 10 x 0"):
+            fit_forest(np.empty((10, 0)), np.arange(10.0))
+
     def test_constant_target_single_leaf_trees(self, rng):
         X = rng.normal(size=(40, 3))
         model = fit_forest(X, np.full(40, 3.3), ForestConfig(n_trees=10, seed=0))

@@ -610,6 +610,26 @@ class TestCli:
         assert err.startswith("error: every lake failed: ")
         assert f"100: lake 100: {reason}" in err and f"101: lake 101: {reason}" in err
 
+    @pytest.mark.parametrize("command", ["report", "joint", "feature-select"])
+    @pytest.mark.parametrize("keep_chla", [True, False])
+    def test_lake_without_covariates_is_an_error_line(self, tmp_path, capsys, command, keep_chla):
+        # The first covariate renamed `chla` is dropped as a clarity proxy,
+        # so either input leaves no covariate.
+        lines = self._write_synth_inputs(tmp_path).read_text().splitlines()
+        rows = [line.split(",")[: 6 if keep_chla else 5] for line in lines]
+        rows[0][5:] = ["chla"] if keep_chla else []
+        csv_path = tmp_path / "no_covariates.csv"
+        csv_path.write_text("".join(",".join(row) + "\n" for row in rows))
+        out = {
+            "report": ["--out-dir", str(tmp_path / "bundle")],
+            "joint": ["--out", str(tmp_path / "j.json")],
+            "feature-select": ["--lake", "100", "--out", str(tmp_path / "s.csv")],
+        }[command]
+        code, prefix = (1, "error: ") if command == "feature-select" else (2, "error: every lake failed: ")
+        assert main([command, "--input", str(csv_path), "--trees", "5", *out]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and "feature column" in err and "Traceback" not in err
+
     def test_impute_command(self, tmp_path):
         csv_path = self._write_synth_inputs(tmp_path)
         out = tmp_path / "completed.csv"
