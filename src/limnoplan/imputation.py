@@ -80,8 +80,10 @@ def _conditional_predictions(
     y_obs: np.ndarray,
     X_mis: np.ndarray,
     penalty: float,
-) -> tuple[np.ndarray, float]:
-    """Ridge predictions for the masked rows plus the residual std.
+    noise_rng: np.random.Generator | None,
+) -> np.ndarray:
+    """Ridge predictions for the masked rows; with ``noise_rng``, plus
+    zero-mean Gaussian noise at the fit's residual standard deviation.
 
     Unlike the forecasting fit this path accepts fewer observed rows
     than regressors; the penalty keeps the solve well-posed.
@@ -91,9 +93,11 @@ def _conditional_predictions(
         raise ImputationError("rank-deficient conditional fit with zero penalty")
     intercept = y_obs.mean()
     w = solve_standardized_ridge(Xs, y_obs - intercept, penalty)
-    resid = y_obs - (intercept + Xs @ w)
     preds = intercept + ((X_mis - means) / stds) @ w
-    return preds, float(resid.std())
+    if noise_rng is not None:
+        resid = y_obs - (intercept + Xs @ w)
+        preds = preds + noise_rng.normal(0.0, float(resid.std()), size=preds.shape)
+    return preds
 
 
 def mice_sweep(
@@ -122,14 +126,13 @@ def mice_sweep(
         if not gaps.any():
             continue
         others = [c for c in range(values.shape[1]) if c != j]
-        preds, resid_std = _conditional_predictions(
+        preds = _conditional_predictions(
             values[~gaps][:, others],
             values[~gaps, j],
             values[gaps][:, others],
             config.ridge_penalty,
+            rng if config.add_noise else None,
         )
-        if config.add_noise:
-            preds = preds + rng.normal(0.0, resid_std, size=preds.shape)
         delta = np.abs(preds - values[gaps, j]).max()
         max_delta = max(max_delta, float(delta))
         values[gaps, j] = preds

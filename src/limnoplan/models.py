@@ -165,6 +165,7 @@ _SPLIT_CHUNK_CELLS = 1 << 14
 def _best_splits(
     X_pad: np.ndarray,
     y_pad: np.ndarray,
+    ranks: np.ndarray,
     rows: np.ndarray,
     starts: np.ndarray,
     counts: np.ndarray,
@@ -175,13 +176,20 @@ def _best_splits(
 
     Node j owns ``rows[starts[j]:starts[j] + counts[j]]``; the last row of
     ``X_pad``/``y_pad`` is a padding row of +inf features and zero target.
-    Nodes are scored in chunks of similar size, each padded to its largest
-    node. Per node and candidate the rows are stably sorted, the target
-    and its square are cumulatively summed, and every cut leaving at least
-    ``min_leaf`` rows on each side between two distinct values is scored by
-    its summed squared error. Ties go to the lowest candidate, then the
-    smallest left block. Returns the chosen column (-1 where no cut is
-    valid), the midpoint threshold and the summed child error.
+    ``ranks[f, r]`` is row r's dense value rank in column f, and the
+    padding row ranks above every value. Nodes are scored in chunks of
+    similar size, each padded to its largest node, B rows. Per node and
+    candidate, one plain sort of the int64 keys ``rank << bits | slot``
+    (slot < B is the row's place in its padded block) orders the rows by
+    value, ties by slot. The keys are unique, so any sort algorithm gives
+    this stable order. Rank and slot each need at most ceil(log2(n + 1))
+    bits for an n-row pool, so the keys fit int64 for any pool under
+    2**31 rows. The target and its square are cumulatively summed, and
+    every cut leaving at least ``min_leaf`` rows on each side between two
+    distinct ranks is scored by its summed squared error; ``X_pad`` is
+    read only at each node's chosen cut. Ties go to the lowest candidate,
+    then the smallest left block. Returns the chosen column (-1 where no
+    cut is valid), the midpoint threshold and the summed child error.
     """
     n_nodes, k = candidates.shape
     feature = np.empty(n_nodes, dtype=int)
@@ -202,13 +210,20 @@ def _best_splits(
         B = int(sizes[lo + c - 1])
         lo += c
         n_rows = counts[nodes]
+        cand = candidates[nodes]
         slots = np.arange(B)
         idx = rows_ext[np.where(slots < n_rows[:, None], starts[nodes][:, None] + slots, rows.size)]
-        x = X_pad[idx[:, None, :], candidates[nodes][:, :, None]]
-        order = np.argsort(x, axis=-1, kind="stable")
-        xs = np.take_along_axis(x, order, axis=-1)
-        ys = np.take_along_axis(y_pad[idx][:, None, :], order, axis=-1)
-        del x, order
+        bits = B.bit_length()
+        keys = ranks.ravel()[cand[:, :, None] * ranks.shape[1] + idx[:, None, :]]
+        keys <<= bits
+        keys |= slots
+        keys.sort(axis=-1)
+        # Each sorted row's place in the chunk's flattened blocks.
+        pos = keys & ((1 << bits) - 1)
+        pos += (B * np.arange(c))[:, None, None]
+        keys >>= bits  # now the sorted ranks
+        idx = idx.ravel()
+        ys = y_pad[idx][pos]
         c1 = np.cumsum(ys, axis=-1)
         ys *= ys
         c2 = np.cumsum(ys, axis=-1)
@@ -219,8 +234,9 @@ def _best_splits(
         s2 = c2[..., :-1]
         left_n = np.arange(1, B, dtype=float)
         right_n = n_rows[:, None, None] - left_n
-        valid = xs[..., :-1] < xs[..., 1:]
-        valid &= (left_n >= min_leaf) & (right_n >= min_leaf)
+        invalid = keys[..., :-1] == keys[..., 1:]
+        invalid |= (left_n < min_leaf) | (right_n < min_leaf)
+        del keys
         # total = max(s2 - s1^2/left_n, 0) + max((t2 - s2) - (t1 - s1)^2/right_n, 0),
         # computed in place to bound the live temporaries.
         total = s1 * s1
@@ -236,18 +252,21 @@ def _best_splits(
         sse_right -= spread
         np.maximum(sse_right, 0.0, out=sse_right)
         total += sse_right
-        total[~valid] = np.inf
+        np.putmask(total, invalid, np.inf)
         total = total.reshape(c, -1)
 
         flat = np.argmin(total, axis=1)
         chunk_best = total[np.arange(c), flat]
         cand_pos, cut = np.divmod(flat, B - 1)
-        lower = xs[np.arange(c), cand_pos, cut]
-        upper = xs[np.arange(c), cand_pos, cut + 1]
+        col = cand[np.arange(c), cand_pos]
+        lower = X_pad[idx[pos[np.arange(c), cand_pos, cut]], col]
+        upper = X_pad[idx[pos[np.arange(c), cand_pos, cut + 1]], col]
         thr = 0.5 * (lower + upper)
-        thr = np.where(thr < upper, thr, lower)  # midpoint rounded up to the right value
+        # A midpoint that rounds up to the right value or overflows (to -inf
+        # below -8.9e307, where every row would go right) falls back to the left one.
+        thr = np.where((lower <= thr) & (thr < upper), thr, lower)
         found = chunk_best < math.inf
-        feature[nodes] = np.where(found, candidates[nodes, cand_pos], -1)
+        feature[nodes] = np.where(found, col, -1)
         threshold[nodes] = np.where(found, thr, math.nan)
         best[nodes] = chunk_best
     return feature, threshold, best
@@ -271,12 +290,18 @@ def _grow_forest(
     level's nodes are ordered by tree, then left to right, and each
     node's rows are a contiguous block of ``rows`` (indices into ``Xc``)
     in parent order. Nodes are numbered breadth-first within each tree.
+    Each column's dense value ranks are computed once, by ``np.unique``
+    (so -0.0 and 0.0 share a rank, as they tie in value), for the split
+    search's sort keys.
     """
     n, p = Xc.shape
     rngs = [_tree_rng(seed, i) for i in range(n_trees)]
     boots = [rng.integers(0, n, size=n) for rng in rngs]
     X_pad = np.vstack([Xc, np.full((1, p), np.inf)])
     y_pad = np.append(y, 0.0)
+    ranks = np.full((p, n + 1), n, dtype=np.int64)  # the padding row ranks last
+    for j in range(p):
+        ranks[j, :n] = np.unique(Xc[:, j], return_inverse=True)[1]
 
     rows = np.concatenate(boots)
     counts = np.full(n_trees, n)
@@ -314,7 +339,7 @@ def _grow_forest(
                     np.argsort(keys, axis=1, kind="stable")[:, :features_per_split], axis=1
                 )
             f, thr, total = _best_splits(
-                X_pad, y_pad, rows, starts[todo], counts[todo], candidates, min_leaf
+                X_pad, y_pad, ranks, rows, starts[todo], counts[todo], candidates, min_leaf
             )
             feature[todo] = f
             threshold[todo] = thr

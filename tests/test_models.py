@@ -1,13 +1,16 @@
 """Ridge solver against a normal-equation oracle; forest against a
-depth-first grower."""
+depth-first grower and its split search against a stable float-argsort
+oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
+from limnoplan import models
 from limnoplan.errors import FitError
 from limnoplan.models import (
+    _SPLIT_CHUNK_CELLS,
     ForestConfig,
     ForestModel,
     TreeNodes,
@@ -17,6 +20,8 @@ from limnoplan.models import (
     predict_forest,
     predict_ridge,
 )
+
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n_samples", "impurity_decrease")
 
 
 def oracle_ridge(X, y, penalty):
@@ -121,6 +126,99 @@ def oracle_grow_tree(X, y, rng, min_leaf, max_depth, features_per_split, seed_ke
         impurity_decrease=np.asarray(decrease, dtype=float),
         seed_key=seed_key,
     )
+
+
+def oracle_best_splits(
+    X_pad: np.ndarray,
+    y_pad: np.ndarray,
+    rows: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    candidates: np.ndarray,
+    min_leaf: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forest's split search as a stable float argsort (the reference).
+
+    Node j owns ``rows[starts[j]:starts[j] + counts[j]]``; the last row of
+    ``X_pad``/``y_pad`` is a padding row of +inf features and zero target.
+    Nodes are scored in chunks of similar size, each padded to its largest
+    node. Per node and candidate the rows are stably sorted, the target
+    and its square are cumulatively summed, and every cut leaving at least
+    ``min_leaf`` rows on each side between two distinct values is scored by
+    its summed squared error. Ties go to the lowest candidate, then the
+    smallest left block. Returns the chosen column (-1 where no cut is
+    valid), the midpoint threshold and the summed child error.
+    """
+    n_nodes, k = candidates.shape
+    feature = np.empty(n_nodes, dtype=int)
+    threshold = np.empty(n_nodes)
+    best = np.empty(n_nodes)
+    rows_ext = np.append(rows, X_pad.shape[0] - 1)
+    by_size = np.argsort(counts, kind="stable")
+    sizes = counts[by_size]
+    budget = _SPLIT_CHUNK_CELLS // k
+    lo = 0
+    while lo < n_nodes:
+        # A chunk is a run of nodes in size order, padded to its largest
+        # node. (j + 1) * sizes[lo + j] grows with j, so the run that fits
+        # the budget is a prefix; it holds at least one node.
+        run = sizes[lo : lo + max(1, budget // int(sizes[lo]))]
+        c = max(1, int(np.count_nonzero(np.arange(1, run.size + 1) * run <= budget)))
+        nodes = by_size[lo : lo + c]
+        B = int(sizes[lo + c - 1])
+        lo += c
+        n_rows = counts[nodes]
+        slots = np.arange(B)
+        idx = rows_ext[np.where(slots < n_rows[:, None], starts[nodes][:, None] + slots, rows.size)]
+        x = X_pad[idx[:, None, :], candidates[nodes][:, :, None]]
+        order = np.argsort(x, axis=-1, kind="stable")
+        xs = np.take_along_axis(x, order, axis=-1)
+        ys = np.take_along_axis(y_pad[idx][:, None, :], order, axis=-1)
+        del x, order
+        c1 = np.cumsum(ys, axis=-1)
+        ys *= ys
+        c2 = np.cumsum(ys, axis=-1)
+        del ys
+        t1 = c1[np.arange(c), :, n_rows - 1][:, :, None]
+        t2 = c2[np.arange(c), :, n_rows - 1][:, :, None]
+        s1 = c1[..., :-1]
+        s2 = c2[..., :-1]
+        left_n = np.arange(1, B, dtype=float)
+        right_n = n_rows[:, None, None] - left_n
+        valid = xs[..., :-1] < xs[..., 1:]
+        valid &= (left_n >= min_leaf) & (right_n >= min_leaf)
+        # total = max(s2 - s1^2/left_n, 0) + max((t2 - s2) - (t1 - s1)^2/right_n, 0),
+        # computed in place to bound the live temporaries.
+        total = s1 * s1
+        total /= left_n
+        np.subtract(s2, total, out=total)
+        np.maximum(total, 0.0, out=total)
+        spread = np.subtract(t1, s1, out=s1)  # reuses c1's storage
+        spread *= spread
+        # Padded cuts (right_n <= 0) are masked below; the clamp only
+        # keeps their arithmetic finite.
+        spread /= np.maximum(right_n, 1.0)
+        sse_right = np.subtract(t2, s2, out=s2)  # reuses c2's storage
+        sse_right -= spread
+        np.maximum(sse_right, 0.0, out=sse_right)
+        total += sse_right
+        total[~valid] = np.inf
+        total = total.reshape(c, -1)
+
+        flat = np.argmin(total, axis=1)
+        chunk_best = total[np.arange(c), flat]
+        cand_pos, cut = np.divmod(flat, B - 1)
+        lower = xs[np.arange(c), cand_pos, cut]
+        upper = xs[np.arange(c), cand_pos, cut + 1]
+        thr = 0.5 * (lower + upper)
+        # The lower bound catches a midpoint overflowing to -inf, which sent
+        # every row of the node right, so the grower never ended.
+        thr = np.where((lower <= thr) & (thr < upper), thr, lower)
+        found = chunk_best < math.inf
+        feature[nodes] = np.where(found, candidates[nodes, cand_pos], -1)
+        threshold[nodes] = np.where(found, thr, math.nan)
+        best[nodes] = chunk_best
+    return feature, threshold, best
 
 
 def oracle_forest(X, y, config):
@@ -456,3 +554,114 @@ class TestForestRandomness:
         imp_base = dict(zip(base.feature_schema, mdi_importances(base).tolist()))
         imp_perm = dict(zip(permuted.feature_schema, mdi_importances(permuted).tolist()))
         assert imp_base == imp_perm
+
+
+def random_level(case):
+    """One level's split-search inputs: padded pool, node blocks, candidates.
+
+    Nodes draw their rows with replacement (as a bootstrap does), have
+    mixed sizes, and node 0 repeats a single row, so it has no valid cut.
+    """
+    rng = np.random.default_rng(3000 + case)
+    n = int(rng.integers(6, 120))
+    p = int(rng.integers(2, 7))
+    kind = case % 4
+    if kind == 0:  # heavy ties
+        X = rng.integers(0, 3, size=(n, p)) * 0.25
+    elif kind == 1:  # -0.0 and 0.0 in one column
+        X = np.round(rng.normal(size=(n, p)), 1)
+        X[:, 0] = rng.choice([-0.0, 0.0, 1.5, -2.0], size=n)
+    elif kind == 2:  # midpoints round up to the right value or overflow
+        X = np.round(rng.normal(size=(n, p)), 1)
+        X[:, 0] = rng.choice(1.0 + np.arange(4) * np.finfo(float).eps, size=n)
+        X[:, -1] = rng.choice([-1.7e308, -1e308, 1e308, 1.7e308], size=n)
+    else:
+        X = rng.normal(size=(n, p))
+    y = np.round(rng.normal(size=n), int(rng.integers(0, 3)))
+    counts = rng.integers(2, n + 1, size=int(rng.integers(1, 200)))
+    blocks = [rng.integers(0, n, size=m) for m in counts]
+    blocks[0][:] = blocks[0][0]
+    k = p if (case // 4) % 2 else int(rng.integers(1, p))
+    candidates = np.sort(np.argsort(rng.random((counts.size, p)), axis=1)[:, :k], axis=1)
+    # Dense value ranks by searchsorted, independent of the forest's np.unique.
+    ranks = np.full((p, n + 1), n, dtype=np.int64)
+    for j in range(p):
+        ranks[j, :n] = np.searchsorted(np.unique(X[:, j]), X[:, j])
+    X_pad = np.vstack([X, np.full((1, p), np.inf)])
+    y_pad = np.append(y, 0.0)
+    rows = np.concatenate(blocks)
+    starts = np.cumsum(counts) - counts
+    return X_pad, y_pad, ranks, rows, starts, counts, candidates, 1 + case % 3
+
+
+def assert_bitwise_equal(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+class TestSplitSearchAgainstArgsortOracle:
+    @pytest.mark.parametrize("case", range(48))
+    def test_same_splits_bit_for_bit(self, case):
+        X_pad, y_pad, ranks, rows, starts, counts, candidates, min_leaf = random_level(case)
+        with np.errstate(over="ignore"):  # the 1e308 midpoints overflow to inf
+            got = models._best_splits(X_pad, y_pad, ranks, rows, starts, counts, candidates, min_leaf)
+            want = oracle_best_splits(X_pad, y_pad, rows, starts, counts, candidates, min_leaf)
+        for a, b in zip(got, want):
+            assert_bitwise_equal(a, b)
+        assert got[0][0] == -1  # the single-row node
+        if case % 4 == 2:
+            # A midpoint that rounds up to the right value or overflows
+            # falls back to the lower value.
+            assert np.isfinite(got[1][got[0] == X_pad.shape[1] - 1]).all()
+            assert np.isin(got[1][got[0] == 0], X_pad[:-1, 0]).all()
+
+    def test_midpoint_overflowing_to_minus_inf_falls_back_to_lower(self):
+        X_pad = np.array([[-1.7e308], [-1.0e308], [np.inf]])
+        y_pad = np.array([0.0, 5.0, 0.0])
+        ranks = np.array([[0, 1, 2]])
+        rows, starts, counts, candidates = np.array([0, 1]), np.array([0]), np.array([2]), np.array([[0]])
+        with np.errstate(over="ignore"):
+            feature, threshold, _ = models._best_splits(
+                X_pad, y_pad, ranks, rows, starts, counts, candidates, 1
+            )
+        assert feature[0] == 0 and threshold[0] == -1.7e308
+
+    def test_some_levels_span_several_chunks(self):
+        cells = [level[3].size * level[6].shape[1] for level in map(random_level, range(48))]
+        assert max(cells) > 2 * _SPLIT_CHUNK_CELLS
+
+
+def oracle_split_adapter(X_pad, y_pad, ranks, rows, starts, counts, candidates, min_leaf):
+    return oracle_best_splits(X_pad, y_pad, rows, starts, counts, candidates, min_leaf)
+
+
+class TestForestBitForBit:
+    """The whole forest, grown with the oracle split search swapped in,
+    must be the same in every bit."""
+
+    @pytest.mark.parametrize(
+        "n, p, n_trees, min_leaf, max_depth, fps",
+        [
+            (60, 5, 12, 1, None, 2),
+            (90, 4, 8, 2, 3, 4),
+            (45, 3, 10, 3, None, 3),
+            (120, 7, 6, 2, 5, None),
+            (640, 6, 200, 2, None, None),
+        ],
+    )
+    def test_same_forest_as_with_oracle_split_search(
+        self, monkeypatch, n, p, n_trees, min_leaf, max_depth, fps
+    ):
+        rng = np.random.default_rng(n * p + n_trees)
+        X = np.round(rng.normal(size=(n, p)), 1)
+        X[:, 0] = rng.choice([-0.0, 0.0, 0.5], size=n)
+        y = np.round(X @ rng.normal(size=p) + rng.normal(size=n), 2)
+        config = ForestConfig(n_trees, min_leaf, max_depth, fps, seed=n_trees)
+        model = fit_forest(X, y, config)
+        monkeypatch.setattr(models, "_best_splits", oracle_split_adapter)
+        oracle = fit_forest(X, y, config)
+        for tree, ref in zip(model.trees, oracle.trees):
+            for name in TREE_ARRAYS:
+                assert_bitwise_equal(getattr(tree, name), getattr(ref, name))
+        assert_bitwise_equal(mdi_importances(model), mdi_importances(oracle))
