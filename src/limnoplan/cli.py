@@ -22,18 +22,8 @@ from .errors import ConfigError, LimnoplanError, SchemaError
 from .imputation import impute_series
 from .joint import aggregate_configs
 from .report import (
-    RunConfig,
-    grid_rows,
-    lake_curve,
-    prepare_lake,
-    process_lakes,
-    run_pipeline,
-    train_test_table,
-    write_completed,
-    write_csv,
-    write_json,
-    write_result,
-    write_nmae_table,
+    RunConfig, grid_rows, lake_curve, prepare_lake, process_lakes, run_pipeline, train_test_table,
+    write_completed, write_csv, write_json, write_nmae_table, write_result,
 )
 from .selection import forward_selection
 from .synth import config_from_dict, generate_lake
@@ -188,17 +178,11 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 def _cmd_ingest(args) -> int:
     lakes, errors, _ = _load_lakes(args, exclusions=False)
-    summary = []
-    for series in lakes:
-        summary.append(
-            {
-                "lake_id": series.lake_id,
-                "lake": series.name,
-                "rows": len(series),
-                "rows_with_target": int(np.count_nonzero(~np.isnan(series.sdd))),
-                "features": series.feature_schema,
-            }
-        )
+    summary = [
+        {"lake_id": s.lake_id, "lake": s.name, "rows": len(s), "features": s.feature_schema,
+         "rows_with_target": int(np.count_nonzero(~np.isnan(s.sdd)))}
+        for s in lakes
+    ]
     payload = {"lakes": summary, "row_errors": len(errors)}
     if args.out:
         write_json(Path(args.out), payload)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -135,6 +136,7 @@ class LakeReport:
     selection: SelectionResult
     grid: FeasibilityGrid
     minimal: MinimalConfig
+    entry: dict[str, np.ndarray] | None  # the cache entry of the grid and the bundle's CSV text; None without a cache
 
 
 @dataclass
@@ -181,12 +183,18 @@ def write_json(path: Path, payload: Any) -> None:
         fh.write("\n")
 
 
-def write_csv(path: Path, rows: Sequence[Sequence[Any]], lines: Iterable[str] = ()) -> None:
+def csv_text(rows: Sequence[Sequence[Any]], lines: Iterable[str] = ()) -> str:
     """`rows`, the header first, quoted by `csv`; then `lines`, rows the caller joined, each ending in a newline."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue() + "".join(lines)
+
+
+def write_csv(path: Path, rows: Sequence[Sequence[Any]], lines: Iterable[str] = ()) -> None:
+    """The `csv_text` of `rows` and `lines` at `path`."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
-        fh.writelines(lines)
+        fh.write(csv_text(rows, lines))
 
 
 # --------------------------------------------------------------------------- #
@@ -201,8 +209,12 @@ def write_result(path: Path, result: Any, **stamp: Any) -> None:
 
 
 # Numeric CSV lines are joined here from Python floats: each cell is its repr, as `csv` writes it.
+def completed_text(completed: CompletedMatrix) -> str:
+    return csv_text([completed.feature_schema], [f"{','.join(map(repr, row))}\n" for row in completed.values.tolist()])
+
+
 def write_completed(path: Path, completed: CompletedMatrix) -> None:
-    write_csv(path, [completed.feature_schema], [f"{','.join(map(repr, row))}\n" for row in completed.values.tolist()])
+    write_csv(path, [], [completed_text(completed)])
 
 
 def write_nmae_table(path: Path, result: SampleCurve | SelectionResult, **stamp: Any) -> None:
@@ -210,9 +222,9 @@ def write_nmae_table(path: Path, result: SampleCurve | SelectionResult, **stamp:
 
     The sidecar holds the stamp and the result's other fields, but a curve's `grid`, whose sizes are the CSV's.
     """
-    sidecar = asdict(result)
-    sidecar.pop("grid", None)
-    key, nmae = ("n", sidecar.pop("nmae_at")) if isinstance(result, SampleCurve) else ("k", sidecar.pop("nmae_by_k"))
+    key, table = ("n", "nmae_at") if isinstance(result, SampleCurve) else ("k", "nmae_by_k")
+    nmae = getattr(result, table)
+    sidecar = {f.name: getattr(result, f.name) for f in fields(result) if f.name not in ("grid", table)}
     write_csv(path, [[key, "nmae"]], [f"{x},{nmae[x]!r}\n" for x in sorted(nmae)])
     write_json(path.with_suffix(".json"), {**stamp, **sidecar})
 
@@ -220,10 +232,18 @@ def write_nmae_table(path: Path, result: SampleCurve | SelectionResult, **stamp:
 write_sample_curve = write_selection = write_nmae_table  # the one writer, under each table's name
 
 
-def grid_rows(grid: FeasibilityGrid) -> list[str]:
-    """`n,k,nmae,feasible` CSV lines in (n, k) order; `feasible` is 0 or 1."""
+def grid_rows(grid: FeasibilityGrid, flag: str = "") -> list[str]:
+    """`n,k,nmae,feasible` CSV lines in (n, k) order; `feasible` is 0 or 1, or `flag` on every line if given."""
     tau = grid.tau
-    return [f"{n},{k},{value!r},{'01'[value <= tau]}\n" for (n, k), value in sorted(grid.nmae.items())]
+    return [f"{n},{k},{value!r},{flag or '01'[value <= tau]}\n" for (n, k), value in sorted(grid.nmae.items())]
+
+
+def grid_text(entry: dict[str, np.ndarray], grid: FeasibilityGrid) -> str:
+    """`grid.csv` from a cache entry's text: the flag before each row's newline from `nmae <= tau` over its grid."""
+    text, nmae = entry["grid_csv"].copy(), entry["grid"]
+    cells = nmae[np.array(grid.n_grid)[:, None] > np.arange(1, grid.p + 1)]  # (n, k) order, excluded cells dropped
+    text[np.flatnonzero(text == ord("\n"))[1:] - 1] = np.where(cells <= grid.tau, ord("1"), ord("0"))
+    return text.tobytes().decode()
 
 
 # --------------------------------------------------------------------------- #
@@ -231,7 +251,7 @@ def grid_rows(grid: FeasibilityGrid) -> list[str]:
 # --------------------------------------------------------------------------- #
 
 # Part of every entry's key; bumped by any change to a cached value, even in the last bits.
-CACHE_VERSION = 5
+CACHE_VERSION = 6
 
 
 @dataclass
@@ -251,7 +271,13 @@ class StageCache:
                 arrays = {name: entry[name] for name in layout}
         except (OSError, EOFError, IndexError, KeyError, ValueError, zipfile.BadZipFile):
             return None
-        return arrays if all((arrays[k].dtype, arrays[k].shape) == v for k, v in layout.items()) else None
+
+        def fits(a: np.ndarray, dtype: str, shape: tuple | int) -> bool:
+            if isinstance(shape, int):  # a text array: 1-D UTF-8 bytes holding `shape` newlines
+                return a.dtype == dtype and a.ndim == 1 and np.count_nonzero(a == ord("\n")) == shape
+            return (a.dtype, a.shape) == (dtype, shape)
+
+        return arrays if all(fits(arrays[name], *want) for name, want in layout.items()) else None
 
     def put(self, lake_id: int, key: str, arrays: dict[str, np.ndarray]) -> None:
         """Store `arrays` as one uncompressed `.npz`."""
@@ -274,16 +300,19 @@ def lake_key(series: ds.LakeSeries, config: RunConfig) -> str:
 def entry_layout(series: ds.LakeSeries, split: ds.SplitSeries, config: RunConfig) -> dict[str, tuple]:
     """(dtype, shape) of each array of the lake's cache entry (see `lake_entry`)."""
     rows, p = series.covariates.shape
-    n_grid = len(config.grid_spec().resolve(split.n_pre, p))
+    n_grid = config.grid_spec().resolve(split.n_pre, p)
     return {
         "values": ("f8", (rows, p)), "mask": ("?", (rows, p)), "impute": ("f8", (3,)),
-        "scores": ("f8", (p,)), "selection": ("f8", (p,)), "grid_order": ("i8", (p,)), "grid": ("f8", (n_grid, p)),
+        "scores": ("f8", (p,)), "selection": ("f8", (p,)), "grid_order": ("i8", (p,)),
+        "grid": ("f8", (len(n_grid), p)), "completed_csv": ("u1", rows + 1),
+        "grid_csv": ("u1", 1 + sum(min(n - 1, p) for n in n_grid)),  # a line per cell with n >= k+1
     }
 
 
 def lake_entry(lake: PreparedLake, selection: SelectionResult, grid: FeasibilityGrid) -> dict:
-    """Every result of the lake's report stages that does not depend on the tolerance."""
+    """Every result of the lake's report stages that does not depend on the tolerance, its CSV text (UTF-8) included."""
     impute, schema = lake.impute_report, lake.completed.feature_schema
+    grid_csv = csv_text([["n", "k", "nmae", "feasible"]], grid_rows(grid, "?"))  # "?" where each flag goes
     return {
         "values": lake.completed.values,
         "mask": lake.completed.imputed_mask,
@@ -292,6 +321,8 @@ def lake_entry(lake: PreparedLake, selection: SelectionResult, grid: Feasibility
         "selection": np.array([selection.nmae_by_k[k] for k in range(1, grid.p + 1)]),
         "grid": np.array([[grid.nmae.get((n, k), np.nan) for k in range(1, grid.p + 1)] for n in grid.n_grid]),
         "grid_order": np.array([schema.index(f) for f in grid.feature_order], dtype=np.int64),
+        "completed_csv": np.frombuffer(completed_text(lake.completed).encode(), np.uint8),
+        "grid_csv": np.frombuffer(grid_csv.encode(), np.uint8),
     }
 
 
@@ -332,18 +363,10 @@ def process_lake(
     """The report stages on a prepared lake; the grid uses `global_ranking` when given."""
     series, split, completed = lake.series, lake.split, lake.completed
     model, X_train, y_train = fit_reference(split, completed, completed.feature_schema, penalty=config.penalty)
-    train_metrics = score_predictions(y_train, predict_ridge(model, X_train))
-    X_test = completed.values[split.test_rows]
-    y_test = split.test.sdd
-    test_metrics = score_predictions(y_test, predict_ridge(model, X_test))
+    train = score_predictions(y_train, predict_ridge(model, X_train))
+    test = score_predictions(split.test.sdd, predict_ridge(model, completed.values[split.test_rows]))
     table_row = TableRow(
-        lake_id=series.lake_id,
-        lake=series.name,
-        train_mae=train_metrics.mae,
-        test_mae=test_metrics.mae,
-        train_nmae=train_metrics.nmae,
-        test_nmae=test_metrics.nmae,
-        test_le_train=test_metrics.nmae <= train_metrics.nmae,
+        series.lake_id, series.name, train.mae, test.mae, train.nmae, test.nmae, test_le_train=test.nmae <= train.nmae
     )
 
     ranking, entry, p = global_ranking or lake.ranking, lake.cached, len(completed.feature_schema)
@@ -358,7 +381,8 @@ def process_lake(
     else:
         grid = feasibility_grid(split, completed, ranking, config.grid_spec(), config.tolerance, config.penalty)
         if cache is not None:
-            cache.put(series.lake_id, lake_key(series, config), lake_entry(lake, selection, grid))
+            entry = lake_entry(lake, selection, grid)
+            cache.put(series.lake_id, lake_key(series, config), entry)
     # The sample curve is the grid's all-features column, which does not depend on the feature order.
     sizes = config.curve_sizes(split.n_pre, p)
     curve = SampleCurve.from_nmae(sizes, [grid.nmae[(n, p)] for n in sizes], config.tolerance)
@@ -372,6 +396,7 @@ def process_lake(
         selection=selection,
         grid=grid,
         minimal=minimal_config(grid),
+        entry=entry,
     )
 
 
@@ -474,13 +499,13 @@ def _write_bundle(out_dir: Path, config: RunConfig, result: PipelineResult, agg_
     for report in reports:
         lake_dir = out_dir / "lakes" / str(report.lake_id)
         write_result(lake_dir / "impute_report.json", report.lake.impute_report, config_hash=config_hash)
-        write_completed(lake_dir / "completed.csv", report.lake.completed)
+        write_csv(lake_dir / "completed.csv", [], [report.entry["completed_csv"].tobytes().decode()])
         write_result(lake_dir / "reference_model.json", report.reference_model, config_hash=config_hash)
         write_result(lake_dir / "metrics.json", report.table_row, config_hash=config_hash)
         write_sample_curve(lake_dir / "sample_curve.csv", report.curve, config_hash=config_hash)
         write_result(lake_dir / "ranking.json", report.lake.ranking, config_hash=config_hash)
         write_selection(lake_dir / "selection.csv", report.selection, config_hash=config_hash)
-        write_csv(lake_dir / "grid.csv", [["n", "k", "nmae", "feasible"]], grid_rows(report.grid))
+        write_csv(lake_dir / "grid.csv", [], [grid_text(report.entry, report.grid)])
         write_result(
             lake_dir / "minimal_config.json",
             report.minimal,

@@ -13,6 +13,7 @@ from limnoplan import dataset, report
 from limnoplan.cli import main
 from limnoplan.dataset import parse_dataset, write_series_csv
 from limnoplan.errors import ConfigError
+from limnoplan.joint import FeasibilityGrid
 from limnoplan.report import RunConfig, run_pipeline, train_test_table
 from limnoplan.synth import SynthConfig, generate_lake
 
@@ -315,8 +316,14 @@ class TestPipeline:
             lambda path, arrays: save_npy(path, arrays["values"]),
             lambda path, arrays: path.write_text(json.dumps({"nmae": [[1, 2]], "excluded": []})),
             lambda path, arrays: path.write_text("{}"),
+            lambda path, arrays: np.savez(path, **{**arrays, "grid_csv": arrays["grid_csv"][:-100]}),
+            lambda path, arrays: np.savez(path, **{k: v for k, v in arrays.items() if k != "completed_csv"}),
+            lambda path, arrays: np.savez(path, **{**arrays, "grid_csv": arrays["grid_csv"].astype(np.int16)}),
         ],
-        ids=["missing-array", "wrong-shape", "wrong-dtype", "npy-file", "old-json-grid", "empty-json"],
+        ids=[
+            "missing-array", "wrong-shape", "wrong-dtype", "npy-file", "old-json-grid", "empty-json",
+            "truncated-grid-text", "missing-completed-text", "grid-text-not-uint8",
+        ],
     )
     def test_unusable_cache_entry_is_a_miss_and_rewritten(self, tmp_path, tamper):
         csv_path = tmp_path / "lakes.csv"
@@ -337,6 +344,20 @@ class TestPipeline:
         assert bundle(out) == cold
         assert same_arrays(entry_arrays(entry), stored)
         assert sorted((out / "cache").iterdir()) == [entry, stale]
+
+    def test_cache_entry_does_not_depend_on_the_tolerance(self, tmp_path):
+        synth_csv(tmp_path / "lakes.csv", small_lake_configs(1))
+        lakes = load_csv(tmp_path / "lakes.csv")
+        run_pipeline(lakes, RunConfig(seed=4, tolerance=0.05, **FAST), tmp_path / "a")
+        run_pipeline(lakes, RunConfig(seed=4, tolerance=0.5, **FAST), tmp_path / "b")
+        (a,), (b,) = (list((tmp_path / out / "cache").iterdir()) for out in ("a", "b"))
+        assert a.name == b.name and same_arrays(entry_arrays(a), entry_arrays(b))
+        # The stored grid text holds a placeholder where each flag goes; the bundle's has 0 or 1.
+        text = entry_arrays(a)["grid_csv"].tobytes().decode()
+        grid_csv = (tmp_path / "a" / "lakes" / "100" / "grid.csv").read_text()
+        assert text.splitlines()[0] == grid_csv.splitlines()[0] == "n,k,nmae,feasible"
+        assert {line[-1] for line in text.splitlines()[1:]} == {"?"}
+        assert [line[:-1] for line in text.splitlines()] == [line[:-1] for line in grid_csv.splitlines()]
 
     @pytest.mark.parametrize("use_global_ranking", [False, True], ids=["per-lake", "global"])
     def test_rethreshold_fits_nothing_and_matches_a_cold_run(self, tmp_path, monkeypatch, use_global_ranking):
@@ -563,6 +584,49 @@ class TestWriterBytes:
             assert (tmp_path / name).read_bytes() == content, name
         grid_bytes = (tmp_path / "grid.csv").read_bytes()
         assert b",5e-324,1\n" in grid_bytes and b",1e+16,0\n" in grid_bytes
+
+    @pytest.mark.parametrize("tolerance", [0.25, 0.1, 3.0])
+    def test_flags_set_on_stored_grid_text_match_grid_rows(self, tolerance):
+        # Full nMAE 1.0, so at tolerance 0.25 tau is exactly 1.25: cells at, just above and just below it.
+        values = np.full((4, 3), np.nan)  # excluded cells (n < k+1) are NaN in a cache entry
+        values[0, 0], values[1, :2], values[2:, :] = 1.25, [np.nextafter(1.25, 2), np.nextafter(1.25, 0)], 0.5
+        values[2, 1], values[3, :] = 1.25, [3.0, 1.25, 1.0]
+        grid = FeasibilityGrid.from_nmae(7, [2, 3, 5, 8], ["a", "b", "c"], values, tolerance)
+        header = [["n", "k", "nmae", "feasible"]]
+        stored = np.frombuffer(report.csv_text(header, report.grid_rows(grid, "?")).encode(), np.uint8)
+        expected = report.csv_text(header, report.grid_rows(grid))
+        assert report.grid_text({"grid": values, "grid_csv": stored}, grid) == expected
+        assert stored.tobytes().decode() != expected and len(expected.splitlines()) == 1 + len(grid.nmae) == 10
+        if tolerance == 0.25:
+            assert ",1.25,1\n" in expected and ",1.2500000000000002,0\n" in expected
+
+    def test_quoted_covariate_names_survive_the_cached_path(self, tmp_path, monkeypatch):
+        names = ["x,1", 'x"2']
+        config = dataclasses.replace(small_lake_configs(1)[0], n_features=2, true_weights=(1.0, -0.5))
+        series, _ = generate_lake(config)
+        csv_path = tmp_path / "lakes.csv"
+        with open(csv_path, "w", newline="") as fh:
+            write_series_csv(dataclasses.replace(series, feature_schema=names), fh)
+        out, completed = tmp_path / "out", Path("lakes", "100", "completed.csv")
+        flags = ["--input", str(csv_path), "--trees", "10", "--n-stride", "4"]
+        assert main(["report", *flags, "--out-dir", str(out)]) == 0
+        cold = (out / completed).read_bytes()
+
+        def refit(*args, **kwargs):
+            raise AssertionError("the re-threshold did not read the cache")
+
+        monkeypatch.setattr("limnoplan.report.impute_series", refit)
+        assert main(["report", *flags, "--out-dir", str(out), "--tolerance", "0.10"]) == 0
+        assert (out / completed).read_bytes() == cold
+        monkeypatch.undo()
+        assert main(["impute", "--input", str(csv_path), "--lake", "100", "--out", str(tmp_path / "imputed.csv")]) == 0
+        assert (tmp_path / "imputed.csv").read_bytes() == cold
+
+        header = io.StringIO()
+        csv.writer(header, lineterminator="\n").writerow(names)
+        assert cold.decode().startswith(header.getvalue()) and header.getvalue() == '"x,1","x""2"\n'
+        rows = list(csv.reader(io.StringIO(cold.decode())))
+        assert rows[0] == names and {len(row) for row in rows} == {2}
 
 
 class TestCli:
