@@ -2,7 +2,7 @@
 
 Commands: ingest, lakes rank, impute, sample-curve, feature-rank, feature-select,
 joint, synth, report. Exit codes: 0 success, 1 partial failure (some lakes failed
-a stage), 2 configuration error, a non-UTF-8 input or unreadable header included.
+a stage), 2 configuration error: a bad flag or input file, or a path not writable.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .errors import ConfigError, LimnoplanError, SchemaError
 from .imputation import impute_series
 from .joint import aggregate_configs
 from .report import (
-    RunConfig, grid_rows, lake_curve, prepare_lake, process_lakes, run_pipeline, train_test_table,
+    RunConfig, grid_rows, lake_curve, prepare_lake, process_lakes, run_pipeline, select_series, train_test_table,
     write_completed, write_csv, write_json, write_nmae_table, write_result,
 )
 from .selection import forward_selection
@@ -62,17 +62,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest", help="parse and validate a monitoring CSV")
+    p.set_defaults(run=_cmd_ingest)
     _add_input(p)
     p.add_argument("--out", default=None, help="write a per-lake summary JSON")
 
     lakes = sub.add_parser("lakes", help="lake-level utilities")
     lakes_sub = lakes.add_subparsers(dest="lakes_command", required=True)
     p = lakes_sub.add_parser("rank", help="rank lakes by data richness")
+    p.set_defaults(run=_cmd_lakes_rank)
     _add_input(p)
     p.add_argument("--top", type=int, default=30)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("impute", help="complete one lake's covariates")
+    p.set_defaults(run=_cmd_impute)
     _add_input(p)
     p.add_argument("--lake", type=int, required=True)
     p.add_argument("--sweeps", dest="impute_sweeps", type=int, default=10)
@@ -82,12 +85,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", default=None, help="fit report JSON (default: <out>.json)")
 
     p = sub.add_parser("sample-curve", help="test error vs training size for one lake")
+    p.set_defaults(run=_cmd_sample_curve)
     _add_input(p)
     p.add_argument("--lake", type=int, required=True)
     _add_protocol_flags(p)
     p.add_argument("--out", required=True, help="CSV of n,nmae (JSON sidecar alongside)")
 
     p = sub.add_parser("feature-rank", help="forest-importance ranking for one lake")
+    p.set_defaults(run=_cmd_feature_rank)
     _add_input(p)
     p.add_argument("--lake", type=int, required=True)
     p.add_argument("--test-years", type=int, default=5)
@@ -96,6 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("feature-select", help="greedy forward selection for one lake")
+    p.set_defaults(run=_cmd_feature_select)
     _add_input(p)
     p.add_argument("--lake", type=int, required=True)
     _add_protocol_flags(p)
@@ -103,24 +109,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="CSV of k,nmae (JSON sidecar alongside)")
 
     p = sub.add_parser("joint", help="minimal (samples, features) configuration per lake")
+    p.set_defaults(run=_cmd_joint)
     _add_run_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--emit-grid", default=None, help="dump n,k,nmae,feasible rows to CSV")
 
     p = sub.add_parser("synth", help="generate a synthetic lake CSV with ground truth")
+    p.set_defaults(run=_cmd_synth)
     p.add_argument("--config", required=True, help="generator config JSON")
     p.add_argument("--out", required=True, help="CSV in the ingest layout")
     p.add_argument("--truth", default=None, help="ground-truth JSON")
 
     p = sub.add_parser("report", help="full pipeline over all (or selected) lakes")
+    p.set_defaults(run=_cmd_report)
     _add_run_flags(p)
     p.add_argument("--out-dir", required=True)
 
     return parser
 
 
-def _load_lakes(args: argparse.Namespace, exclusions: bool = True):
-    """The input's lakes, its malformed rows, and the digest of its bytes, from one read of the file."""
+def _load_lakes(args: argparse.Namespace):
+    """The input's lakes (exclusions not applied), its malformed rows, and the digest of its bytes, from one read."""
     schema = ds.IngestSchema().with_na_token(args.na_token)
     path = Path(args.input)
     if not path.exists():
@@ -133,16 +142,14 @@ def _load_lakes(args: argparse.Namespace, exclusions: bool = True):
     lakes, errors = ds.parse_dataset(io.StringIO(text, newline=""), schema)
     for err in errors:
         print(f"line {err.line}: {err.message}", file=sys.stderr)
-    if exclusions:
-        lakes = [ds.apply_exclusions(s) for s in lakes]
     return lakes, errors, hashlib.sha256(data).hexdigest()[:16]
 
 
-def _one_lake(lakes, lake_id: int) -> ds.LakeSeries:
-    for series in lakes:
-        if series.lake_id == lake_id:
-            return series
-    raise ConfigError(f"lake {lake_id} not present in the input")
+def _lake_and_config(args: argparse.Namespace) -> tuple[ds.LakeSeries, RunConfig]:
+    """The `--lake` series, picked and exclusion-filtered as `process_lakes` does, and the run configuration."""
+    config = _run_config(args)
+    (series,) = select_series(_load_lakes(args)[0], (args.lake,))
+    return ds.apply_exclusions(series), config
 
 
 def _lake_ids_from_file(path: str | None) -> tuple[int, ...] | None:
@@ -177,7 +184,7 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_ingest(args) -> int:
-    lakes, errors, _ = _load_lakes(args, exclusions=False)
+    lakes, errors, _ = _load_lakes(args)
     summary = [
         {"lake_id": s.lake_id, "lake": s.name, "rows": len(s), "features": s.feature_schema,
          "rows_with_target": int(np.count_nonzero(~np.isnan(s.sdd)))}
@@ -191,7 +198,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_lakes_rank(args) -> int:
-    lakes = _load_lakes(args)[0]
+    lakes = [ds.apply_exclusions(s) for s in _load_lakes(args)[0]]
     if args.top < 1:
         raise ConfigError(f"--top must be at least 1, got {args.top}")
     if args.top > len(lakes):
@@ -209,9 +216,7 @@ def _cmd_lakes_rank(args) -> int:
 
 
 def _cmd_impute(args) -> int:
-    lakes = _load_lakes(args)[0]
-    series = _one_lake(lakes, args.lake)
-    config = _run_config(args)
+    series, config = _lake_and_config(args)
     completed, fit_report = impute_series(series, config.impute_config(series.lake_id))
     write_completed(Path(args.out), completed)
     report_path = Path(args.report) if args.report else Path(args.out).with_suffix(".json")
@@ -221,9 +226,8 @@ def _cmd_impute(args) -> int:
 
 
 def _cmd_sample_curve(args) -> int:
-    lakes = _load_lakes(args)[0]
-    config = _run_config(args)
-    lake = prepare_lake(_one_lake(lakes, args.lake), config, rank=False)
+    series, config = _lake_and_config(args)
+    lake = prepare_lake(series, config, rank=False)
     curve = lake_curve(lake, config)
     write_nmae_table(Path(args.out), curve, lake_id=args.lake)
     print(f"lake {args.lake}: n_star={curve.n_star}, reference nMAE {curve.reference_nmae:.4f}")
@@ -231,17 +235,15 @@ def _cmd_sample_curve(args) -> int:
 
 
 def _cmd_feature_rank(args) -> int:
-    lakes = _load_lakes(args)[0]
-    lake = prepare_lake(_one_lake(lakes, args.lake), _run_config(args))
+    lake = prepare_lake(*_lake_and_config(args))
     write_result(Path(args.out), lake.ranking, lake_id=args.lake)
     print(f"lake {args.lake}: top feature {lake.ranking.order[0]}")
     return 0
 
 
 def _cmd_feature_select(args) -> int:
-    lakes = _load_lakes(args)[0]
-    config = _run_config(args)
-    lake = prepare_lake(_one_lake(lakes, args.lake), config)
+    series, config = _lake_and_config(args)
+    lake = prepare_lake(series, config)
     result = forward_selection(lake.split, lake.completed, lake.ranking, config.tolerance, config.penalty)
     write_nmae_table(Path(args.out), result, lake_id=args.lake)
     print(f"lake {args.lake}: k_star={result.k_star} ({', '.join(result.subset)})")
@@ -249,9 +251,8 @@ def _cmd_feature_select(args) -> int:
 
 
 def _cmd_joint(args) -> int:
-    lakes = _load_lakes(args, exclusions=False)[0]
     config = _run_config(args)
-    reports, failures, _ = process_lakes(lakes, config)
+    reports, failures, _ = process_lakes(_load_lakes(args)[0], config)
     summary = aggregate_configs([r.minimal for r in reports], config.exclude_fallback)
     write_json(
         Path(args.out),
@@ -292,7 +293,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    lakes, _, digest = _load_lakes(args, exclusions=False)
+    lakes, _, digest = _load_lakes(args)
     result = run_pipeline(lakes, _run_config(args), Path(args.out_dir), input_digest=digest)
     print(train_test_table([r.table_row for r in result.reports]))
     if result.mean_n_star is not None:
@@ -307,26 +308,14 @@ def _cmd_report(args) -> int:
     return 1 if result.failures else 0
 
 
-_COMMANDS = {
-    "ingest": _cmd_ingest,
-    "impute": _cmd_impute,
-    "sample-curve": _cmd_sample_curve,
-    "feature-rank": _cmd_feature_rank,
-    "feature-select": _cmd_feature_select,
-    "joint": _cmd_joint,
-    "synth": _cmd_synth,
-    "report": _cmd_report,
-}
+_PARSER = build_parser()  # built once per process, after the handlers it registers
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        if args.command == "lakes":
-            return _cmd_lakes_rank(args)
-        return _COMMANDS[args.command](args)
-    except (ConfigError, SchemaError) as exc:  # a SchemaError here is an input file's, not a lake's
+        return args.run(args)
+    except (ConfigError, SchemaError, OSError) as exc:  # an input file's or a path's fault, not a lake's
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LimnoplanError as exc:

@@ -292,12 +292,14 @@ def select_top_lakes(all_series: Sequence[LakeSeries], top: int) -> list[int]:
     return [lake_id for _, _, lake_id in keyed[:top]]
 
 
-def _years_before(day: date, years: int) -> date:
+def _years_before(day: date, years: int) -> np.datetime64:
+    if years >= day.year:  # the window opens before year 1, so every date falls in it
+        return np.datetime64(date.min, "D") - 1
     try:
-        return day.replace(year=day.year - years)
+        return np.datetime64(day.replace(year=day.year - years), "D")
     except ValueError:
         # Feb 29 with no leap-year counterpart.
-        return day.replace(year=day.year - years, day=28)
+        return np.datetime64(day.replace(year=day.year - years, day=28), "D")
 
 
 def split_test_block(series: LakeSeries, years: int = 5) -> SplitSeries:
@@ -317,7 +319,7 @@ def split_test_block(series: LakeSeries, years: int = 5) -> SplitSeries:
         )
 
     dates = series.dates[observed]
-    boundary = np.datetime64(_years_before(dates[-1].item(), years), "D")
+    boundary = _years_before(dates[-1].item(), years)
     pre, test = observed[dates <= boundary], observed[dates > boundary]
     if not len(pre) or not len(test):
         raise InsufficientDataError(

@@ -420,9 +420,8 @@ def train_test_table(rows: Sequence[TableRow]) -> str:
 # Whole-run orchestration
 # --------------------------------------------------------------------------- #
 
-def _select_series(
-    lakes: Sequence[ds.LakeSeries], lake_ids: tuple[int, ...] | None
-) -> list[ds.LakeSeries]:
+def select_series(lakes: Sequence[ds.LakeSeries], lake_ids: tuple[int, ...] | None) -> list[ds.LakeSeries]:
+    """The lakes `lake_ids` names (all when None), in lake-id order; a ConfigError names ids not in `lakes`."""
     if lake_ids is None:
         return sorted(lakes, key=lambda s: s.lake_id)
     by_id = {s.lake_id: s for s in lakes}
@@ -443,7 +442,7 @@ def process_lakes(
     short to fit every feature fails before that average, so it never
     enters it.
     """
-    selected = [ds.apply_exclusions(s) for s in _select_series(lakes, config.lake_ids)]
+    selected = [ds.apply_exclusions(s) for s in select_series(lakes, config.lake_ids)]
     if not selected:
         raise ConfigError("no lakes to process")
     prepared: list[PreparedLake] = []

@@ -375,6 +375,20 @@ class TestSplit:
         with pytest.raises(InsufficientDataError):
             split_test_block(series, years=5)
 
+    @pytest.mark.parametrize("years", [2020, 2021, 10**20])
+    def test_window_reaching_before_year_one_holds_the_whole_record(self, years):
+        # The latest visit is in 2020, so the window opens in year 0 or earlier.
+        series = self._annual_series(range(2011, 2021))
+        with pytest.raises(InsufficientDataError, match=f"more than the {years}-year test window"):
+            split_test_block(series, years=years)
+
+    def test_record_from_year_one(self):
+        series = self._annual_series([1, 2, 3])
+        split = split_test_block(series, years=2)
+        assert split.pre.dates.tolist() == [date(1, 6, 1)] and split.n_pre == 1
+        with pytest.raises(InsufficientDataError):
+            split_test_block(series, years=3)
+
     def test_missing_sdd_rows_dropped_but_indices_align(self, rng):
         sdd = rng.uniform(1, 4, 12)
         sdd[[3, 7]] = np.nan

@@ -4,12 +4,15 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from limnoplan import dataset, report
+from limnoplan import cli, dataset, report
 from limnoplan.cli import main
 from limnoplan.dataset import parse_dataset, write_series_csv
 from limnoplan.errors import ConfigError
@@ -1056,3 +1059,71 @@ class TestCli:
             ["joint", "--input", str(csv_path), "--lakes", str(wanted), "--out", str(tmp_path / "j.json")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["impute", "sample-curve", "feature-rank", "feature-select"])
+    def test_unknown_lake_gives_the_report_lakes_message(self, tmp_path, capsys, command):
+        csv_path = self._write_synth_inputs(tmp_path)
+        out = tmp_path / "x.out"
+        assert main([command, "--input", str(csv_path), "--lake", "42", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: unknown lake id(s): 42\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("years", ["3000", str(10**20)])
+    @pytest.mark.parametrize("command, code", [("report", 2), ("sample-curve", 1)])
+    def test_test_years_beyond_year_one_fails_the_lake(self, tmp_path, capsys, command, code, years):
+        csv_path = self._write_synth_inputs(tmp_path)
+        out = {
+            "report": ["--out-dir", str(tmp_path / "bundle")],
+            "sample-curve": ["--lake", "100", "--out", str(tmp_path / "curve.csv")],
+        }
+        assert main([command, "--input", str(csv_path), "--test-years", years, *out[command]]) == code
+        reason = f"record does not span more than the {years}-year test window"
+        assert capsys.readouterr().err == {
+            "report": f"error: every lake failed: 100: lake 100: {reason}; 101: lake 101: {reason}\n",
+            "sample-curve": f"error: lake 100: {reason}\n",
+        }[command]
+
+    @pytest.mark.parametrize("case", ["out-dir is a file", "lakes is a file", "ingest", "impute", "emit-grid"])
+    def test_unwritable_output_path_is_one_error_line(self, tmp_path, capsys, case):
+        csv_path = self._write_synth_inputs(tmp_path)
+        a_file, a_dir, bundle_dir = tmp_path / "a_file", tmp_path / "a_dir", tmp_path / "bundle"
+        a_file.write_text("")
+        a_dir.mkdir()
+        bundle_dir.mkdir()
+        (bundle_dir / "lakes").write_text("")
+        fast = ["--trees", "5", "--n-stride", "6"]
+        args = {
+            "out-dir is a file": ["report", *fast, "--out-dir", str(a_file)],
+            "lakes is a file": ["report", *fast, "--out-dir", str(bundle_dir)],
+            "ingest": ["ingest", "--out", str(a_dir)],
+            "impute": ["impute", "--lake", "100", "--out", str(a_dir)],
+            "emit-grid": ["joint", *fast, "--out", str(tmp_path / "j.json"), "--emit-grid", str(a_dir)],
+        }[case]
+        assert main([*args, "--input", str(csv_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_main_uses_the_parser_built_at_import(self, tmp_path, monkeypatch):
+        def no_parser():
+            raise AssertionError("built a parser per call")
+
+        monkeypatch.setattr(cli, "build_parser", no_parser)
+        assert main(["ingest", "--input", str(self._write_synth_inputs(tmp_path))]) == 0
+
+    def test_one_call_leaves_no_flag_for_the_next(self, tmp_path):
+        csv_path = self._write_synth_inputs(tmp_path)
+        wanted = tmp_path / "wanted.json"
+        wanted.write_text("[100]")
+        common = ["report", "--input", str(csv_path), "--trees", "15", "--n-stride", "6"]
+        flags = ["--global-ranking", "--exclude-fallback", "--lakes", str(wanted)]
+        assert main([*common, *flags, "--out-dir", str(tmp_path / "first")]) == 0
+        assert main([*common, "--out-dir", str(tmp_path / "second")]) == 0
+        config = json.loads((tmp_path / "second" / "run_config.json").read_text())["config"]
+        assert config["use_global_ranking"] is False and config["exclude_fallback"] is False
+        assert config["lake_ids"] is None
+        # The second command alone, in a process whose parser has parsed nothing before.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        alone = [sys.executable, "-m", "limnoplan.cli", *common, "--out-dir", str(tmp_path / "alone")]
+        subprocess.run(alone, env=env, check=True, capture_output=True)
+        assert bundle(tmp_path / "second") == bundle(tmp_path / "alone")
