@@ -23,7 +23,7 @@ from .imputation import impute_series
 from .joint import aggregate_configs
 from .report import (
     RunConfig, grid_rows, lake_curve, prepare_lake, process_lakes, run_pipeline, select_series, train_test_table,
-    write_completed, write_csv, write_json, write_nmae_table, write_result,
+    completed_text, write_csv, write_json, write_nmae_table, write_result,
 )
 from .selection import forward_selection
 from .synth import config_from_dict, generate_lake
@@ -218,7 +218,7 @@ def _cmd_lakes_rank(args) -> int:
 def _cmd_impute(args) -> int:
     series, config = _lake_and_config(args)
     completed, fit_report = impute_series(series, config.impute_config(series.lake_id))
-    write_completed(Path(args.out), completed)
+    write_csv(Path(args.out), [], [completed_text(completed)])
     report_path = Path(args.report) if args.report else Path(args.out).with_suffix(".json")
     write_result(report_path, fit_report, lake_id=series.lake_id)
     print(f"lake {series.lake_id}: {fit_report.sweeps} sweep(s), final delta {fit_report.final_delta:.3g}")

@@ -20,9 +20,13 @@ from __future__ import annotations
 import csv
 import math
 import re
+from collections import ChainMap
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from datetime import date
-from typing import Iterable, Sequence, TextIO
+from functools import partial
+from itertools import compress, islice, zip_longest
+from typing import Any, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -77,15 +81,8 @@ class LakeSeries:
 
     def take(self, rows: np.ndarray) -> "LakeSeries":
         """The visits at `rows` (an index array or boolean mask), with copied columns."""
-        return LakeSeries(
-            self.lake_id,
-            self.name,
-            self.dates[rows],
-            self.sdd[rows],
-            self.covariates[rows],
-            list(self.feature_schema),
-            self.sdd_to_bottom[rows],
-        )
+        columns = ("dates", "sdd", "covariates", "sdd_to_bottom")
+        return replace(self, feature_schema=list(self.feature_schema), **{c: getattr(self, c)[rows] for c in columns})
 
 
 @dataclass(frozen=True)
@@ -158,6 +155,7 @@ def _parse_seccbot(raw: str, na_tokens: frozenset[str]) -> bool:
 
 
 _DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_DATES = re.compile(r"(?:(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2}\n)*")  # a column of them, from year 1 (numpy reads 0)
 
 
 def parse_date(cell: str) -> date:
@@ -170,6 +168,28 @@ def parse_date(cell: str) -> date:
     return date.fromisoformat(text)
 
 
+def _convert(cells: Sequence, parse: Callable, dtype: Any, fast: Callable = lambda _: None) -> tuple[np.ndarray, dict]:
+    """`fast(cells)` unless None, else `parse` of each distinct cell (None where it fails); and the failures by row."""
+    with suppress(TypeError, ValueError):  # TypeError: a short row's missing cell, None
+        if (values := fast(cells)) is not None:
+            return values, {}
+    table, failed = {}, {}
+    for cell in dict.fromkeys(cells):
+        try:
+            table[cell] = parse(cell)
+        except (ValueError, AttributeError) as exc:  # AttributeError: a short row's missing cell
+            failed[cell] = exc
+    errors = {row: failed[cell] for row, cell in enumerate(cells) if cell in failed} if failed else {}
+    return np.array(list(map(table.get, cells)), dtype), errors  # None reads as NaN, NaT or False
+
+
+def _floats(cells: Sequence, na_tokens: frozenset[str]) -> np.ndarray | None:
+    """`_parse_cell` of each cell in one pass (strip, NaN at a token, `float`); None if a non-finite one is no token."""
+    texts = list(map(str.strip, cells))
+    values = np.fromiter(map(float, map(dict.fromkeys(na_tokens, "nan").get, texts, texts)), float, len(texts))
+    return values if na_tokens.issuperset(compress(texts, (~np.isfinite(values)).tolist())) else None
+
+
 def parse_dataset(
     stream: TextIO | Iterable[str],
     schema: IngestSchema = IngestSchema(),
@@ -179,7 +199,10 @@ def parse_dataset(
     Returns the series (sorted by lake id, visits stably sorted by date)
     and the list of malformed rows that were skipped. A missing
     mandatory column or a repeated column name raises SchemaError; bad
-    cells only fail their own row.
+    cells only fail their own row, named by its first bad cell in role
+    order. Each column is read in one pass (`_floats`; a strict regex
+    and a datetime64 cast; a table of distinct cells), or cell by cell
+    with `_parse_cell` and `parse_date` if that pass misreads a cell.
     """
     reader = csv.reader(stream)
     header = next(reader, None)
@@ -196,43 +219,36 @@ def parse_dataset(
     roles = (ID_COLUMN, DATE_COLUMN, SDD_COLUMN, SECCBOT_COLUMN, NAME_COLUMN)
     width, at = len(header), {c: i for i, c in enumerate(header)}
     features = [c for c in header if c not in roles]
-    # An optional column the header lacks is read at index `width`, the None each row is padded with.
-    id_at, date_at, sdd_at, seccbot_at, name_at = (at.get(c, width) for c in roles)
-    feature_at = [at[c] for c in features]
-    na = schema.na_tokens
+    id_at, date_at, sdd_at, seccbot_at, name_at = (at.get(c, width) for c in roles)  # absent: `width`, all None
+    na, lines = schema.na_tokens, []  # each record's line number; a blank line is no record
+    columns = list(islice(zip_longest(*(row for row in reader if row and not lines.append(reader.line_num))), width))
+    columns += [(None,) * len(lines)] * (width + 1 - len(columns))  # a short row's missing cells are None too
 
-    errors: list[RowError] = []
-    visits: dict[int, list[tuple[str, float, list[float], bool]]] = {}
-    names: dict[int, str] = {}
+    number, floats = partial(_parse_cell, na_tokens=na), partial(_floats, na_tokens=na)
+    converted = [  # (values, {row: exception}) by column, in role order
+        _convert(columns[id_at], lambda cell: int(cell.strip()), object),
+        _convert(columns[date_at], parse_date, "datetime64[D]",
+                 lambda cells: np.array(cells, "datetime64[D]") if _DATES.fullmatch("\n".join(cells) + "\n") else None),
+        _convert(columns[sdd_at], number, float, floats),
+        _convert(columns[seccbot_at], lambda cell: _parse_seccbot(cell or "", na), bool),
+        *(_convert(columns[at[c]], number, float, floats) for c in features),
+    ]
+    (ids, _), (days, _), (sdd, sdd_errors), (flags, _) = converted[:4]
+    sdd_errors.update({i: ValueError(f"non-positive Secchi depth {sdd[i].item()}") for i in np.flatnonzero(sdd <= 0)})
+    covariates = np.array([values for values, _ in converted[4:]], float).reshape(len(features), len(lines)).T
 
-    for row in reader:
-        if not row:
-            continue  # a blank line
-        cells = len(row)
-        del row[width:]  # extra cells are ignored
-        row += [None] * (width + 1 - len(row))  # a short row's missing cells are None
-        try:
-            lake_id = int(row[id_at].strip())
-            day = parse_date(row[date_at]).isoformat()  # numpy reads ISO text far faster than date objects
-            sdd = _parse_cell(row[sdd_at], na)
-            if sdd <= 0:  # false for a gap (NaN)
-                raise ValueError(f"non-positive Secchi depth {sdd}")
-            seccbot = _parse_seccbot(row[seccbot_at] or "", na)
-            covariates = [_parse_cell(row[i], na) for i in feature_at]
-        except (ValueError, AttributeError) as exc:
-            # AttributeError: a cell the parser needs is one a short row lacks.
-            message = f"short row ({cells} of {width} cells)" if isinstance(exc, AttributeError) else str(exc)
-            errors.append(RowError(reader.line_num, message))
-            continue
-
-        names.setdefault(lake_id, (row[name_at] or "").strip() or str(lake_id))
-        visits.setdefault(lake_id, []).append((day, sdd, covariates, seccbot))
-
+    first = ChainMap(*(bad for _, bad in converted))  # each bad row's first bad cell
+    errors = [RowError(lines[i], str(exc) if not isinstance(exc, AttributeError)  # a short row's missing cell
+                       else f"short row ({sum(c[i] is not None for c in columns[:width])} of {width} cells)")
+              for i, exc in sorted(first.items())]
+    keep = np.flatnonzero(~np.isin(np.arange(len(lines)), list(first)))
+    lake_ids = sorted(set(ids[keep].tolist()))  # rows group on the id's value: "1" and "01" are one lake
+    codes = np.fromiter(map({lake_id: c for c, lake_id in enumerate(lake_ids)}.get, ids[keep].tolist()), int, len(keep))
+    order = keep[np.lexsort((days[keep], codes))]  # stable: same-date visits keep file order
     lakes = []
-    for lake_id, rows in sorted(visits.items()):
-        rows.sort(key=lambda visit: visit[0])  # stable, and ISO dates sort as text
-        dates, sdd, covariates, seccbot = zip(*rows)
-        lakes.append(LakeSeries(lake_id, names[lake_id], dates, sdd, covariates, list(features), seccbot))
+    for lake_id, rows in zip(lake_ids, np.split(order, np.cumsum(np.bincount(codes))[:-1])):
+        name = (columns[name_at][rows.min()] or "").strip() or str(lake_id)  # the lake's first valid row's
+        lakes.append(LakeSeries(lake_id, name, days[rows], sdd[rows], covariates[rows], list(features), flags[rows]))
     return lakes, errors
 
 

@@ -213,10 +213,6 @@ def completed_text(completed: CompletedMatrix) -> str:
     return csv_text([completed.feature_schema], [f"{','.join(map(repr, row))}\n" for row in completed.values.tolist()])
 
 
-def write_completed(path: Path, completed: CompletedMatrix) -> None:
-    write_csv(path, [], [completed_text(completed)])
-
-
 def write_nmae_table(path: Path, result: SampleCurve | SelectionResult, **stamp: Any) -> None:
     """A curve's `n,nmae` or a selection's `k,nmae` CSV at `path`, plus a JSON sidecar with the same stem.
 
@@ -227,9 +223,6 @@ def write_nmae_table(path: Path, result: SampleCurve | SelectionResult, **stamp:
     sidecar = {f.name: getattr(result, f.name) for f in fields(result) if f.name not in ("grid", table)}
     write_csv(path, [[key, "nmae"]], [f"{x},{nmae[x]!r}\n" for x in sorted(nmae)])
     write_json(path.with_suffix(".json"), {**stamp, **sidecar})
-
-
-write_sample_curve = write_selection = write_nmae_table  # the one writer, under each table's name
 
 
 def grid_rows(grid: FeasibilityGrid, flag: str = "") -> list[str]:
@@ -478,6 +471,8 @@ def run_pipeline(
     is keyed on the data itself.
     """
     out_dir = Path(out_dir)
+    for sub in ("cache", "lakes"):  # an out-dir that cannot be written fails here, before any lake is imputed
+        (out_dir / sub).mkdir(parents=True, exist_ok=True)
     config_hash = config_fingerprint(config, input_digest)
     ordered, failures, shared = process_lakes(lakes, config, StageCache(out_dir / "cache"))
 
@@ -493,17 +488,15 @@ def run_pipeline(
 
 def _write_bundle(out_dir: Path, config: RunConfig, result: PipelineResult, agg_ranking: FeatureRanking) -> None:
     config_hash, reports = result.config_hash, result.reports
-    write_json(out_dir / "run_config.json", {"config": asdict(config), "config_hash": config_hash})
-
     for report in reports:
         lake_dir = out_dir / "lakes" / str(report.lake_id)
         write_result(lake_dir / "impute_report.json", report.lake.impute_report, config_hash=config_hash)
         write_csv(lake_dir / "completed.csv", [], [report.entry["completed_csv"].tobytes().decode()])
         write_result(lake_dir / "reference_model.json", report.reference_model, config_hash=config_hash)
         write_result(lake_dir / "metrics.json", report.table_row, config_hash=config_hash)
-        write_sample_curve(lake_dir / "sample_curve.csv", report.curve, config_hash=config_hash)
+        write_nmae_table(lake_dir / "sample_curve.csv", report.curve, config_hash=config_hash)
         write_result(lake_dir / "ranking.json", report.lake.ranking, config_hash=config_hash)
-        write_selection(lake_dir / "selection.csv", report.selection, config_hash=config_hash)
+        write_nmae_table(lake_dir / "selection.csv", report.selection, config_hash=config_hash)
         write_csv(lake_dir / "grid.csv", [], [grid_text(report.entry, report.grid)])
         write_result(
             lake_dir / "minimal_config.json",
@@ -518,6 +511,8 @@ def _write_bundle(out_dir: Path, config: RunConfig, result: PipelineResult, agg_
     for path in (out_dir / "lakes").iterdir():
         if path.name not in reported and path.name.lstrip("-").isdecimal() and path.is_dir():
             shutil.rmtree(path)
+    # Written after the lake files, so a write that fails part-way leaves the last run's run_config.json.
+    write_json(out_dir / "run_config.json", {"config": asdict(config), "config_hash": config_hash})
     write_json(
         out_dir / "summary.json",
         {

@@ -245,6 +245,26 @@ class TestIngestTable:
         lakes, errors = _parse(self.TEXT)
         assert len(errors) == 3 and lakes[0].covariates[2, 0] == -999.0
 
+    def test_an_id_beyond_int64_is_a_lake(self):
+        lakes, errors = _parse(HEADER + "99999999999999999999,Big,2001-06-01,No,2.0,1,2\n")
+        assert errors == [] and (lakes[0].lake_id, lakes[0].name) == (10**20 - 1, "Big")
+
+    def test_year_zero_is_a_row_error(self):
+        # numpy reads 0000-06-01 as a date; `datetime.date` does not.
+        lakes, errors = _parse(HEADER + "1,A,0000-06-01,No,2.0,1,2\n1,A,2001-06-01,No,2.0,1,2\n")
+        assert errors == [RowError(2, "year 0 is out of range")] and len(lakes[0]) == 1
+
+    def test_a_padded_float_parsable_na_token_is_a_gap(self):
+        lakes, errors = _parse(HEADER + "1,A,2001-06-01,No,2.0, -999,2\n", IngestSchema().with_na_token("-999"))
+        assert errors == [] and np.isnan(lakes[0].covariates[0, 0])
+
+    def test_one_and_zero_one_are_one_lake_named_by_its_first_valid_row(self):
+        text = HEADER + "01,Bad,2001-13-01,No,2.0,1,2\n1,First,2001-06-02,No,3.0,1,2\n01,Second,2001-06-01,No,4.0,1,2\n"
+        lakes, errors = _parse(text)
+        assert [e.line for e in errors] == [2]
+        (lake,) = lakes
+        assert (lake.lake_id, lake.name, lake.sdd.tolist()) == (1, "First", [4.0, 3.0])
+
 
 class TestExclusions:
     def test_identity_when_nothing_to_drop(self, rng):

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -579,9 +580,9 @@ class TestWriterBytes:
         selection = dataclasses.replace(lake.selection, nmae_by_k=with_edges(lake.selection.nmae_by_k))
         grid = dataclasses.replace(lake.grid, nmae=with_edges(lake.grid.nmae))
 
-        report.write_completed(tmp_path / "completed.csv", completed)
-        report.write_sample_curve(tmp_path / "sample_curve.csv", curve)
-        report.write_selection(tmp_path / "selection.csv", selection)
+        report.write_csv(tmp_path / "completed.csv", [], [report.completed_text(completed)])
+        report.write_nmae_table(tmp_path / "sample_curve.csv", curve)
+        report.write_nmae_table(tmp_path / "selection.csv", selection)
         report.write_csv(tmp_path / "grid.csv", [["n", "k", "nmae", "feasible"]], report.grid_rows(grid))
         for name, content in old_rule_lake_csvs(completed, curve, selection, grid).items():
             assert (tmp_path / name).read_bytes() == content, name
@@ -1102,6 +1103,34 @@ class TestCli:
         assert main([*args, "--input", str(csv_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    def test_unwritable_out_dir_fails_before_any_lake_is_imputed(self, tmp_path, capsys, monkeypatch):
+        csv_path = self._write_synth_inputs(tmp_path)
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+
+        def no_impute(*args, **kwargs):
+            raise AssertionError("imputed a lake for an out-dir that cannot be written")
+
+        monkeypatch.setattr(report, "impute_series", no_impute)
+        assert main(["report", "--input", str(csv_path), "--out-dir", str(a_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_a_failed_rewrite_leaves_the_run_config_of_the_summary_beside_it(self, tmp_path, capsys):
+        csv_path = self._write_synth_inputs(tmp_path)
+        out_dir = tmp_path / "bundle"
+        args = ["report", "--input", str(csv_path), "--trees", "5", "--n-stride", "6", "--out-dir", str(out_dir)]
+        assert main(args) == 0
+        shutil.rmtree(out_dir / "lakes" / "100")
+        (out_dir / "lakes" / "100").write_text("")
+        capsys.readouterr()
+        assert main([*args, "--tolerance", "0.10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        run_config = json.loads((out_dir / "run_config.json").read_text())
+        assert run_config["config_hash"] == json.loads((out_dir / "summary.json").read_text())["config_hash"]
+        assert run_config["config"]["tolerance"] != 0.10
 
     def test_main_uses_the_parser_built_at_import(self, tmp_path, monkeypatch):
         def no_parser():
