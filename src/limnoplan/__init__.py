@@ -77,7 +77,6 @@ from .models import (
     fit_forest,
     fit_ridge,
     mdi_importances,
-    predict_forest,
     predict_ridge,
 )
 from .report import RunConfig, run_pipeline, train_test_table

@@ -198,9 +198,9 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_lakes_rank(args) -> int:
-    lakes = [ds.apply_exclusions(s) for s in _load_lakes(args)[0]]
     if args.top < 1:
         raise ConfigError(f"--top must be at least 1, got {args.top}")
+    lakes = [ds.apply_exclusions(s) for s in _load_lakes(args)[0]]
     if args.top > len(lakes):
         raise ConfigError(f"--top {args.top} exceeds the {len(lakes)} lakes in the input")
     ranked = ds.select_top_lakes(lakes, args.top)

@@ -9,10 +9,11 @@ solve of the k x k Gram matrix.
 The regression forest exists to score features: its mean decrease in
 impurity drives the importance ranking. Trees are grown on seeded
 bootstrap samples with per-split feature subsampling, all trees
-together one depth level at a time, with exact CART splits. Internally
-the forest works in name-sorted ("canonical") column order and routes
-prediction inputs through the same mapping, so fitting on a permuted
-copy of the columns with the same seed yields the identical model.
+together one depth level at a time, with exact CART splits. There is
+no prediction API: the trees are kept only as the node tables the
+importances are summed from. Internally the forest works in name-sorted
+("canonical") column order, so fitting on a permuted copy of the
+columns with the same seed yields the identical trees and importances.
 Tree i draws its bootstrap and then one candidate-key matrix per depth
 level from ``SeedSequence([seed, i])``, so it depends only on (seed, i).
 """
@@ -131,13 +132,12 @@ class ForestConfig:
 
 @dataclass
 class TreeNodes:
-    """One tree as parallel node arrays (feature -1 marks a leaf)."""
+    """One tree as parallel node arrays (feature -1 marks a leaf), stored
+    breadth-first: the j-th split node's children are nodes 2j+1 (left)
+    and 2j+2 (right), so ``feature`` alone pins the tree's shape."""
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
     n_samples: np.ndarray
     impurity_decrease: np.ndarray
     seed_key: tuple[int, int]
@@ -147,7 +147,6 @@ class TreeNodes:
 class ForestModel:
     trees: list[TreeNodes]
     feature_schema: list[str]
-    canonical_schema: list[str]
     canonical_order: list[int]  # caller column -> position used internally
     config: ForestConfig
 
@@ -289,7 +288,10 @@ def _grow_forest(
     with the smallest keys. A tree thus depends only on (seed, i). A
     level's nodes are ordered by tree, then left to right, and each
     node's rows are a contiguous block of ``rows`` (indices into ``Xc``)
-    in parent order. Nodes are numbered breadth-first within each tree.
+    in parent order. A level's records are (tree, feature, threshold,
+    n_samples, decrease); one stable sort by tree at the end leaves each
+    tree's nodes breadth-first, so the j-th split node's children are
+    nodes 2j+1 and 2j+2.
     Each column's dense value ranks are computed once, by ``np.unique``
     (so -0.0 and 0.0 share a rank, as they tie in value), for the split
     search's sort keys.
@@ -307,14 +309,12 @@ def _grow_forest(
     counts = np.full(n_trees, n)
     tree_of = np.arange(n_trees)
     levels: list[tuple[np.ndarray, ...]] = []
-    n_before = 0  # nodes on the levels already grown
     depth = 0
     while counts.size:
         starts = np.cumsum(counts) - counts
         y_rows = y[rows]
         y_sum = np.add.reduceat(y_rows, starts)
-        mean = y_sum / counts
-        sse = np.maximum(np.add.reduceat(y_rows * y_rows, starts) - y_sum * mean, 0.0)
+        sse = np.maximum(np.add.reduceat(y_rows * y_rows, starts) - y_sum * (y_sum / counts), 0.0)
         splittable = (
             (counts >= 2 * min_leaf)
             & (sse > 0.0)
@@ -347,40 +347,26 @@ def _grow_forest(
             decrease[todo] = np.maximum(sse[todo] - total, 0.0) / counts[todo]
 
         split = feature >= 0
-        n_split = int(split.sum())
-        n_here = counts.size
-        left = np.full(n_here, -1)
-        left[split] = n_before + n_here + 2 * np.arange(n_split)
-        levels.append((tree_of, feature, threshold, left, mean, counts, decrease))
-        n_before += n_here
+        levels.append((tree_of, feature, threshold, counts, decrease))
 
         # Children keep their rows in parent order: left block, then right.
-        node_of_row = np.repeat(np.arange(n_here), counts)
+        node_of_row = np.repeat(np.arange(counts.size), counts)
         keep = split[node_of_row]
         rows = rows[keep]
         node_of_row = node_of_row[keep]
         go_right = ~(Xc[rows, feature[node_of_row]] <= threshold[node_of_row])
         child = 2 * (np.cumsum(split) - 1)[node_of_row] + go_right
         rows = rows[np.argsort(child, kind="stable")]
-        counts = np.bincount(child, minlength=2 * n_split)
+        counts = np.bincount(child, minlength=2 * np.count_nonzero(split))
         tree_of = np.repeat(tree_of[split], 2)
         depth += 1
 
-    tree_of, feature, threshold, left, value, n_samples, decrease = (
-        np.concatenate(column) for column in zip(*levels)
-    )
+    tree_of, *columns = (np.concatenate(column) for column in zip(*levels))
     # Stable-sorting the level-major node list by tree keeps each tree's
-    # nodes in level order, which numbers them breadth-first.
+    # nodes in level order, which is breadth-first.
     order = np.argsort(tree_of, kind="stable")
-    sizes = np.bincount(tree_of, minlength=n_trees)
-    first = np.cumsum(sizes) - sizes  # each tree's first position in `order`
-    local = np.empty(order.size + 1, dtype=int)
-    local[order] = np.arange(order.size) - first[tree_of[order]]
-    local[-1] = -1  # a leaf's child id -1 maps to itself
-    left = local[left]
-    right = np.where(left >= 0, left + 1, -1)  # siblings are numbered together
-    columns = [feature, threshold, left, right, value, n_samples, decrease]
-    per_tree = zip(*(np.split(column[order], first[1:]) for column in columns))
+    bounds = np.cumsum(np.bincount(tree_of, minlength=n_trees))[:-1]
+    per_tree = zip(*(np.split(column[order], bounds) for column in columns))
     return [TreeNodes(*arrays, seed_key=(seed, i)) for i, arrays in enumerate(per_tree)]
 
 
@@ -413,7 +399,6 @@ def fit_forest(
         raise FitError("feature_schema must name each column exactly once")
 
     canonical_order = sorted(range(p), key=schema.__getitem__)
-    canonical_schema = [schema[j] for j in canonical_order]
     Xc = X[:, canonical_order]
 
     fps = config.features_per_split
@@ -433,40 +418,9 @@ def fit_forest(
     return ForestModel(
         trees=trees,
         feature_schema=schema,
-        canonical_schema=canonical_schema,
         canonical_order=canonical_order,
         config=config,
     )
-
-
-def _tree_predict(tree: TreeNodes, Xc: np.ndarray) -> np.ndarray:
-    n = Xc.shape[0]
-    node = np.zeros(n, dtype=int)
-    rows = np.arange(n)
-    while True:
-        feats = tree.feature[node]
-        active = feats >= 0
-        if not active.any():
-            break
-        sub = rows[active]
-        f = feats[active]
-        go_left = Xc[sub, f] <= tree.threshold[node[active]]
-        node[sub] = np.where(go_left, tree.left[node[active]], tree.right[node[active]])
-    return tree.value[node]
-
-
-def predict_forest(model: ForestModel, X: np.ndarray) -> np.ndarray:
-    """Average of per-tree predictions; X columns follow the fit-time schema."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != len(model.feature_schema):
-        raise FitError(
-            f"expected {len(model.feature_schema)} feature column(s), got shape {X.shape}"
-        )
-    Xc = X[:, model.canonical_order]
-    out = np.zeros(X.shape[0])
-    for tree in model.trees:
-        out += _tree_predict(tree, Xc)
-    return out / len(model.trees)
 
 
 def mdi_importances(model: ForestModel) -> np.ndarray:

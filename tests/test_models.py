@@ -3,25 +3,29 @@ depth-first grower and its split search against a stable float-argsort
 oracle."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from limnoplan import models
+from limnoplan.dataset import split_by_count
 from limnoplan.errors import FitError
 from limnoplan.models import (
     _SPLIT_CHUNK_CELLS,
     ForestConfig,
     ForestModel,
-    TreeNodes,
     fit_forest,
     fit_ridge,
     mdi_importances,
-    predict_forest,
     predict_ridge,
 )
+from limnoplan.selection import rank_features
+from limnoplan.synth import SynthConfig, generate_lake
 
-TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n_samples", "impurity_decrease")
+from conftest import completed_from_series
+
+TREE_ARRAYS = ("feature", "threshold", "n_samples", "impurity_decrease")
 
 
 def oracle_ridge(X, y, penalty):
@@ -44,10 +48,11 @@ def oracle_grow_tree(X, y, rng, min_leaf, max_depth, features_per_split, seed_ke
     between distinct values, ties to the lowest candidate and then the
     smallest left block, midpoint threshold unless it rounds up to the
     right value. Candidates come from `rng.choice`, so only with
-    `features_per_split == p` does it build the forest's trees.
+    `features_per_split == p` does it build the forest's trees. Nodes are
+    numbered depth-first, and the record keeps its own child arrays.
     """
     n, p = X.shape
-    feature, threshold, left, right, value, n_samples, decrease = ([] for _ in range(7))
+    feature, threshold, left, right, n_samples, decrease = ([] for _ in range(6))
 
     # Stack entries: (row indices, depth, parent node id, is_left_child).
     stack = [(np.arange(n), 0, -1, False)]
@@ -63,14 +68,12 @@ def oracle_grow_tree(X, y, rng, min_leaf, max_depth, features_per_split, seed_ke
         y_node = y[idx]
         m = idx.size
         y_sum = float(y_node.sum())
-        mean = y_sum / m
-        sse = max(float(y_node @ y_node) - y_sum * mean, 0.0)
+        sse = max(float(y_node @ y_node) - y_sum * (y_sum / m), 0.0)
 
         feature.append(-1)
         threshold.append(math.nan)
         left.append(-1)
         right.append(-1)
-        value.append(mean)
         n_samples.append(m)
         decrease.append(0.0)
 
@@ -116,12 +119,11 @@ def oracle_grow_tree(X, y, rng, min_leaf, max_depth, features_per_split, seed_ke
         stack.append((idx[~left_mask], depth + 1, node_id, False))
         stack.append((idx[left_mask], depth + 1, node_id, True))
 
-    return TreeNodes(
+    return SimpleNamespace(
         feature=np.asarray(feature, dtype=int),
         threshold=np.asarray(threshold, dtype=float),
         left=np.asarray(left, dtype=int),
         right=np.asarray(right, dtype=int),
-        value=np.asarray(value, dtype=float),
         n_samples=np.asarray(n_samples, dtype=int),
         impurity_decrease=np.asarray(decrease, dtype=float),
         seed_key=seed_key,
@@ -239,30 +241,35 @@ def oracle_forest(X, y, config):
             )
         )
     schema = [f"x{j}" for j in range(p)]
-    return ForestModel(trees, schema, schema, list(range(p)), config)
+    return ForestModel(trees, schema, list(range(p)), config)
 
 
-def nodes_by_path(tree):
+def breadth_first_children(feature):
+    """Child arrays of a stored tree: the j-th split node's children are
+    nodes 2j+1 and 2j+2; a leaf has -1."""
+    left = np.full(len(feature), -1)
+    split = feature >= 0
+    left[split] = 2 * np.arange(np.count_nonzero(split)) + 1
+    return left, np.where(split, left + 1, -1)
+
+
+def nodes_by_path(feature, left, right):
     """Map each node's root-to-node path ("", "L", "LR", ...) to its id."""
     out = {}
     stack = [(0, "")]
     while stack:
         node, path = stack.pop()
         out[path] = node
-        if tree.feature[node] >= 0:
-            stack.append((int(tree.left[node]), path + "L"))
-            stack.append((int(tree.right[node]), path + "R"))
-    assert len(out) == len(tree.feature)  # every node is reachable once
+        if feature[node] >= 0:
+            stack.append((int(left[node]), path + "L"))
+            stack.append((int(right[node]), path + "R"))
+    assert len(out) == len(feature)  # every node is reachable once
     return out
 
 
 def assert_same_tree(a, b):
-    assert np.array_equal(a.feature, b.feature)
-    assert np.array_equal(a.threshold, b.threshold, equal_nan=True)
-    assert np.array_equal(a.left, b.left) and np.array_equal(a.right, b.right)
-    assert np.array_equal(a.value, b.value)
-    assert np.array_equal(a.n_samples, b.n_samples)
-    assert np.array_equal(a.impurity_decrease, b.impurity_decrease)
+    for name in TREE_ARRAYS:
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=name == "threshold")
     assert a.seed_key == b.seed_key
 
 
@@ -419,9 +426,7 @@ class TestForest:
         a = fit_forest(X, y, ForestConfig(n_trees=12, seed=7))
         b = fit_forest(X, y, ForestConfig(n_trees=12, seed=7))
         for ta, tb in zip(a.trees, b.trees):
-            assert np.array_equal(ta.feature, tb.feature)
-            assert np.array_equal(ta.threshold, tb.threshold, equal_nan=True)
-            assert np.array_equal(ta.value, tb.value)
+            assert_same_tree(ta, tb)
 
     def test_importances_normalized(self, rng):
         X = rng.normal(size=(80, 5))
@@ -438,21 +443,6 @@ class TestForest:
             assert (tree.impurity_decrease >= 0).all()
             leaves = tree.feature == -1
             assert np.allclose(tree.impurity_decrease[leaves], 0.0)
-
-    def test_permutation_invariance_with_mirrored_seed(self, rng):
-        X = rng.normal(size=(70, 5))
-        y = X[:, 1] * 2 + rng.normal(0, 0.2, 70)
-        names = [f"f{j}" for j in range(5)]
-        perm = [3, 0, 4, 1, 2]
-        base = fit_forest(X, y, ForestConfig(n_trees=8, seed=5), feature_schema=names)
-        permuted = fit_forest(
-            X[:, perm], y, ForestConfig(n_trees=8, seed=5), feature_schema=[names[j] for j in perm]
-        )
-        X_new = rng.normal(size=(20, 5))
-        assert np.array_equal(predict_forest(base, X_new), predict_forest(permuted, X_new[:, perm]))
-        imp_base = dict(zip(base.feature_schema, mdi_importances(base)))
-        imp_perm = dict(zip(permuted.feature_schema, mdi_importances(permuted)))
-        assert imp_base == imp_perm
 
     def test_min_samples_leaf_respected(self, rng):
         X = rng.normal(size=(64, 2))
@@ -496,13 +486,13 @@ class TestForestAgainstDepthFirstOracle:
         )
         model = fit_forest(X, y, config)
         oracle = oracle_forest(X, y, config)
-        # Node values and decreases are sums over the node's rows, added in
-        # another order; their rounding follows the target's scale.
-        value_tol = 1e-12 * float(np.max(np.abs(y)))
+        # Decreases are sums over the node's rows, added in another order;
+        # their rounding follows the target's scale.
         decrease_tol = 1e-12 * float(np.max(y * y))
         for tree, ref in zip(model.trees, oracle.trees):
             assert tree.seed_key == ref.seed_key
-            paths, ref_paths = nodes_by_path(tree), nodes_by_path(ref)
+            paths = nodes_by_path(tree.feature, *breadth_first_children(tree.feature))
+            ref_paths = nodes_by_path(ref.feature, ref.left, ref.right)
             assert paths.keys() == ref_paths.keys()
             for path, node in paths.items():
                 ref_node = ref_paths[path]
@@ -511,7 +501,6 @@ class TestForestAgainstDepthFirstOracle:
                 assert np.array_equal(
                     tree.threshold[node], ref.threshold[ref_node], equal_nan=True
                 ), path
-                assert abs(tree.value[node] - ref.value[ref_node]) <= value_tol, path
                 assert (
                     abs(tree.impurity_decrease[node] - ref.impurity_decrease[ref_node])
                     <= decrease_tol
@@ -522,13 +511,15 @@ class TestForestAgainstDepthFirstOracle:
         X = rng.normal(size=(80, 3))
         y = X[:, 0] + rng.normal(0, 0.3, 80)
         for tree in fit_forest(X, y, ForestConfig(n_trees=4, seed=2)).trees:
-            children = np.concatenate([tree.left, tree.right])
-            children = children[children >= 0]
-            # Children are numbered after their parents, in left-right pairs.
-            assert np.array_equal(np.sort(children), np.arange(1, len(tree.feature)))
-            split = tree.feature >= 0
-            assert np.array_equal(tree.right[split], tree.left[split] + 1)
-            assert np.all(np.diff(tree.left[split]) > 0)
+            split = np.flatnonzero(tree.feature >= 0)
+            # Every split adds one pair of children, and the j-th split's
+            # pair, nodes 2j+1 and 2j+2, holds exactly its rows.
+            assert len(tree.feature) == 1 + 2 * split.size
+            j = np.arange(split.size)
+            assert np.all(split < 2 * j + 1)  # children come after their parent
+            assert np.array_equal(
+                tree.n_samples[split], tree.n_samples[2 * j + 1] + tree.n_samples[2 * j + 2]
+            )
 
 
 class TestForestRandomness:
@@ -555,6 +546,30 @@ class TestForestRandomness:
         imp_perm = dict(zip(permuted.feature_schema, mdi_importances(permuted).tolist()))
         assert imp_base == imp_perm
 
+
+
+class TestDefaultForestPinned:
+    """The default 200-tree ranking of one fixed pool, pinned bit for bit
+    across commits; a change here changes every default ranking."""
+
+    ORDER = ["x01", "x08", "x06", "x05", "x03", "x07", "x02", "x04"]
+    SCORES = {
+        "x01": "0x1.d9e985dd579f1p-2",
+        "x02": "0x1.c801bdc8e7bc6p-5",
+        "x03": "0x1.247085b3f7b81p-4",
+        "x04": "0x1.26428444f9d3ep-5",
+        "x05": "0x1.746983e26120ap-4",
+        "x06": "0x1.a165346cb6714p-4",
+        "x07": "0x1.2078e24f6e255p-4",
+        "x08": "0x1.c67fa731334cbp-4",
+    }
+
+    def test_default_ranking_is_pinned(self):
+        series, _ = generate_lake(SynthConfig(n_samples=240, n_features=8, seed=17))
+        split = split_by_count(series, 169)
+        ranking = rank_features(split, completed_from_series(series))
+        assert ranking.order == self.ORDER
+        assert {name: float.hex(score) for name, score in ranking.scores.items()} == self.SCORES
 
 def random_level(case):
     """One level's split-search inputs: padded pool, node blocks, candidates.

@@ -667,6 +667,12 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: --top")
         assert not out.exists()
 
+    def test_lakes_rank_checks_top_before_reading_the_input(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        out = tmp_path / "rank.json"
+        assert main(["lakes", "rank", "--input", str(missing), "--top", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --top")
+
     @pytest.mark.parametrize("command", ["report", "joint"])
     def test_every_lake_failed_names_each_lake(self, tmp_path, capsys, command):
         csv_path = self._write_synth_inputs(tmp_path)
