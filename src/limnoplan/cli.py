@@ -22,8 +22,8 @@ from .errors import ConfigError, LimnoplanError, SchemaError
 from .imputation import impute_series
 from .joint import aggregate_configs
 from .report import (
-    RunConfig, grid_rows, lake_curve, prepare_lake, process_lakes, run_pipeline, select_series, train_test_table,
-    completed_text, write_csv, write_json, write_nmae_table, write_result,
+    RunConfig, StageCache, completed_text, grid_rows, input_key, lake_curve, prepare_lake, process_lakes, run_pipeline,
+    select_series, train_test_table, write_csv, write_json, write_nmae_table, write_result,
 )
 from .selection import forward_selection
 from .synth import config_from_dict, generate_lake
@@ -128,21 +128,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_lakes(args: argparse.Namespace):
-    """The input's lakes (exclusions not applied), its malformed rows, and the digest of its bytes, from one read."""
+def _load_lakes(args: argparse.Namespace, cache: StageCache | None = None):
+    """The input's lakes (exclusions not applied), its malformed rows, and the digest of its bytes, from one read;
+    with a `cache`, the parse of these bytes under these NA tokens comes from its input entry, or is stored there."""
     schema = ds.IngestSchema().with_na_token(args.na_token)
     path = Path(args.input)
     if not path.exists():
         raise ConfigError(f"input file not found: {path}")
     data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"input file {path} is not UTF-8: {exc}") from exc
-    lakes, errors = ds.parse_dataset(io.StringIO(text, newline=""), schema)
+    digest = hashlib.sha256(data).hexdigest()
+    key = input_key(digest, schema.na_tokens)
+    parsed = cache and cache.get_input(key)
+    if parsed is None:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"input file {path} is not UTF-8: {exc}") from exc
+        parsed = ds.parse_dataset(io.StringIO(text, newline=""), schema)
+        if cache and parsed[0]:  # an input without a valid row stops `report` anyway
+            cache.put_input(key, *parsed)
+    lakes, errors = parsed
     for err in errors:
         print(f"line {err.line}: {err.message}", file=sys.stderr)
-    return lakes, errors, hashlib.sha256(data).hexdigest()[:16]
+    return lakes, errors, digest[:16]
 
 
 def _lake_and_config(args: argparse.Namespace) -> tuple[ds.LakeSeries, RunConfig]:
@@ -293,8 +301,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    lakes, _, digest = _load_lakes(args)
-    result = run_pipeline(lakes, _run_config(args), Path(args.out_dir), input_digest=digest)
+    config, out_dir = _run_config(args), Path(args.out_dir)  # a bad setting stops the run before anything is written
+    lakes, _, digest = _load_lakes(args, StageCache(out_dir / "cache"))
+    result = run_pipeline(lakes, config, out_dir, input_digest=digest)
     print(train_test_table([r.table_row for r in result.reports]))
     if result.mean_n_star is not None:
         print(f"\nmean minimal sample count: {result.mean_n_star:.1f}")

@@ -100,6 +100,27 @@ def _conditional_predictions(
     return preds
 
 
+def _visit_plan(mask: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray, list[int]]]:
+    """(column, observed rows, missing rows, other columns) of each gappy column, in `mice_sweep`'s visiting order."""
+    n_missing, p = mask.sum(axis=0), mask.shape[1]
+    return [
+        (j, np.flatnonzero(~mask[:, j]), np.flatnonzero(mask[:, j]), [c for c in range(p) if c != j])
+        for j in sorted(range(p), key=lambda j: (n_missing[j], j))
+        if n_missing[j]
+    ]
+
+
+def _sweep(values: np.ndarray, plan: list, config: ImputeConfig, rng: np.random.Generator | None) -> float:
+    """One chained pass over `plan`, in place on `values`; the largest absolute cell change."""
+    max_delta, noise = 0.0, rng if config.add_noise else None
+    for j, obs, mis, others in plan:
+        X_obs, X_mis = values[obs][:, others], values[mis][:, others]  # np.ix_ gathers another layout: other bits
+        preds = _conditional_predictions(X_obs, values[obs, j], X_mis, config.ridge_penalty, noise)
+        max_delta = max(max_delta, float(np.abs(preds - values[mis, j]).max()))
+        values[mis, j] = preds
+    return max_delta
+
+
 def mice_sweep(
     current: CompletedMatrix,
     original_mask: np.ndarray,
@@ -117,30 +138,8 @@ def mice_sweep(
     if rng is None and config.add_noise:
         rng = np.random.default_rng(config.seed)
     values = current.values.copy()
-    n_missing = original_mask.sum(axis=0)
-    visit = sorted(range(values.shape[1]), key=lambda j: (n_missing[j], j))
-
-    max_delta = 0.0
-    for j in visit:
-        gaps = original_mask[:, j]
-        if not gaps.any():
-            continue
-        others = [c for c in range(values.shape[1]) if c != j]
-        preds = _conditional_predictions(
-            values[~gaps][:, others],
-            values[~gaps, j],
-            values[gaps][:, others],
-            config.ridge_penalty,
-            rng if config.add_noise else None,
-        )
-        delta = np.abs(preds - values[gaps, j]).max()
-        max_delta = max(max_delta, float(delta))
-        values[gaps, j] = preds
-
-    return (
-        CompletedMatrix(values=values, feature_schema=current.feature_schema, imputed_mask=original_mask),
-        max_delta,
-    )
+    max_delta = _sweep(values, _visit_plan(original_mask), config, rng)
+    return CompletedMatrix(values=values, feature_schema=current.feature_schema, imputed_mask=original_mask), max_delta
 
 
 def mice_impute(
@@ -151,16 +150,18 @@ def mice_impute(
     """Warm start then sweep until converged or max_sweeps is hit.
 
     Deterministic given (matrix, config); observed cells are returned
-    bit-identical to the input.
+    bit-identical to the input. Each sweep is `mice_sweep`'s, over row
+    indices computed once.
     """
     completed = initialize_fill(matrix, feature_schema)
     mask = completed.imputed_mask
     rng = np.random.default_rng(config.seed) if config.add_noise else None
+    plan = _visit_plan(mask)
 
     sweeps = 0
     delta = 0.0
     for _ in range(config.max_sweeps):
-        completed, delta = mice_sweep(completed, mask, config, rng=rng)
+        delta = _sweep(completed.values, plan, config, rng)
         sweeps += 1
         if delta <= config.convergence_tol:
             break

@@ -240,23 +240,25 @@ def grid_text(entry: dict[str, np.ndarray], grid: FeasibilityGrid) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# The per-lake stage cache
+# The stage cache
 # --------------------------------------------------------------------------- #
 
-# Part of every entry's key; bumped by any change to a cached value, even in the last bits.
+# Part of every entry's key; bumped by any change to a cached value, even in the last bits. That
+# includes any change to what `dataset.parse_dataset` returns for some input: values, lake names, messages.
 CACHE_VERSION = 6
+INPUT_COLUMNS = {"dates": "<M8[D]", "sdd": "f8", "covariates": "f8", "sdd_to_bottom": "?"}
 
 
 @dataclass
 class StageCache:
-    """Disk cache of per-lake entries, each one `.npz` of named arrays, keyed by (lake, `lake_key`)."""
+    """Disk cache of `.npz` entries of named arrays: one per lake (`lake_key`) and the parsed input (`input_key`)."""
 
     root: Path
 
-    def _path(self, lake_id: int, key: str) -> Path:
+    def _path(self, lake_id: int | str, key: str) -> Path:
         return self.root / f"{lake_id}_{key}.npz"
 
-    def get(self, lake_id: int, key: str, layout: dict[str, tuple]) -> dict[str, np.ndarray] | None:
+    def get(self, lake_id: int | str, key: str, layout: dict[str, tuple]) -> dict[str, np.ndarray] | None:
         """The stored arrays, or None unless each array `layout` names is there at its (dtype, shape)."""
         try:
             with open(self._path(lake_id, key), "rb") as fh:
@@ -265,14 +267,14 @@ class StageCache:
         except (OSError, EOFError, IndexError, KeyError, ValueError, zipfile.BadZipFile):
             return None
 
-        def fits(a: np.ndarray, dtype: str, shape: tuple | int) -> bool:
+        def fits(a: np.ndarray, dtype: str, shape: tuple | int | None) -> bool:
             if isinstance(shape, int):  # a text array: 1-D UTF-8 bytes holding `shape` newlines
                 return a.dtype == dtype and a.ndim == 1 and np.count_nonzero(a == ord("\n")) == shape
-            return (a.dtype, a.shape) == (dtype, shape)
+            return a.dtype == dtype and shape in (None, a.shape)  # None: any shape
 
         return arrays if all(fits(arrays[name], *want) for name, want in layout.items()) else None
 
-    def put(self, lake_id: int, key: str, arrays: dict[str, np.ndarray]) -> None:
+    def put(self, lake_id: int | str, key: str, arrays: dict[str, np.ndarray]) -> None:
         """Store `arrays` as one uncompressed `.npz`."""
         # Write then rename, so a reader never sees a partial entry.
         path = self._path(lake_id, key)
@@ -280,6 +282,33 @@ class StageCache:
         tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp.npz")  # savez appends .npz to other names
         np.savez(tmp, **arrays)
         os.replace(tmp, path)
+
+    def get_input(self, key: str) -> tuple[list[ds.LakeSeries], list[ds.RowError]] | None:
+        """The `parse_dataset` result stored by `put_input`, or None unless its row counts fit its arrays."""
+        entry = self.get("input", key, {"parse": ("u1", None), **{c: (t, None) for c, t in INPUT_COLUMNS.items()}})
+        if entry is None:
+            return None
+        try:
+            schema, lakes, errors = json.loads(entry["parse"].tobytes().decode())
+            columns, counts = [entry[c] for c in INPUT_COLUMNS], [rows for _, _, rows in lakes]
+            if any(len(c) != sum(counts) for c in columns):
+                return None
+            parts = zip(lakes, zip(*(np.split(c, np.cumsum(counts)[:-1]) for c in columns)))
+            series = [ds.LakeSeries(i, name, d, y, x, list(schema), b) for (i, name, _), (d, y, x, b) in parts]
+            return series, [ds.RowError(line, message) for line, message in errors]
+        except (TypeError, ValueError):  # a JSON part of another shape, or columns LakeSeries rejects (the width)
+            return None
+
+    def put_input(self, key: str, lakes: list[ds.LakeSeries], errors: list[ds.RowError]) -> None:
+        """Store a `parse_dataset` result of at least one lake: each column over all lakes, the rest as JSON."""
+        meta = [lakes[0].feature_schema, [[s.lake_id, s.name, len(s)] for s in lakes], [astuple(e) for e in errors]]
+        arrays = {c: np.concatenate([getattr(s, c) for s in lakes]) for c in INPUT_COLUMNS}
+        self.put("input", key, {"parse": np.frombuffer(json.dumps(meta).encode(), np.uint8), **arrays})
+
+
+def input_key(digest: str, na_tokens: frozenset[str]) -> str:
+    """The input entry's key: the sha256 hex `digest` of the input's bytes, its NA tokens and `CACHE_VERSION`."""
+    return hashlib.sha256(json.dumps([digest, sorted(na_tokens), CACHE_VERSION]).encode()).hexdigest()[:16]
 
 
 def lake_key(series: ds.LakeSeries, config: RunConfig) -> str:

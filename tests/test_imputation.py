@@ -6,6 +6,8 @@ import pytest
 from limnoplan.errors import ImputationError
 from limnoplan.imputation import (
     CompletedMatrix,
+    ImputeReport,
+    _conditional_predictions,
     ImputeConfig,
     impute_series,
     initialize_fill,
@@ -25,6 +27,34 @@ def oracle_column_ridge(x_obs, y_obs, x_query, penalty):
     yc = y_obs - y_obs.mean()
     w = (xs @ yc) / (xs @ xs + penalty)
     return y_obs.mean() + w * (x_query - mean_x) / std_x
+
+
+def oracle_mice_impute(matrix, config):
+    """Chained imputation as a loop of whole sweeps, each finding its columns' rows again: the reference."""
+    completed = initialize_fill(matrix)
+    mask = completed.imputed_mask
+    rng = np.random.default_rng(config.seed) if config.add_noise else None
+    n_missing = mask.sum(axis=0)
+    visit = sorted(range(mask.shape[1]), key=lambda j: (n_missing[j], j))
+    sweeps, delta = 0, 0.0
+    for _ in range(config.max_sweeps):
+        values, delta = completed.values.copy(), 0.0
+        for j in visit:
+            gaps = mask[:, j]
+            if not gaps.any():
+                continue
+            others = [c for c in range(values.shape[1]) if c != j]
+            preds = _conditional_predictions(
+                values[~gaps][:, others], values[~gaps, j], values[gaps][:, others], config.ridge_penalty, rng
+            )
+            delta = max(delta, float(np.abs(preds - values[gaps, j]).max()))
+            values[gaps, j] = preds
+        completed = CompletedMatrix(values, completed.feature_schema, mask)
+        sweeps += 1
+        if delta <= config.convergence_tol:
+            break
+    fill_counts = {name: int(mask[:, j].sum()) for j, name in enumerate(completed.feature_schema)}
+    return completed, ImputeReport(sweeps, delta, delta <= config.convergence_tol, fill_counts)
 
 
 class TestInitializeFill:
@@ -118,6 +148,21 @@ class TestImpute:
         assert report.fill_counts == {
             f"x{j}": int(mask[:, j].sum()) for j in range(5)
         }
+
+    @pytest.mark.parametrize("noise", [False, True], ids=["plain", "noise"])
+    def test_matches_the_per_sweep_oracle_bit_for_bit(self, noise):
+        rng = np.random.default_rng(2024)
+        for trial in range(12):
+            rows, cols = int(rng.integers(8, 60)), int(rng.integers(2, 7))
+            M = rng.normal(size=(rows, cols)) @ rng.normal(size=(cols, cols))
+            mask = rng.random(M.shape) < rng.uniform(0.05, 0.5)
+            mask[:, rng.integers(cols)] = False  # a fully observed column
+            mask[rng.integers(rows)] = False  # no column entirely missing
+            M[mask] = np.nan
+            config = ImputeConfig(max_sweeps=int(rng.integers(1, 15)), add_noise=noise, seed=trial)
+            (out, report), (want, want_report) = mice_impute(M, config), oracle_mice_impute(M, config)
+            assert out.values.tobytes() == want.values.tobytes(), trial
+            assert np.array_equal(out.imputed_mask, want.imputed_mask) and report == want_report, trial
 
     def test_impute_series_leaves_the_series_gappy(self):
         series, truth = generate_lake(SynthConfig(n_samples=60, missing_fraction=0.3, seed=8))

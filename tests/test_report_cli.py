@@ -1,5 +1,6 @@
 """Pipeline bundle, report determinism, and the command-line surface."""
 
+import argparse
 import csv
 import dataclasses
 import io
@@ -888,8 +889,10 @@ class TestCli:
             payload.pop("config_hash", None)  # hashes the input file's bytes
             return payload
 
-        clean_files = sorted(p.relative_to(tmp_path / "clean") for p in (tmp_path / "clean").rglob("*"))
-        dirty_files = sorted(p.relative_to(tmp_path / "dirty") for p in (tmp_path / "dirty").rglob("*"))
+        def files(out_dir):  # but the input's cache entry, whose name holds the input's digest
+            return sorted(p.relative_to(out_dir) for p in out_dir.rglob("*") if not p.match("cache/input_*"))
+
+        clean_files, dirty_files = files(tmp_path / "clean"), files(tmp_path / "dirty")
         assert clean_files == dirty_files
         for rel in clean_files:
             if (tmp_path / "clean" / rel).is_file():
@@ -1162,3 +1165,132 @@ class TestCli:
         alone = [sys.executable, "-m", "limnoplan.cli", *common, "--out-dir", str(tmp_path / "alone")]
         subprocess.run(alone, env=env, check=True, capture_output=True)
         assert bundle(tmp_path / "second") == bundle(tmp_path / "alone")
+
+
+MEMO_CSV = (
+    "midas,lake,date,seccbot,zS_m,x1,x 2\n"
+    "12345678901234567890,Big,2001-06-01,No,3.0,1.0,2.0\n"  # beyond int64
+    '1,"Lake, ""quoted""\nname",2001-06-03,No,2.5,NA,1.5\n'  # a comma, a quote and a newline
+    "01,Other,2001-06-02,Yes,3.5,1.25,\n"  # lake 1 again
+    "2,Bad,2001-02-30,No,1.0,1,1\n"
+    "2,Bad,2001-03-01,No,-1,1,1\n"
+    "3,Short,2001-01-01\n"
+    "2,Two,2002-03-01,No,4.0,-999,0.5\n"
+    "2,Two,2002-01-01,No,4.5,2,oops\n"
+    "2,Two,2001-12-01,,5.0,3,1e-300\n"
+)
+
+
+class TestInputEntry:
+    """`report` keeps the parse of its input in the stage cache, keyed by the input's bytes and NA tokens."""
+
+    @staticmethod
+    def load(path: Path, cache_dir: Path, capsys, na_token: str = "NA"):
+        """`cli._load_lakes` through the cache at `cache_dir`: (lakes, errors, stderr)."""
+        capsys.readouterr()
+        args = argparse.Namespace(input=str(path), na_token=na_token)
+        lakes, errors, _ = cli._load_lakes(args, report.StageCache(cache_dir))
+        return lakes, errors, capsys.readouterr().err
+
+    @staticmethod
+    def counting_parser(monkeypatch) -> list:
+        calls, parse = [], dataset.parse_dataset
+        monkeypatch.setattr(dataset, "parse_dataset", lambda *a, **k: calls.append(1) or parse(*a, **k))
+        return calls
+
+    def test_a_hit_reproduces_the_parse_exactly(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "lakes.csv"
+        path.write_text(MEMO_CSV)
+        with open(path, newline="") as fh:
+            want, want_errors = parse_dataset(fh)
+        _, _, parsed_err = self.load(path, tmp_path / "cache", capsys)
+        calls = self.counting_parser(monkeypatch)
+        lakes, errors, hit_err = self.load(path, tmp_path / "cache", capsys)
+        assert calls == [] and hit_err == parsed_err and parsed_err.count("\n") == len(errors) == 4
+        assert errors == want_errors
+        assert [(s.lake_id, s.name, s.feature_schema) for s in lakes] == [
+            (s.lake_id, s.name, s.feature_schema) for s in want
+        ]
+        assert [s.lake_id for s in lakes] == [1, 2, 12345678901234567890] and lakes[0].name == 'Lake, "quoted"\nname'
+        for got, ref in zip(lakes, want):
+            for column in ("dates", "sdd", "covariates", "sdd_to_bottom"):
+                a, b = getattr(got, column), getattr(ref, column)
+                assert (a.dtype, a.shape, a.strides, a.tobytes()) == (b.dtype, b.shape, b.strides, b.tobytes()), column
+
+    def test_a_changed_byte_or_na_token_misses(self, tmp_path, capsys, monkeypatch):
+        path, cache = tmp_path / "lakes.csv", tmp_path / "cache"
+        path.write_text(MEMO_CSV)
+        self.load(path, cache, capsys)
+        calls = self.counting_parser(monkeypatch)
+        lakes, _, _ = self.load(path, cache, capsys, na_token="-999")
+        assert len(calls) == 1 and np.isnan(lakes[1].covariates[1, 0])
+        path.write_text(MEMO_CSV.replace("No,4.0,", "No,4.1,"))
+        lakes, _, _ = self.load(path, cache, capsys)
+        assert len(calls) == 2 and lakes[1].sdd.tolist() == [5.0, 4.1]
+        assert len(list(cache.glob("input_*.npz"))) == 3
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda path, arrays: path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2]),
+            lambda path, arrays: path.write_bytes(b"not an npz"),
+            lambda path, arrays: np.savez(path, **{k: v for k, v in arrays.items() if k != "sdd_to_bottom"}),
+            lambda path, arrays: np.savez(path, **{**arrays, "sdd": arrays["sdd"].astype(np.float32)}),
+            lambda path, arrays: np.savez(path, **{**arrays, "dates": arrays["dates"][:-1]}),
+            lambda path, arrays: np.savez(path, **{**arrays, **{c: arrays[c][:-1] for c in report.INPUT_COLUMNS}}),
+            lambda path, arrays: np.savez(path, **{**arrays, "covariates": arrays["covariates"][:, :1]}),
+            lambda path, arrays: np.savez(path, **{**arrays, "parse": arrays["parse"][:-5]}),
+            lambda path, arrays: np.savez(path, **{**arrays, "parse": np.frombuffer(b'{"lakes": []}', np.uint8)}),
+        ],
+        ids=["truncated", "garbage", "missing-array", "wrong-dtype", "short-column", "every-column-short",
+             "narrow-covariates", "truncated-json", "other-json"],
+    )
+    def test_an_unusable_entry_is_a_miss_and_rewritten(self, tmp_path, capsys, monkeypatch, tamper):
+        path, cache = tmp_path / "lakes.csv", tmp_path / "cache"
+        path.write_text(MEMO_CSV)
+        _, want_errors, want_err = self.load(path, cache, capsys)
+        (entry,) = cache.iterdir()
+        stored = entry_arrays(entry)
+        tamper(entry, stored)
+        calls = self.counting_parser(monkeypatch)
+        _, errors, err = self.load(path, cache, capsys)
+        assert calls == [1] and errors == want_errors and err == want_err
+        assert list(cache.iterdir()) == [entry] and same_arrays(entry_arrays(entry), stored)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "midas,lake,date,zS_m,x1,x1\n1,A,2001-06-01,3.0,1,2\n",
+            "midas,lake,zS_m,x1\n1,A,3.0,1\n",
+            "midas,date,zS_m\n",
+        ],
+        ids=["repeated-column", "missing-column", "no-rows"],
+    )
+    def test_no_entry_for_an_input_report_stops_on(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        assert main(["report", "--input", str(path), "--out-dir", str(tmp_path / "bundle")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not list(tmp_path.glob("bundle/cache/input_*"))
+
+    def test_a_rethreshold_run_on_a_dirty_input_prints_and_writes_what_a_cold_run_does(self, tmp_path, capsys):
+        clean = tmp_path / "lakes.csv"
+        synth_csv(clean, small_lake_configs(2))
+        lines = clean.read_text().splitlines(keepends=True)
+        dirty = tmp_path / "dirty.csv"
+        dirty.write_text("".join([*lines[:5], "100,X,2001-02-30,No,1,1,1,1,1\n", *lines[5:9], "101,Y\n", *lines[9:]]))
+        flags = ["report", "--input", str(dirty), "--trees", "15", "--n-stride", "6", "--tolerance", "0.10"]
+        assert main([*flags[:-2], "--out-dir", str(tmp_path / "cached")]) == 0
+        capsys.readouterr()
+        assert main([*flags, "--out-dir", str(tmp_path / "cached")]) == 0
+        cached = capsys.readouterr()
+        assert main([*flags, "--out-dir", str(tmp_path / "fresh")]) == 0
+        fresh = capsys.readouterr()
+        assert (cached.out, cached.err) == (fresh.out, fresh.err) and cached.err.count("line ") == 2
+        assert bundle(tmp_path / "cached") == bundle(tmp_path / "fresh")
+
+    def test_a_bad_setting_wins_over_a_missing_input(self, tmp_path, capsys):
+        args = ["report", "--input", str(tmp_path / "nope.csv"), "--tolerance", "0", "--out-dir", str(tmp_path / "b")]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: tolerance must be finite and positive, got 0.0\n"
+        assert not (tmp_path / "b").exists()
