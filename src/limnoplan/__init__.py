@@ -10,7 +10,7 @@ tolerance of the full-data, full-feature reference:
   profiles, lake ranking, train/test splitting
 - :mod:`limnoplan.imputation` - chained-equation covariate completion
 - :mod:`limnoplan.models` - ridge forecaster and regression forest
-- :mod:`limnoplan.evaluation` - MAE/nMAE/R2, recent-history protocol,
+- :mod:`limnoplan.evaluation` - MAE/nMAE, recent-history protocol,
   sample curves and the minimal sample count
 - :mod:`limnoplan.selection` - importance ranking and forward selection
 - :mod:`limnoplan.joint` - joint (samples, features) feasibility search
@@ -19,7 +19,6 @@ tolerance of the full-data, full-feature reference:
 """
 
 from .dataset import (
-    IngestSchema,
     LakeSeries,
     MissingnessProfile,
     SplitSeries,
@@ -49,7 +48,6 @@ from .evaluation import (
     mae,
     minimal_size,
     nmae,
-    r_squared,
     sample_curve,
     score_predictions,
 )
@@ -60,7 +58,6 @@ from .imputation import (
     impute_series,
     initialize_fill,
     mice_impute,
-    mice_sweep,
 )
 from .joint import (
     FeasibilityGrid,

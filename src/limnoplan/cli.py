@@ -131,20 +131,20 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_lakes(args: argparse.Namespace, cache: StageCache | None = None):
     """The input's lakes (exclusions not applied), its malformed rows, and the digest of its bytes, from one read;
     with a `cache`, the parse of these bytes under these NA tokens comes from its input entry, or is stored there."""
-    schema = ds.IngestSchema().with_na_token(args.na_token)
+    na_tokens = ds.DEFAULT_NA_TOKENS | {args.na_token}
     path = Path(args.input)
     if not path.exists():
         raise ConfigError(f"input file not found: {path}")
     data = path.read_bytes()
     digest = hashlib.sha256(data).hexdigest()
-    key = input_key(digest, schema.na_tokens)
+    key = input_key(digest, na_tokens)
     parsed = cache and cache.get_input(key)
     if parsed is None:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ConfigError(f"input file {path} is not UTF-8: {exc}") from exc
-        parsed = ds.parse_dataset(io.StringIO(text, newline=""), schema)
+        parsed = ds.parse_dataset(io.StringIO(text, newline=""), na_tokens)
         if cache and parsed[0]:  # an input without a valid row stops `report` anyway
             cache.put_input(key, *parsed)
     lakes, errors = parsed

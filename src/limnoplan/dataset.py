@@ -113,16 +113,6 @@ class SplitSeries:
 
 
 @dataclass(frozen=True)
-class IngestSchema:
-    """NA conventions for CSV ingest; the column roles are fixed (`ID_COLUMN`, ...)."""
-
-    na_tokens: frozenset[str] = DEFAULT_NA_TOKENS
-
-    def with_na_token(self, token: str) -> "IngestSchema":
-        return replace(self, na_tokens=frozenset(self.na_tokens | {token}))
-
-
-@dataclass(frozen=True)
 class RowError:
     """A malformed CSV row, kept for reporting instead of aborting."""
 
@@ -192,7 +182,7 @@ def _floats(cells: Sequence, na_tokens: frozenset[str]) -> np.ndarray | None:
 
 def parse_dataset(
     stream: TextIO | Iterable[str],
-    schema: IngestSchema = IngestSchema(),
+    na_tokens: frozenset[str] = DEFAULT_NA_TOKENS,
 ) -> tuple[list[LakeSeries], list[RowError]]:
     """Parse long-format CSV into one LakeSeries per lake.
 
@@ -220,7 +210,7 @@ def parse_dataset(
     width, at = len(header), {c: i for i, c in enumerate(header)}
     features = [c for c in header if c not in roles]
     id_at, date_at, sdd_at, seccbot_at, name_at = (at.get(c, width) for c in roles)  # absent: `width`, all None
-    na, lines = schema.na_tokens, []  # each record's line number; a blank line is no record
+    na, lines = na_tokens, []  # each record's line number; a blank line is no record
     columns = list(islice(zip_longest(*(row for row in reader if row and not lines.append(reader.line_num))), width))
     columns += [(None,) * len(lines)] * (width + 1 - len(columns))  # a short row's missing cells are None too
 

@@ -38,9 +38,6 @@ T = TypeVar("T")
 class EvalMetrics:
     mae: float
     nmae: float
-    r2: float
-    n_test: int
-    test_mean_sdd: float
 
 
 @dataclass(frozen=True)
@@ -114,34 +111,8 @@ def nmae(y: np.ndarray, y_hat: np.ndarray) -> float:
     return value
 
 
-def r_squared(y: np.ndarray, y_hat: np.ndarray) -> float:
-    """1 - SSE/SST about the mean of y; negative on bad test fits."""
-    y = np.asarray(y, dtype=float)
-    y_hat = np.asarray(y_hat, dtype=float)
-    if y.shape != y_hat.shape or y.size < 2:
-        raise EvaluationError(f"need equal lengths >= 2, got {y.shape} and {y_hat.shape}")
-    if not (np.isfinite(y).all() and np.isfinite(y_hat).all()):
-        raise EvaluationError("non-finite target or prediction; coefficient of determination undefined")
-    sst = float(np.sum((y - y.mean()) ** 2))
-    if sst == 0:
-        raise EvaluationError("target has zero variance; coefficient of determination undefined")
-    sse = float(np.sum((y - y_hat) ** 2))
-    return 1.0 - sse / sst
-
-
 def score_predictions(y: np.ndarray, y_hat: np.ndarray) -> EvalMetrics:
-    # r2 is NaN when the test block is degenerate (constant or single row).
-    try:
-        r2 = r_squared(y, y_hat)
-    except EvaluationError:
-        r2 = float("nan")
-    return EvalMetrics(
-        mae=mae(y, y_hat),
-        nmae=nmae(y, y_hat),
-        r2=r2,
-        n_test=int(y.size),
-        test_mean_sdd=float(y.mean()),
-    )
+    return EvalMetrics(mae=mae(y, y_hat), nmae=nmae(y, y_hat))
 
 
 def _feature_columns(schema: Sequence[str], features: Sequence[str]) -> list[int]:

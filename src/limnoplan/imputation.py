@@ -101,7 +101,7 @@ def _conditional_predictions(
 
 
 def _visit_plan(mask: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray, list[int]]]:
-    """(column, observed rows, missing rows, other columns) of each gappy column, in `mice_sweep`'s visiting order."""
+    """(column, observed rows, missing rows, other columns) per gappy column, by gap count, ties by column index."""
     n_missing, p = mask.sum(axis=0), mask.shape[1]
     return [
         (j, np.flatnonzero(~mask[:, j]), np.flatnonzero(mask[:, j]), [c for c in range(p) if c != j])
@@ -121,37 +121,18 @@ def _sweep(values: np.ndarray, plan: list, config: ImputeConfig, rng: np.random.
     return max_delta
 
 
-def mice_sweep(
-    current: CompletedMatrix,
-    original_mask: np.ndarray,
-    config: ImputeConfig = ImputeConfig(),
-    rng: np.random.Generator | None = None,
-) -> tuple[CompletedMatrix, float]:
-    """One chained pass over the gappy columns.
-
-    Columns are visited in ascending original gap count (ties by column
-    index). For each, the observed rows are regressed on every other
-    column's current values and the masked cells overwritten with the
-    predictions. Returns the updated matrix and the largest absolute
-    cell change of the sweep.
-    """
-    if rng is None and config.add_noise:
-        rng = np.random.default_rng(config.seed)
-    values = current.values.copy()
-    max_delta = _sweep(values, _visit_plan(original_mask), config, rng)
-    return CompletedMatrix(values=values, feature_schema=current.feature_schema, imputed_mask=original_mask), max_delta
-
-
 def mice_impute(
     matrix: np.ndarray,
     config: ImputeConfig = ImputeConfig(),
     feature_schema: list[str] | None = None,
 ) -> tuple[CompletedMatrix, ImputeReport]:
-    """Warm start then sweep until converged or max_sweeps is hit.
+    """Warm start, then chained sweeps until converged or max_sweeps is hit.
 
-    Deterministic given (matrix, config); observed cells are returned
-    bit-identical to the input. Each sweep is `mice_sweep`'s, over row
-    indices computed once.
+    A sweep visits the gappy columns in ascending gap count (ties by column
+    index), regresses each one's observed rows on every other column's
+    current values and overwrites its gaps with the predictions; its delta
+    is the largest cell change. Deterministic given (matrix, config);
+    observed cells are returned bit-identical to the input.
     """
     completed = initialize_fill(matrix, feature_schema)
     mask = completed.imputed_mask

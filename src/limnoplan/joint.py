@@ -51,9 +51,6 @@ class FeasibilityGrid:
     def tau(self) -> float:
         return feasibility_threshold(self.full_nmae, self.tolerance)
 
-    def is_feasible(self, n: int, k: int) -> bool:
-        return (n, k) in self.nmae and self.nmae[(n, k)] <= self.tau
-
     def feasible_pairs(self) -> list[tuple[int, int]]:
         tau = self.tau
         return sorted(pair for pair, value in self.nmae.items() if value <= tau)

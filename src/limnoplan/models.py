@@ -140,7 +140,6 @@ class TreeNodes:
     threshold: np.ndarray
     n_samples: np.ndarray
     impurity_decrease: np.ndarray
-    seed_key: tuple[int, int]
 
 
 @dataclass
@@ -148,7 +147,6 @@ class ForestModel:
     trees: list[TreeNodes]
     feature_schema: list[str]
     canonical_order: list[int]  # caller column -> position used internally
-    config: ForestConfig
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -367,7 +365,7 @@ def _grow_forest(
     order = np.argsort(tree_of, kind="stable")
     bounds = np.cumsum(np.bincount(tree_of, minlength=n_trees))[:-1]
     per_tree = zip(*(np.split(column[order], bounds) for column in columns))
-    return [TreeNodes(*arrays, seed_key=(seed, i)) for i, arrays in enumerate(per_tree)]
+    return [TreeNodes(*arrays) for arrays in per_tree]
 
 
 def fit_forest(
@@ -419,7 +417,6 @@ def fit_forest(
         trees=trees,
         feature_schema=schema,
         canonical_order=canonical_order,
-        config=config,
     )
 
 

@@ -251,17 +251,18 @@ INPUT_COLUMNS = {"dates": "<M8[D]", "sdd": "f8", "covariates": "f8", "sdd_to_bot
 
 @dataclass
 class StageCache:
-    """Disk cache of `.npz` entries of named arrays: one per lake (`lake_key`) and the parsed input (`input_key`)."""
+    """Disk cache of `.npz` entries of named arrays: one per lake and one for the parsed input, each under its key."""
 
     root: Path
 
-    def _path(self, lake_id: int | str, key: str) -> Path:
-        return self.root / f"{lake_id}_{key}.npz"
+    def _path(self, lake_id: int | str) -> Path:
+        return self.root / f"{lake_id}.npz"
 
     def get(self, lake_id: int | str, key: str, layout: dict[str, tuple]) -> dict[str, np.ndarray] | None:
-        """The stored arrays, or None unless each array `layout` names is there at its (dtype, shape)."""
+        """The arrays stored under `key`, or None unless each array `layout` names is there at its (dtype, shape)."""
+        layout = {"key": ("u1", (len(key),)), **layout}
         try:
-            with open(self._path(lake_id, key), "rb") as fh:
+            with open(self._path(lake_id), "rb") as fh:
                 entry = np.load(fh, allow_pickle=False)  # never unpickle: an out-dir may be shared
                 arrays = {name: entry[name] for name in layout}
         except (OSError, EOFError, IndexError, KeyError, ValueError, zipfile.BadZipFile):
@@ -272,15 +273,16 @@ class StageCache:
                 return a.dtype == dtype and a.ndim == 1 and np.count_nonzero(a == ord("\n")) == shape
             return a.dtype == dtype and shape in (None, a.shape)  # None: any shape
 
-        return arrays if all(fits(arrays[name], *want) for name, want in layout.items()) else None
+        fit = all(fits(arrays[name], *want) for name, want in layout.items())
+        return arrays if fit and arrays.pop("key").tobytes() == key.encode() else None
 
     def put(self, lake_id: int | str, key: str, arrays: dict[str, np.ndarray]) -> None:
-        """Store `arrays` as one uncompressed `.npz`."""
+        """Store `arrays` and `key` as one uncompressed `.npz`, in place of the entry stored before."""
         # Write then rename, so a reader never sees a partial entry.
-        path = self._path(lake_id, key)
+        path = self._path(lake_id)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp.npz")  # savez appends .npz to other names
-        np.savez(tmp, **arrays)
+        np.savez(tmp, key=np.frombuffer(key.encode(), np.uint8), **arrays)
         os.replace(tmp, path)
 
     def get_input(self, key: str) -> tuple[list[ds.LakeSeries], list[ds.RowError]] | None:
@@ -326,7 +328,8 @@ def entry_layout(series: ds.LakeSeries, split: ds.SplitSeries, config: RunConfig
     return {
         "values": ("f8", (rows, p)), "mask": ("?", (rows, p)), "impute": ("f8", (3,)),
         "scores": ("f8", (p,)), "selection": ("f8", (p,)), "grid_order": ("i8", (p,)),
-        "grid": ("f8", (len(n_grid), p)), "completed_csv": ("u1", rows + 1),
+        "grid": ("f8", (len(n_grid), p)),
+        "completed_csv": ("u1", rows + csv_text([series.feature_schema]).count("\n")),  # a quoted name may span lines
         "grid_csv": ("u1", 1 + sum(min(n - 1, p) for n in n_grid)),  # a line per cell with n >= k+1
     }
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from limnoplan.dataset import (
-    IngestSchema,
+    DEFAULT_NA_TOKENS,
     LakeSeries,
     RowError,
     apply_exclusions,
@@ -26,8 +26,8 @@ from conftest import assert_same_series, series_from_arrays
 HEADER = "midas,lake,date,seccbot,zS_m,TSc,TBc\n"
 
 
-def _parse(text, schema=IngestSchema()):
-    return parse_dataset(io.StringIO(text), schema)
+def _parse(text, na_tokens=DEFAULT_NA_TOKENS):
+    return parse_dataset(io.StringIO(text), na_tokens)
 
 
 class TestLakeSeries:
@@ -186,9 +186,8 @@ class TestParse:
             _parse(header + "\n1,A,2001-06-01,No,3.0,1.0,2.0\n")
 
     def test_configured_na_token(self):
-        schema = IngestSchema().with_na_token("-999")
         text = HEADER + "1,A,2001-06-01,No,2.0,-999,2\n"
-        lakes, _ = _parse(text, schema)
+        lakes, _ = _parse(text, DEFAULT_NA_TOKENS | {"-999"})
         assert np.isnan(lakes[0].covariates[0, 0])
 
     def test_seccbot_parsing(self):
@@ -227,7 +226,7 @@ class TestIngestTable:
     )
 
     def test_table(self):
-        lakes, errors = _parse(self.TEXT, IngestSchema().with_na_token("-999"))
+        lakes, errors = _parse(self.TEXT, DEFAULT_NA_TOKENS | {"-999"})
         assert errors == [
             RowError(7, "non-finite value 'nan'"),
             RowError(8, "non-finite value 'inf'"),
@@ -255,7 +254,7 @@ class TestIngestTable:
         assert errors == [RowError(2, "year 0 is out of range")] and len(lakes[0]) == 1
 
     def test_a_padded_float_parsable_na_token_is_a_gap(self):
-        lakes, errors = _parse(HEADER + "1,A,2001-06-01,No,2.0, -999,2\n", IngestSchema().with_na_token("-999"))
+        lakes, errors = _parse(HEADER + "1,A,2001-06-01,No,2.0, -999,2\n", DEFAULT_NA_TOKENS | {"-999"})
         assert errors == [] and np.isnan(lakes[0].covariates[0, 0])
 
     def test_one_and_zero_one_are_one_lake_named_by_its_first_valid_row(self):

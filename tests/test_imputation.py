@@ -12,7 +12,6 @@ from limnoplan.imputation import (
     impute_series,
     initialize_fill,
     mice_impute,
-    mice_sweep,
 )
 from limnoplan.synth import SynthConfig, generate_lake
 
@@ -77,11 +76,12 @@ class TestInitializeFill:
 
 
 class TestSweep:
+    """One sweep from the column-mean fill: `mice_impute` at `max_sweeps=1`."""
+
     def test_nothing_to_impute(self, rng):
         M = rng.normal(size=(8, 3))
-        completed = initialize_fill(M)
-        out, delta = mice_sweep(completed, completed.imputed_mask)
-        assert delta == 0.0
+        out, report = mice_impute(M, ImputeConfig(max_sweeps=1))
+        assert report.final_delta == 0.0
         assert np.array_equal(out.values, M)
 
     def test_linearly_dependent_cell_matches_closed_form_oracle(self):
@@ -93,10 +93,9 @@ class TestSweep:
         M = np.column_stack([a, b])
         masked_row = 4321
         M[masked_row, 1] = np.nan
-        config = ImputeConfig(ridge_penalty=1e-3)
+        config = ImputeConfig(max_sweeps=1, ridge_penalty=1e-3)
 
-        completed = initialize_fill(M, ["a", "b"])
-        out, _ = mice_sweep(completed, completed.imputed_mask, config)
+        out, _ = mice_impute(M, config, ["a", "b"])
 
         obs = np.ones(n, dtype=bool)
         obs[masked_row] = False
@@ -109,9 +108,8 @@ class TestSweep:
         M[2, 0] = np.nan
         M[7, 1] = np.nan
         original = M.copy()
-        completed = initialize_fill(M)
-        out, delta = mice_sweep(completed, completed.imputed_mask)
-        assert np.isfinite(delta)
+        out, report = mice_impute(M, ImputeConfig(max_sweeps=1))
+        assert np.isfinite(report.final_delta)
         observed = ~np.isnan(original)
         assert np.array_equal(out.values[observed], original[observed])
         assert np.isfinite(out.values).all()
@@ -122,9 +120,8 @@ class TestSweep:
         col = np.arange(6.0)
         M = np.column_stack([col, col, col * 0.5])
         M[3, 2] = np.nan
-        completed = initialize_fill(M)
         with pytest.raises(ImputationError):
-            mice_sweep(completed, completed.imputed_mask, ImputeConfig(ridge_penalty=0.0))
+            mice_impute(M, ImputeConfig(max_sweeps=1, ridge_penalty=0.0))
 
 
 class TestImpute:
@@ -193,13 +190,9 @@ class TestImpute:
     def test_deltas_finite_and_loop_bounded(self, rng):
         M = rng.normal(size=(25, 3))
         M[rng.random(M.shape) < 0.3] = np.nan
-        completed = initialize_fill(M)
-        mask = completed.imputed_mask
-        for _ in range(12):
-            completed, delta = mice_sweep(completed, mask)
-            assert np.isfinite(delta)
-        _, report = mice_impute(M, ImputeConfig(max_sweeps=7))
-        assert report.sweeps <= 7
+        for max_sweeps in range(1, 13):
+            _, report = mice_impute(M, ImputeConfig(max_sweeps=max_sweeps))
+            assert np.isfinite(report.final_delta) and report.sweeps <= max_sweeps
 
     def test_mcar_linear_structure_recovered(self):
         # Columns are jointly Gaussian with known linear structure, so the

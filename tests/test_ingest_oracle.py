@@ -15,11 +15,11 @@ import pytest
 
 from limnoplan.dataset import (
     DATE_COLUMN,
+    DEFAULT_NA_TOKENS,
     ID_COLUMN,
     NAME_COLUMN,
     SDD_COLUMN,
     SECCBOT_COLUMN,
-    IngestSchema,
     LakeSeries,
     RowError,
     _parse_cell,
@@ -30,7 +30,7 @@ from limnoplan.dataset import (
 from limnoplan.errors import SchemaError
 
 
-def oracle_parse_dataset(stream, schema=IngestSchema()):
+def oracle_parse_dataset(stream, na_tokens=DEFAULT_NA_TOKENS):
     """Row-by-row parse (the reference): one tuple and one covariate list per visit."""
     reader = csv.reader(stream)
     header = next(reader, None)
@@ -50,7 +50,7 @@ def oracle_parse_dataset(stream, schema=IngestSchema()):
     # An optional column the header lacks is read at index `width`, the None each row is padded with.
     id_at, date_at, sdd_at, seccbot_at, name_at = (at.get(c, width) for c in roles)
     feature_at = [at[c] for c in features]
-    na = schema.na_tokens
+    na = na_tokens
 
     errors = []
     visits = {}
@@ -102,14 +102,14 @@ NA_TOKENS = [None, "-999", "n/a", " n/a ", "nan", "0", "inf"]
 
 
 def random_csv(rng):
-    """A random ingest CSV and NA schema: clean columns mixed with every awkward cell above."""
+    """A random ingest CSV and its NA tokens: clean columns mixed with every awkward cell above."""
     features = [f"x{j}" for j in range(rng.integers(0, 4))]
     columns = [ID_COLUMN, DATE_COLUMN, SDD_COLUMN]
     columns += [c for c in (NAME_COLUMN, SECCBOT_COLUMN) if rng.random() < 0.8]
     columns += features
     header = [columns[i] for i in rng.permutation(len(columns))]
     token = NA_TOKENS[rng.integers(len(NA_TOKENS))]
-    schema = IngestSchema() if token is None else IngestSchema().with_na_token(token)
+    na_tokens = DEFAULT_NA_TOKENS if token is None else DEFAULT_NA_TOKENS | {token}
     dirt = rng.choice([0.0, 0.0, 0.03, 0.3])  # chance that a cell is an awkward one
     ids = [IDS[i] for i in rng.choice(len(IDS), size=3)]
     days = [f"{year}-{month:02d}-{day:02d}" for year, month, day in zip(
@@ -142,7 +142,7 @@ def random_csv(rng):
         elif shape < 0.1:
             row = []  # a blank line
         writer.writerow(row)
-    return buffer.getvalue(), schema
+    return buffer.getvalue(), na_tokens
 
 
 def assert_same_parse(got, want, context):
@@ -161,10 +161,10 @@ def test_columns_parse_as_the_row_by_row_oracle():
     rng = np.random.default_rng(20261019)
     parsed_rows = bad_rows = 0
     for trial in range(400):
-        text, schema = random_csv(rng)
-        got = parse_dataset(io.StringIO(text, newline=""), schema)
-        want = oracle_parse_dataset(io.StringIO(text, newline=""), schema)
-        assert_same_parse(got, want, (trial, schema.na_tokens, text))
+        text, na_tokens = random_csv(rng)
+        got = parse_dataset(io.StringIO(text, newline=""), na_tokens)
+        want = oracle_parse_dataset(io.StringIO(text, newline=""), na_tokens)
+        assert_same_parse(got, want, (trial, na_tokens, text))
         parsed_rows += sum(len(s) for s in got[0])
         bad_rows += len(got[1])
     assert parsed_rows > 2000 and bad_rows > 300  # both outcomes well represented
@@ -202,6 +202,6 @@ def test_one_awkward_cell_in_a_workload_sized_column(column, cell, token):
         rows[300][header.index(column)] = cell
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
-    schema = IngestSchema() if token is None else IngestSchema().with_na_token(token)
-    got = parse_dataset(io.StringIO(buffer.getvalue(), newline=""), schema)
-    assert_same_parse(got, oracle_parse_dataset(io.StringIO(buffer.getvalue(), newline=""), schema), column)
+    na_tokens = DEFAULT_NA_TOKENS if token is None else DEFAULT_NA_TOKENS | {token}
+    got = parse_dataset(io.StringIO(buffer.getvalue(), newline=""), na_tokens)
+    assert_same_parse(got, oracle_parse_dataset(io.StringIO(buffer.getvalue(), newline=""), na_tokens), column)

@@ -85,7 +85,7 @@ class TestFeasibilityGrid:
         grid = feasibility_grid(split, completed, ranking, SizeGridSpec(stride=10))
         pair = (split.n_pre, len(completed.feature_schema))
         assert grid.nmae[pair] == grid.full_nmae
-        assert grid.is_feasible(*pair)
+        assert grid.nmae[pair] <= grid.tau
 
     def test_ill_posed_pairs_excluded(self):
         split, completed, ranking = _prepared_lake()
@@ -114,7 +114,7 @@ class TestFeasibilityGrid:
         split, completed, ranking = _prepared_lake(seed=2, weights=(1.5, 0.05), noise=0.3)
         grid = feasibility_grid(split, completed, ranking, SizeGridSpec(n_min=4, stride=4))
         sizes = sorted(grid.n_grid)
-        flags = [grid.is_feasible(n, 1) for n in sizes]
+        flags = [grid.nmae[(n, 1)] <= grid.tau for n in sizes]
         assert any(flags)
         first = flags.index(True)
         assert all(flags[first:]) or sum(flags[first:]) >= 0.8 * len(flags[first:])

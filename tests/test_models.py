@@ -40,7 +40,7 @@ def oracle_ridge(X, y, penalty):
     return w, y.mean(), means, stds
 
 
-def oracle_grow_tree(X, y, rng, min_leaf, max_depth, features_per_split, seed_key):
+def oracle_grow_tree(X, y, rng, min_leaf, max_depth, features_per_split):
     """Depth-first CART grower, one node per iteration (the reference).
 
     Same split rule as the forest: stable sort per candidate column,
@@ -126,7 +126,6 @@ def oracle_grow_tree(X, y, rng, min_leaf, max_depth, features_per_split, seed_ke
         right=np.asarray(right, dtype=int),
         n_samples=np.asarray(n_samples, dtype=int),
         impurity_decrease=np.asarray(decrease, dtype=float),
-        seed_key=seed_key,
     )
 
 
@@ -235,13 +234,10 @@ def oracle_forest(X, y, config):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0xFFFFFFFF, i]))
         boot = rng.integers(0, n, size=n)
         trees.append(
-            oracle_grow_tree(
-                X[boot], y[boot], rng, max(1, config.min_samples_leaf), config.max_depth, p,
-                (config.seed, i),
-            )
+            oracle_grow_tree(X[boot], y[boot], rng, max(1, config.min_samples_leaf), config.max_depth, p)
         )
     schema = [f"x{j}" for j in range(p)]
-    return ForestModel(trees, schema, list(range(p)), config)
+    return ForestModel(trees, schema, list(range(p)))
 
 
 def breadth_first_children(feature):
@@ -270,7 +266,6 @@ def nodes_by_path(feature, left, right):
 def assert_same_tree(a, b):
     for name in TREE_ARRAYS:
         assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=name == "threshold")
-    assert a.seed_key == b.seed_key
 
 
 def ridge_objective(Xs, yc, w, penalty):
@@ -490,7 +485,6 @@ class TestForestAgainstDepthFirstOracle:
         # their rounding follows the target's scale.
         decrease_tol = 1e-12 * float(np.max(y * y))
         for tree, ref in zip(model.trees, oracle.trees):
-            assert tree.seed_key == ref.seed_key
             paths = nodes_by_path(tree.feature, *breadth_first_children(tree.feature))
             ref_paths = nodes_by_path(ref.feature, ref.left, ref.right)
             assert paths.keys() == ref_paths.keys()

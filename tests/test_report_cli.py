@@ -73,6 +73,11 @@ def entry_arrays(path: Path) -> dict[str, np.ndarray]:
         return dict(entry)
 
 
+def stored_key(path: Path) -> str:
+    """The key a stage-cache entry was stored under."""
+    return entry_arrays(path)["key"].tobytes().decode()
+
+
 def same_arrays(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> bool:
     return a.keys() == b.keys() and all(np.array_equal(a[k], b[k], equal_nan=True) for k in a)
 
@@ -308,7 +313,8 @@ class TestPipeline:
 
         run_pipeline(lakes, config, out)
         run_pipeline(lakes, config, tmp_path / "fresh")
-        assert len(list((out / "cache").iterdir())) == 2
+        assert list((out / "cache").iterdir()) == [old_entry]
+        assert stored_key(old_entry) != arrays["key"].tobytes().decode()
         grid = Path("lakes", "100", "grid.csv")
         assert (out / grid).read_bytes() == (tmp_path / "fresh" / grid).read_bytes()
 
@@ -397,6 +403,7 @@ class TestPipeline:
         config = RunConfig(seed=4, **FAST)
         shared = tmp_path / "shared"
         run_pipeline(load_csv(csv_path), config, shared)
+        keys = {lake_id: stored_key(shared / "cache" / f"{lake_id}.npz") for lake_id in (100, 101)}
         lines = csv_path.read_text().splitlines(keepends=True)
         header = lines[0].rstrip("\n").split(",")
         row = lines[-3].rstrip("\n").split(",")  # a visit of lake 101
@@ -408,8 +415,9 @@ class TestPipeline:
         run_pipeline(load_csv(csv_path), config, shared)
         run_pipeline(load_csv(csv_path), config, tmp_path / "fresh")
         assert bundle(shared) == bundle(tmp_path / "fresh")
-        assert len(list((shared / "cache").glob("101_*.npz"))) == 2
-        assert len(list((shared / "cache").glob("100_*.npz"))) == 1
+        assert sorted(path.name for path in (shared / "cache").iterdir()) == ["100.npz", "101.npz"]
+        assert stored_key(shared / "cache" / "101.npz") != keys[101]
+        assert stored_key(shared / "cache" / "100.npz") == keys[100]
 
     @pytest.mark.parametrize(
         "change", [dict(seed=5), dict(n_trees=30), dict(penalty=0.5), dict(test_years=4)],
@@ -422,11 +430,13 @@ class TestPipeline:
         config = RunConfig(seed=4, **FAST)
         shared = tmp_path / "shared"
         run_pipeline(lakes, config, shared)
+        (entry,) = (shared / "cache").iterdir()
+        key = stored_key(entry)
         changed = dataclasses.replace(config, **change)
         run_pipeline(lakes, changed, shared)
         run_pipeline(lakes, changed, tmp_path / "fresh")
         assert bundle(shared) == bundle(tmp_path / "fresh")
-        assert len(list((shared / "cache").iterdir())) == 2
+        assert list((shared / "cache").iterdir()) == [entry] and stored_key(entry) != key
 
     def test_global_ranking_over_other_lakes_recomputes_the_grid(self, tmp_path):
         csv_path = tmp_path / "lakes.csv"
@@ -606,7 +616,7 @@ class TestWriterBytes:
             assert ",1.25,1\n" in expected and ",1.2500000000000002,0\n" in expected
 
     def test_quoted_covariate_names_survive_the_cached_path(self, tmp_path, monkeypatch):
-        names = ["x,1", 'x"2']
+        names = ["x,1", 'x"2\ny']
         config = dataclasses.replace(small_lake_configs(1)[0], n_features=2, true_weights=(1.0, -0.5))
         series, _ = generate_lake(config)
         csv_path = tmp_path / "lakes.csv"
@@ -629,7 +639,7 @@ class TestWriterBytes:
 
         header = io.StringIO()
         csv.writer(header, lineterminator="\n").writerow(names)
-        assert cold.decode().startswith(header.getvalue()) and header.getvalue() == '"x,1","x""2"\n'
+        assert cold.decode().startswith(header.getvalue()) and header.getvalue() == '"x,1","x""2\ny"\n'
         rows = list(csv.reader(io.StringIO(cold.decode())))
         assert rows[0] == names and {len(row) for row in rows} == {2}
 
@@ -889,8 +899,8 @@ class TestCli:
             payload.pop("config_hash", None)  # hashes the input file's bytes
             return payload
 
-        def files(out_dir):  # but the input's cache entry, whose name holds the input's digest
-            return sorted(p.relative_to(out_dir) for p in out_dir.rglob("*") if not p.match("cache/input_*"))
+        def files(out_dir):  # but the input's cache entry, whose key holds the input's digest
+            return sorted(p.relative_to(out_dir) for p in out_dir.rglob("*") if not p.match("cache/input.npz"))
 
         clean_files, dirty_files = files(tmp_path / "clean"), files(tmp_path / "dirty")
         assert clean_files == dirty_files
@@ -1221,13 +1231,16 @@ class TestInputEntry:
         path, cache = tmp_path / "lakes.csv", tmp_path / "cache"
         path.write_text(MEMO_CSV)
         self.load(path, cache, capsys)
+        keys = [stored_key(cache / "input.npz")]
         calls = self.counting_parser(monkeypatch)
         lakes, _, _ = self.load(path, cache, capsys, na_token="-999")
         assert len(calls) == 1 and np.isnan(lakes[1].covariates[1, 0])
+        keys.append(stored_key(cache / "input.npz"))
         path.write_text(MEMO_CSV.replace("No,4.0,", "No,4.1,"))
         lakes, _, _ = self.load(path, cache, capsys)
         assert len(calls) == 2 and lakes[1].sdd.tolist() == [5.0, 4.1]
-        assert len(list(cache.glob("input_*.npz"))) == 3
+        keys.append(stored_key(cache / "input.npz"))
+        assert list(cache.iterdir()) == [cache / "input.npz"] and len(set(keys)) == 3
 
     @pytest.mark.parametrize(
         "tamper",
@@ -1271,7 +1284,7 @@ class TestInputEntry:
         path.write_text(text)
         assert main(["report", "--input", str(path), "--out-dir", str(tmp_path / "bundle")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
-        assert not list(tmp_path.glob("bundle/cache/input_*"))
+        assert not list(tmp_path.glob("bundle/cache/input*"))
 
     def test_a_rethreshold_run_on_a_dirty_input_prints_and_writes_what_a_cold_run_does(self, tmp_path, capsys):
         clean = tmp_path / "lakes.csv"
