@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 from datetime import date
 from functools import partial
 from itertools import compress, islice, zip_longest
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
@@ -129,10 +130,6 @@ def _parse_cell(raw: str, na_tokens: frozenset[str]) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {text!r}")
     return value
-
-
-def _format_cell(value: float) -> str:
-    return "" if math.isnan(value) else repr(value)
 
 
 def _parse_seccbot(raw: str, na_tokens: frozenset[str]) -> bool:
@@ -244,18 +241,18 @@ def parse_dataset(
 
 def write_series_csv(series: LakeSeries, stream: TextIO) -> None:
     """Write a series back out in the ingest CSV layout."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow([ID_COLUMN, NAME_COLUMN, DATE_COLUMN, SECCBOT_COLUMN, SDD_COLUMN, *series.feature_schema])
-    for day, flag, sdd, covariates in zip(
-        series.dates.astype(str).tolist(),
-        series.sdd_to_bottom.tolist(),
-        series.sdd.tolist(),
-        series.covariates.tolist(),
-    ):
-        writer.writerow(
-            [series.lake_id, series.name, day, "Yes" if flag else "No", _format_cell(sdd)]
-            + [_format_cell(value) for value in covariates]
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow  # returns the line it formats
+    stream.write(line([ID_COLUMN, NAME_COLUMN, DATE_COLUMN, SECCBOT_COLUMN, SDD_COLUMN, *series.feature_schema]))
+    prefix = line([series.lake_id, series.name])[:-1]  # the name quoted where it must be
+    # No date, Yes/No or float repr needs quoting, and only NaN's repr holds "nan": a gap is an empty cell.
+    stream.writelines(
+        f"{prefix},{day},{'Yes' if flag else 'No'},{','.join(map(repr, values)).replace('nan', '')}\n"
+        for day, flag, values in zip(
+            series.dates.astype(str).tolist(),
+            series.sdd_to_bottom.tolist(),
+            np.column_stack([series.sdd, series.covariates]).tolist(),
         )
+    )
 
 
 def apply_exclusions(series: LakeSeries) -> LakeSeries:

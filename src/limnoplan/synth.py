@@ -92,6 +92,8 @@ def _calibrated_probs(z: np.ndarray, slope: float, target: float) -> np.ndarray:
     lo, hi = -40.0, 40.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break  # a fixed point: 0.5 * (lo + hi) stays `mid` at every later step
         if _sigmoid(slope * z + mid).mean() < target:
             lo = mid
         else:
@@ -109,6 +111,8 @@ def generate_lake(config: SynthConfig) -> tuple[LakeSeries, SynthTruth]:
         raise ValueError(f"unknown missing mechanism {config.missing_mechanism!r}")
     if not 0 <= config.mar_driver < config.n_features:
         raise ValueError("mar_driver must index a feature")
+    if config.sampling_interval_days < 1:
+        raise ValueError("sampling_interval_days must be >= 1")
 
     rng = np.random.default_rng(config.seed)
     T, p = config.n_samples, config.n_features
@@ -124,12 +128,11 @@ def generate_lake(config: SynthConfig) -> tuple[LakeSeries, SynthTruth]:
     doy_phase = 2.0 * np.pi * day_of_year / DAYS_PER_YEAR
 
     def ar1_path() -> np.ndarray:
-        innovation_sd = np.sqrt(1.0 - AR_COEFF**2)
-        noise = np.empty(T)
-        noise[0] = rng.normal(0.0, 1.0)
-        for t in range(1, T):
-            noise[t] = AR_COEFF * noise[t - 1] + rng.normal(0.0, innovation_sd)
-        return noise
+        # One vector draw is the stream of T - 1 scalar draws; Python floats do float64's arithmetic.
+        path = [rng.normal(0.0, 1.0)]
+        for innovation in rng.normal(0.0, np.sqrt(1.0 - AR_COEFF**2), size=T - 1).tolist():
+            path.append(AR_COEFF * path[-1] + innovation)
+        return np.array(path)
 
     shared = ar1_path()
     c = config.cross_correlation
@@ -151,19 +154,18 @@ def generate_lake(config: SynthConfig) -> tuple[LakeSeries, SynthTruth]:
             "generated a non-positive target value; raise the intercept or shrink weights/noise"
         )
 
+    mar = config.missing_mechanism == "mar"
+    if mar:
+        driver = X[:, config.mar_driver]
+        z = (driver - driver.mean()) / driver.std()
+        calibrated: dict[float, np.ndarray] = {}  # by gap fraction; calibration draws nothing
     mask = np.zeros((T, p), dtype=bool)
-    for j in range(p):
-        if fractions[j] == 0:
-            continue
-        if config.missing_mechanism == "mcar":
-            mask[:, j] = rng.random(T) < fractions[j]
-        else:
-            if j == config.mar_driver:
-                continue  # the driver stays observed
-            driver = X[:, config.mar_driver]
-            z = (driver - driver.mean()) / driver.std()
-            probs = _calibrated_probs(z, config.mar_slope, fractions[j])
-            mask[:, j] = rng.random(T) < probs
+    for j, fraction in enumerate(fractions.tolist()):
+        if fraction == 0 or (mar and j == config.mar_driver):
+            continue  # the MAR driver stays observed
+        if mar and fraction not in calibrated:
+            calibrated[fraction] = _calibrated_probs(z, config.mar_slope, fraction)
+        mask[:, j] = rng.random(T) < (calibrated[fraction] if mar else fraction)
 
     series = LakeSeries(
         lake_id=config.lake_id,

@@ -1,5 +1,6 @@
 """Ingest, exclusions, missingness profiles, ranking, and splitting."""
 
+import csv
 import io
 from datetime import date
 from fractions import Fraction
@@ -206,6 +207,30 @@ class TestParse:
         assert errors == []
         assert lakes[0].feature_schema == series.feature_schema
         assert_same_series(lakes[0], series)
+
+
+class TestWriter:
+    EDGES = [-0.0, 5e-324, 1e-05, 1e16, -1.7976931348623157e308]
+
+    def test_edge_values_round_trip_bit_for_bit(self):
+        X = np.array([self.EDGES, self.EDGES[::-1], [np.nan, 1.5, np.nan, -0.0, 2.0], [0.25] * 4 + [np.nan]])
+        sdd = np.array([5e-324, 1e16, 1e-05, 3.0])
+        series = series_from_arrays(7, sdd, X, ["a", "b", "c", "d", "e"])
+        buf = io.StringIO()
+        write_series_csv(series, buf)
+        lakes, errors = parse_dataset(io.StringIO(buf.getvalue()))
+        assert errors == []
+        (back,) = lakes
+        assert_same_series(back, series)
+        gaps = np.isnan(X)
+        assert np.array_equal(np.isnan(back.covariates), gaps)
+        assert back.covariates[~gaps].tobytes() == X[~gaps].tobytes()  # -0.0 keeps its sign
+        assert back.sdd.tobytes() == sdd.tobytes()
+
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))[1:]
+        empty = np.array([[cell == "" for cell in row[5:]] for row in rows])
+        assert np.array_equal(empty, gaps)  # a gap is an empty cell, and nothing else is
+        assert all(cell != "" for row in rows for cell in row[:5])
 
 
 class TestIngestTable:

@@ -949,6 +949,16 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("days", [0, -7])
+    def test_synth_sampling_interval_below_one_day_is_config_error(self, tmp_path, capsys, days):
+        config_path = tmp_path / "synth.json"
+        config_path.write_text(json.dumps({"n_samples": 20, "sampling_interval_days": days}))
+        out_csv = tmp_path / "lake.csv"
+        assert main(["synth", "--config", str(config_path), "--out", str(out_csv)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: synth config {config_path}: sampling_interval_days must be >= 1\n"
+        assert not out_csv.exists()
+
     def test_report_small_n_min_keeps_small_cells_and_curve_fits_every_feature(self, tmp_path):
         csv_path = self._write_synth_inputs(tmp_path)
         bundle = tmp_path / "bundle"
