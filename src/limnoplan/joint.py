@@ -27,7 +27,7 @@ from .evaluation import (
 )
 from .imputation import CompletedMatrix
 from .models import DEFAULT_RIDGE_PENALTY
-from .selection import FeatureRanking
+from .selection import FeatureRanking, require_permutation
 
 
 @dataclass
@@ -110,10 +110,8 @@ def feasibility_grid(
 
     One stacked solve per k covers every training size.
     """
-    p = len(completed.feature_schema)
-    order = ranking.order
-    if len(order) != p:
-        raise EvaluationError("ranking does not cover the feature schema")
+    p, order = len(completed.feature_schema), ranking.order
+    require_permutation(order, completed.feature_schema)
     n_grid = grid_spec.resolve(split.n_pre, p)
     require_full_fit(split.n_pre, p)
 

@@ -125,7 +125,6 @@ def predict_ridge(model: RidgeModel, X: np.ndarray) -> np.ndarray:
 class ForestConfig:
     n_trees: int = 200
     min_samples_leaf: int = 2
-    max_depth: int | None = None
     features_per_split: int | None = None  # None -> ceil(p/3)
     seed: int = 0
 
@@ -275,21 +274,20 @@ def _grow_forest(
     seed: int,
     n_trees: int,
     min_leaf: int,
-    max_depth: int | None,
     features_per_split: int,
 ) -> list[TreeNodes]:
     """Grow every tree of the forest together, one depth level at a time.
 
     Tree i draws its bootstrap sample from its own generator, then, at
     each level, one ``random((splittable nodes of tree i, p))`` key
-    matrix; a node's candidates are the ``features_per_split`` columns
-    with the smallest keys. A tree thus depends only on (seed, i). A
-    level's nodes are ordered by tree, then left to right, and each
-    node's rows are a contiguous block of ``rows`` (indices into ``Xc``)
-    in parent order. A level's records are (tree, feature, threshold,
-    n_samples, decrease); one stable sort by tree at the end leaves each
-    tree's nodes breadth-first, so the j-th split node's children are
-    nodes 2j+1 and 2j+2.
+    matrix, whatever ``features_per_split`` is; a node's candidates are
+    the ``features_per_split`` columns with the smallest keys. A tree
+    thus depends only on (seed, i). A level's nodes are ordered by tree,
+    then left to right, and each node's rows are a contiguous block of
+    ``rows`` (indices into ``Xc``) in parent order. A level's records
+    are (tree, feature, threshold, n_samples, decrease); one stable sort
+    by tree at the end leaves each tree's nodes breadth-first, so the
+    j-th split node's children are nodes 2j+1 and 2j+2.
     Each column's dense value ranks are computed once, by ``np.unique``
     (so -0.0 and 0.0 share a rank, as they tie in value), for the split
     search's sort keys.
@@ -307,7 +305,6 @@ def _grow_forest(
     counts = np.full(n_trees, n)
     tree_of = np.arange(n_trees)
     levels: list[tuple[np.ndarray, ...]] = []
-    depth = 0
     while counts.size:
         starts = np.cumsum(counts) - counts
         y_rows = y[rows]
@@ -317,7 +314,6 @@ def _grow_forest(
             (counts >= 2 * min_leaf)
             & (sse > 0.0)
             & (np.maximum.reduceat(y_rows, starts) > np.minimum.reduceat(y_rows, starts))
-            & (max_depth is None or depth < max_depth)
         )
 
         feature = np.full(counts.size, -1)
@@ -325,17 +321,9 @@ def _grow_forest(
         decrease = np.zeros(counts.size)
         todo = np.flatnonzero(splittable)
         if todo.size:
-            if features_per_split == p:
-                # Every column is a candidate, so no keys are needed.
-                candidates = np.broadcast_to(np.arange(p), (todo.size, p))
-            else:
-                per_tree = np.bincount(tree_of[todo], minlength=n_trees)
-                keys = np.vstack(
-                    [rngs[t].random((per_tree[t], p)) for t in np.flatnonzero(per_tree).tolist()]
-                )
-                candidates = np.sort(
-                    np.argsort(keys, axis=1, kind="stable")[:, :features_per_split], axis=1
-                )
+            per_tree = np.bincount(tree_of[todo], minlength=n_trees)
+            keys = np.vstack([rngs[t].random((per_tree[t], p)) for t in np.flatnonzero(per_tree).tolist()])
+            candidates = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :features_per_split], axis=1)
             f, thr, total = _best_splits(
                 X_pad, y_pad, ranks, rows, starts[todo], counts[todo], candidates, min_leaf
             )
@@ -357,7 +345,6 @@ def _grow_forest(
         rows = rows[np.argsort(child, kind="stable")]
         counts = np.bincount(child, minlength=2 * np.count_nonzero(split))
         tree_of = np.repeat(tree_of[split], 2)
-        depth += 1
 
     tree_of, *columns = (np.concatenate(column) for column in zip(*levels))
     # Stable-sorting the level-major node list by tree keeps each tree's
@@ -410,7 +397,6 @@ def fit_forest(
         config.seed,
         config.n_trees,
         min_leaf=max(1, config.min_samples_leaf),
-        max_depth=config.max_depth,
         features_per_split=fps,
     )
     return ForestModel(
@@ -431,8 +417,6 @@ def mdi_importances(model: ForestModel) -> np.ndarray:
     raw_canonical = np.zeros(p)
     for tree in model.trees:
         splits = tree.feature >= 0
-        if not splits.any():
-            continue
         weights = tree.n_samples[splits] / tree.n_samples[0]
         np.add.at(raw_canonical, tree.feature[splits], weights * tree.impurity_decrease[splits])
     raw_canonical /= len(model.trees)

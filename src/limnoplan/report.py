@@ -57,8 +57,6 @@ class RunConfig:
     impute_sweeps: int = 10
     impute_noise: bool = False
     n_trees: int = 200
-    min_samples_leaf: int = 2
-    features_per_split: int | None = None
     grid_n_min: int | None = None
     grid_stride: int = 1
     lake_ids: tuple[int, ...] | None = None
@@ -93,12 +91,7 @@ class RunConfig:
         )
 
     def forest_config(self, lake_id: int) -> ForestConfig:
-        return ForestConfig(
-            n_trees=self.n_trees,
-            min_samples_leaf=self.min_samples_leaf,
-            features_per_split=self.features_per_split,
-            seed=derive_seed(self.seed, lake_id, 1),
-        )
+        return ForestConfig(n_trees=self.n_trees, seed=derive_seed(self.seed, lake_id, 1))
 
 
 @dataclass
@@ -326,9 +319,8 @@ def entry_layout(series: ds.LakeSeries, split: ds.SplitSeries, config: RunConfig
     rows, p = series.covariates.shape
     n_grid = config.grid_spec().resolve(split.n_pre, p)
     return {
-        "values": ("f8", (rows, p)), "mask": ("?", (rows, p)), "impute": ("f8", (3,)),
-        "scores": ("f8", (p,)), "selection": ("f8", (p,)), "grid_order": ("i8", (p,)),
-        "grid": ("f8", (len(n_grid), p)),
+        "values": ("f8", (rows, p)), "impute": ("f8", (3,)), "scores": ("f8", (p,)),
+        "selection": ("f8", (p,)), "grid_order": ("i8", (p,)), "grid": ("f8", (len(n_grid), p)),
         "completed_csv": ("u1", rows + csv_text([series.feature_schema]).count("\n")),  # a quoted name may span lines
         "grid_csv": ("u1", 1 + sum(min(n - 1, p) for n in n_grid)),  # a line per cell with n >= k+1
     }
@@ -340,7 +332,6 @@ def lake_entry(lake: PreparedLake, selection: SelectionResult, grid: Feasibility
     grid_csv = csv_text([["n", "k", "nmae", "feasible"]], grid_rows(grid, "?"))  # "?" where each flag goes
     return {
         "values": lake.completed.values,
-        "mask": lake.completed.imputed_mask,
         "impute": np.array([impute.sweeps, impute.final_delta, impute.converged], dtype=float),
         "scores": np.array([lake.ranking.scores[f] for f in schema]),
         "selection": np.array([selection.nmae_by_k[k] for k in range(1, grid.p + 1)]),
@@ -369,7 +360,7 @@ def prepare_lake(
     split = ds.split_test_block(series, config.test_years)
     entry = cache and cache.get(series.lake_id, lake_key(series, config), entry_layout(series, split, config))
     if entry is not None:
-        schema, mask = list(series.feature_schema), entry["mask"]
+        schema, mask = list(series.feature_schema), np.isnan(series.covariates)  # the key hashes these covariates
         sweeps, delta, converged = entry["impute"].tolist()
         report = ImputeReport(int(sweeps), delta, bool(converged), dict(zip(schema, mask.sum(axis=0).tolist())))
         ranking = FeatureRanking.from_scores(dict(zip(schema, entry["scores"].tolist())))

@@ -48,6 +48,12 @@ class SelectionResult:
         return cls(k_star, order[:k_star], nmae_by_k, nmae_by_k[len(order)])
 
 
+def require_permutation(order: Sequence[str], schema: Sequence[str]) -> None:
+    """A SchemaError unless `order` names every feature of `schema` exactly once."""
+    if sorted(order) != sorted(schema):
+        raise SchemaError("ranking is not a permutation of the feature schema")
+
+
 def minimal_feature_count(
     nmae_by_k: dict[int, float], full_nmae: float, tolerance: float = DEFAULT_TOLERANCE
 ) -> int:
@@ -83,10 +89,7 @@ def forward_selection(
     Every prefix trains on the whole pre-test pool; only the feature
     count varies here.
     """
-    schema = set(completed.feature_schema)
-    if set(ranking.order) != schema:
-        raise SchemaError("ranking does not cover the completed matrix's schema")
-
+    require_permutation(ranking.order, completed.feature_schema)
     p = len(ranking.order)
     require_full_fit(split.n_pre, p)
     row = prefix_nmae(split, completed, [split.n_pre], ranking.order, penalty)[0]

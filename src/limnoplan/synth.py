@@ -65,7 +65,7 @@ class SynthConfig:
             if len(self.missing_fraction) != self.n_features:
                 raise ValueError("missing_fraction length must equal n_features")
             fractions = np.asarray(self.missing_fraction, dtype=float)
-        if (fractions < 0).any() or (fractions >= 1).any():
+        if not ((fractions >= 0) & (fractions < 1)).all():  # NaN fails both comparisons
             raise ValueError("missing fractions must lie in [0, 1)")
         return fractions
 

@@ -7,7 +7,7 @@ import pytest
 
 from limnoplan import evaluation
 from limnoplan.dataset import split_by_count
-from limnoplan.errors import EvaluationError, FitError
+from limnoplan.errors import EvaluationError, FitError, SchemaError
 from limnoplan.evaluation import SizeGridSpec, backward_eval, prefix_nmae, sample_curve
 from limnoplan.joint import (
     FeasibilityGrid,
@@ -422,6 +422,19 @@ def test_penalty_that_is_not_finite_and_nonnegative_is_a_fit_error(penalty):
     for call in calls:
         with pytest.raises(FitError, match="penalty must be finite and nonnegative"):
             call()
+
+
+@pytest.mark.parametrize(
+    "order",
+    [["x01", "x01", "x02"], ["x01", "x01", "x02", "x03"], ["x01", "x02"]],
+    ids=["repeat", "repeat-beside-every-name", "short"],
+)
+def test_a_ranking_that_is_not_a_permutation_of_the_schema_is_a_schema_error(order):
+    split, completed = _engine_lake(14, ["x01", "x02", "x03"])
+    ranking = FeatureRanking(scores={}, order=order)
+    for call in (feasibility_grid, forward_selection):
+        with pytest.raises(SchemaError, match="not a permutation of the feature schema"):
+            call(split, completed, ranking)
 
 
 def test_singular_stacked_solve_is_a_fit_error(monkeypatch):

@@ -40,7 +40,7 @@ def oracle_ridge(X, y, penalty):
     return w, y.mean(), means, stds
 
 
-def oracle_grow_tree(X, y, rng, min_leaf, max_depth, features_per_split):
+def oracle_grow_tree(X, y, rng, min_leaf, features_per_split):
     """Depth-first CART grower, one node per iteration (the reference).
 
     Same split rule as the forest: stable sort per candidate column,
@@ -54,10 +54,10 @@ def oracle_grow_tree(X, y, rng, min_leaf, max_depth, features_per_split):
     n, p = X.shape
     feature, threshold, left, right, n_samples, decrease = ([] for _ in range(6))
 
-    # Stack entries: (row indices, depth, parent node id, is_left_child).
-    stack = [(np.arange(n), 0, -1, False)]
+    # Stack entries: (row indices, parent node id, is_left_child).
+    stack = [(np.arange(n), -1, False)]
     while stack:
-        idx, depth, parent, is_left = stack.pop()
+        idx, parent, is_left = stack.pop()
         node_id = len(feature)
         if parent >= 0:
             if is_left:
@@ -77,12 +77,7 @@ def oracle_grow_tree(X, y, rng, min_leaf, max_depth, features_per_split):
         n_samples.append(m)
         decrease.append(0.0)
 
-        if (
-            m < 2 * min_leaf
-            or sse <= 0.0
-            or (max_depth is not None and depth >= max_depth)
-            or np.ptp(y_node) == 0.0
-        ):
+        if m < 2 * min_leaf or sse <= 0.0 or np.ptp(y_node) == 0.0:
             continue
 
         candidates = np.sort(rng.choice(p, size=features_per_split, replace=False))
@@ -116,8 +111,8 @@ def oracle_grow_tree(X, y, rng, min_leaf, max_depth, features_per_split):
         decrease[node_id] = max(sse - float(total[size_pos, cand_pos]), 0.0) / m
 
         left_mask = X[idx, f] <= thr
-        stack.append((idx[~left_mask], depth + 1, node_id, False))
-        stack.append((idx[left_mask], depth + 1, node_id, True))
+        stack.append((idx[~left_mask], node_id, False))
+        stack.append((idx[left_mask], node_id, True))
 
     return SimpleNamespace(
         feature=np.asarray(feature, dtype=int),
@@ -234,7 +229,7 @@ def oracle_forest(X, y, config):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0xFFFFFFFF, i]))
         boot = rng.integers(0, n, size=n)
         trees.append(
-            oracle_grow_tree(X[boot], y[boot], rng, max(1, config.min_samples_leaf), config.max_depth, p)
+            oracle_grow_tree(X[boot], y[boot], rng, max(1, config.min_samples_leaf), p)
         )
     schema = [f"x{j}" for j in range(p)]
     return ForestModel(trees, schema, list(range(p)))
@@ -447,13 +442,15 @@ class TestForest:
             leaves = tree.feature == -1
             assert tree.n_samples[leaves].min() >= 5
 
-    def test_max_depth_limits_tree(self, rng):
-        X = rng.normal(size=(100, 2))
-        y = rng.normal(size=100)
-        model = fit_forest(X, y, ForestConfig(n_trees=4, max_depth=2, seed=1))
-        for tree in model.trees:
-            # Depth-2 binary tree has at most 7 nodes.
-            assert len(tree.feature) <= 7
+    def test_repeated_schema_name_is_fit_error(self, rng):
+        X, y = rng.normal(size=(20, 3)), rng.normal(size=20)
+        with pytest.raises(FitError, match="^feature_schema must name each column exactly once$"):
+            fit_forest(X, y, ForestConfig(n_trees=2), feature_schema=["x01", "x02", "x01"])
+
+    @pytest.mark.parametrize("n_trees", [0, -1])
+    def test_fewer_than_one_tree_is_fit_error(self, rng, n_trees):
+        with pytest.raises(FitError, match="^n_trees must be >= 1$"):
+            fit_forest(rng.normal(size=(20, 2)), rng.normal(size=20), ForestConfig(n_trees=n_trees))
 
     def test_too_few_rows_error(self, rng):
         with pytest.raises(FitError):
@@ -475,7 +472,6 @@ class TestForestAgainstDepthFirstOracle:
         config = ForestConfig(
             n_trees=5,
             min_samples_leaf=int(rng.integers(1, 4)),
-            max_depth=4 if case % 3 else None,
             features_per_split=p,
             seed=case,
         )
@@ -647,10 +643,12 @@ def oracle_split_adapter(X_pad, y_pad, ranks, rows, starts, counts, candidates, 
 
 class TestForestBitForBit:
     """The whole forest, grown with the oracle split search swapped in,
-    must be the same in every bit."""
+    must be the same in every bit. A `chunk_cells` budget of a few cells
+    scores each node in a chunk of its own (None keeps the default), so
+    the chunking cannot change a bit either."""
 
     @pytest.mark.parametrize(
-        "n, p, n_trees, min_leaf, max_depth, fps",
+        "n, p, n_trees, min_leaf, chunk_cells, fps",
         [
             (60, 5, 12, 1, None, 2),
             (90, 4, 8, 2, 3, 4),
@@ -660,13 +658,15 @@ class TestForestBitForBit:
         ],
     )
     def test_same_forest_as_with_oracle_split_search(
-        self, monkeypatch, n, p, n_trees, min_leaf, max_depth, fps
+        self, monkeypatch, n, p, n_trees, min_leaf, chunk_cells, fps
     ):
         rng = np.random.default_rng(n * p + n_trees)
         X = np.round(rng.normal(size=(n, p)), 1)
         X[:, 0] = rng.choice([-0.0, 0.0, 0.5], size=n)
         y = np.round(X @ rng.normal(size=p) + rng.normal(size=n), 2)
-        config = ForestConfig(n_trees, min_leaf, max_depth, fps, seed=n_trees)
+        config = ForestConfig(n_trees, min_leaf, fps, seed=n_trees)
+        if chunk_cells is not None:
+            monkeypatch.setattr(models, "_SPLIT_CHUNK_CELLS", chunk_cells)
         model = fit_forest(X, y, config)
         monkeypatch.setattr(models, "_best_splits", oracle_split_adapter)
         oracle = fit_forest(X, y, config)

@@ -16,8 +16,7 @@ from test_report_cli import small_lake_configs, synth_csv
 
 RUN_CONFIG = {
     "test_years", "tolerance", "penalty", "seed", "impute_sweeps", "impute_noise", "n_trees",
-    "min_samples_leaf", "features_per_split", "grid_n_min", "grid_stride", "lake_ids",
-    "exclude_fallback", "use_global_ranking",
+    "grid_n_min", "grid_stride", "lake_ids", "exclude_fallback", "use_global_ranking",
 }
 JOINT_SUMMARY = {"median_n", "iqr_n", "median_k", "iqr_k", "feature_frequency", "fallback_count", "n_lakes"}
 MINIMAL = {"lake_id", "n_hat", "k_hat", "selected_features", "fallback"}

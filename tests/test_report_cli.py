@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -122,6 +123,18 @@ class TestPipeline:
         assert summary["lakes"] == [100, 101, 102]
         assert summary["config_hash"] == result.config_hash
         assert summary["joint"]["n_lakes"] == 3
+
+    def test_full_cell_is_its_own_reference_so_no_lake_falls_back(self, tmp_path):
+        csv_path = tmp_path / "lakes.csv"
+        synth_csv(csv_path, small_lake_configs())
+        lakes = load_csv(csv_path)
+        result = run_pipeline(lakes, RunConfig(seed=4, tolerance=1e-12, **FAST), tmp_path / "out")
+        assert len(result.reports) == 3 and result.summary.fallback_count == 0
+        for report in result.reports:
+            grid = report.grid
+            assert grid.nmae[(grid.n_pre, grid.p)] == grid.full_nmae and not report.minimal.fallback
+        config = RunConfig(seed=4, tolerance=1e-12, exclude_fallback=True, **FAST)
+        assert run_pipeline(lakes, config, tmp_path / "excluded").summary == result.summary
 
     def test_reports_embed_config_hash(self, tmp_path):
         csv_path = tmp_path / "lakes.csv"
@@ -937,8 +950,14 @@ class TestCli:
             json.dumps({"n_samples": 2}),
             json.dumps({"missing_mechanism": "weird"}),
             json.dumps({"n_samples": 50, "start_date": "20010601"}),
+            # NaN goes out as JSON's NaN literal, which json.load reads back.
+            json.dumps({"n_samples": 20, "missing_fraction": math.nan}),
+            json.dumps({"n_features": 3, "missing_fraction": [0.2, math.nan, 0.1], "missing_mechanism": "mar"}),
         ],
-        ids=["missing", "list", "unknown-key", "too-few-samples", "unknown-mechanism", "compact-date"],
+        ids=[
+            "missing", "list", "unknown-key", "too-few-samples", "unknown-mechanism", "compact-date",
+            "nan-fraction", "nan-in-mar-fractions",
+        ],
     )
     def test_bad_synth_config_is_config_error(self, tmp_path, capsys, content):
         config_path = tmp_path / "synth.json"
@@ -948,6 +967,13 @@ class TestCli:
         assert main(["synth", "--config", str(config_path), "--out", str(out_csv)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("command", [["ingest"], ["report", "--out-dir", "bundle"]])
+    def test_empty_input_file_is_config_error(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        Path("empty.csv").write_bytes(b"")
+        assert main([*command, "--input", "empty.csv"]) == 2
+        assert capsys.readouterr().err == "error: input has no header row\n"
 
     @pytest.mark.parametrize("days", [0, -7])
     def test_synth_sampling_interval_below_one_day_is_config_error(self, tmp_path, capsys, days):

@@ -289,6 +289,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             generate_lake(SynthConfig(missing_fraction=1.0))
 
+    @pytest.mark.parametrize(
+        "fraction, mechanism", [(math.nan, "mcar"), ((0.2, math.nan, 0.1), "mar")], ids=["scalar", "mar-tuple"]
+    )
+    def test_nan_fraction_is_rejected(self, fraction, mechanism):
+        config = SynthConfig(n_samples=20, n_features=3, missing_fraction=fraction, missing_mechanism=mechanism)
+        with pytest.raises(ValueError, match=r"^missing fractions must lie in \[0, 1\)$"):
+            generate_lake(config)
+
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             generate_lake(SynthConfig(n_samples=3))
