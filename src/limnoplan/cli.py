@@ -18,15 +18,18 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset as ds
-from .errors import ConfigError, LimnoplanError, SchemaError
+from .errors import ConfigError, InsufficientDataError, LimnoplanError, SchemaError
+from .evaluation import sample_curve
 from .imputation import impute_series
 from .joint import aggregate_configs
 from .report import (
-    RunConfig, StageCache, completed_text, grid_rows, input_key, lake_curve, prepare_lake, process_lakes, run_pipeline,
+    RunConfig, StageCache, completed_text, grid_rows, input_key, prepare_lake, process_lakes, run_pipeline,
     select_series, train_test_table, write_csv, write_json, write_nmae_table, write_result,
 )
 from .selection import forward_selection
 from .synth import config_from_dict, generate_lake
+
+DEFAULT_TOP = 30  # `lakes rank` keeps this many lakes, or every lake it ranked if fewer
 
 
 def _add_input(parser: argparse.ArgumentParser) -> None:
@@ -35,93 +38,88 @@ def _add_input(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_protocol_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--test-years", type=int, default=5)
-    parser.add_argument("--tolerance", type=float, default=0.05)
-    parser.add_argument("--lambda", dest="penalty", type=float, default=1.0, help="ridge penalty")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--n-stride", dest="grid_stride", type=int, default=1, help="training-size grid stride")
-    parser.add_argument(
-        "--n-min", dest="grid_n_min", type=int, default=None, help="smallest training size on the grid"
-    )
+    parser.add_argument("--test-years", type=int)
+    parser.add_argument("--tolerance", type=float)
+    parser.add_argument("--lambda", dest="penalty", type=float, help="ridge penalty")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--n-stride", dest="grid_stride", type=int, help="training-size grid stride")
+    parser.add_argument("--n-min", dest="grid_n_min", type=int, help="smallest training size on the grid")
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     """The flags `joint` and `report` share."""
     _add_input(parser)
-    parser.add_argument("--lakes", default=None, help="JSON file with the lake ids to process")
+    parser.add_argument("--lakes", help="JSON file with the lake ids to process")
     _add_protocol_flags(parser)
-    parser.add_argument("--trees", dest="n_trees", type=int, default=200)
-    parser.add_argument("--exclude-fallback", action="store_true")
+    parser.add_argument("--trees", dest="n_trees", type=int)
     parser.add_argument(
         "--global-ranking", dest="use_global_ranking", action="store_true", help="rank once across lakes"
     )
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command. A flag that sets a `RunConfig` field has no default: a command's namespace
+    holds only the flags given (`argument_default=SUPPRESS`), and `_run_config` takes the rest from `RunConfig`."""
     parser = argparse.ArgumentParser(prog="limnoplan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse and validate a monitoring CSV")
-    p.set_defaults(run=_cmd_ingest)
+    def command(subparsers, name: str, run, summary: str) -> argparse.ArgumentParser:
+        p = subparsers.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
+        p.set_defaults(run=run)
+        return p
+
+    p = command(sub, "ingest", _cmd_ingest, "parse and validate a monitoring CSV")
     _add_input(p)
     p.add_argument("--out", default=None, help="write a per-lake summary JSON")
 
     lakes = sub.add_parser("lakes", help="lake-level utilities")
     lakes_sub = lakes.add_subparsers(dest="lakes_command", required=True)
-    p = lakes_sub.add_parser("rank", help="rank lakes by data richness")
-    p.set_defaults(run=_cmd_lakes_rank)
+    p = command(lakes_sub, "rank", _cmd_lakes_rank, "rank lakes by data richness")
     _add_input(p)
-    p.add_argument("--top", type=int, default=30)
+    p.add_argument("--top", type=int, default=None, help=f"lakes to keep (default: min({DEFAULT_TOP}, lakes ranked)")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("impute", help="complete one lake's covariates")
-    p.set_defaults(run=_cmd_impute)
+    p = command(sub, "impute", _cmd_impute, "complete one lake's covariates")
     _add_input(p)
     p.add_argument("--lake", type=int, required=True)
-    p.add_argument("--sweeps", dest="impute_sweeps", type=int, default=10)
-    p.add_argument("--noise", choices=["on", "off"], default="off")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sweeps", dest="impute_sweeps", type=int)
+    p.add_argument("--noise", choices=["on", "off"])
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True, help="completed covariate CSV")
     p.add_argument("--report", default=None, help="fit report JSON (default: <out>.json)")
 
-    p = sub.add_parser("sample-curve", help="test error vs training size for one lake")
-    p.set_defaults(run=_cmd_sample_curve)
+    p = command(sub, "sample-curve", _cmd_sample_curve, "test error vs training size for one lake")
     _add_input(p)
     p.add_argument("--lake", type=int, required=True)
     _add_protocol_flags(p)
     p.add_argument("--out", required=True, help="CSV of n,nmae (JSON sidecar alongside)")
 
-    p = sub.add_parser("feature-rank", help="forest-importance ranking for one lake")
-    p.set_defaults(run=_cmd_feature_rank)
+    p = command(sub, "feature-rank", _cmd_feature_rank, "forest-importance ranking for one lake")
     _add_input(p)
     p.add_argument("--lake", type=int, required=True)
-    p.add_argument("--test-years", type=int, default=5)
-    p.add_argument("--trees", dest="n_trees", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--test-years", type=int)
+    p.add_argument("--trees", dest="n_trees", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("feature-select", help="greedy forward selection for one lake")
-    p.set_defaults(run=_cmd_feature_select)
+    p = command(sub, "feature-select", _cmd_feature_select, "greedy forward selection for one lake")
     _add_input(p)
     p.add_argument("--lake", type=int, required=True)
     _add_protocol_flags(p)
-    p.add_argument("--trees", dest="n_trees", type=int, default=200)
+    p.add_argument("--trees", dest="n_trees", type=int)
     p.add_argument("--out", required=True, help="CSV of k,nmae (JSON sidecar alongside)")
 
-    p = sub.add_parser("joint", help="minimal (samples, features) configuration per lake")
-    p.set_defaults(run=_cmd_joint)
+    p = command(sub, "joint", _cmd_joint, "minimal (samples, features) configuration per lake")
     _add_run_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--emit-grid", default=None, help="dump n,k,nmae,feasible rows to CSV")
 
-    p = sub.add_parser("synth", help="generate a synthetic lake CSV with ground truth")
-    p.set_defaults(run=_cmd_synth)
+    p = command(sub, "synth", _cmd_synth, "generate a synthetic lake CSV with ground truth")
     p.add_argument("--config", required=True, help="generator config JSON")
     p.add_argument("--out", required=True, help="CSV in the ingest layout")
     p.add_argument("--truth", default=None, help="ground-truth JSON")
 
-    p = sub.add_parser("report", help="full pipeline over all (or selected) lakes")
-    p.set_defaults(run=_cmd_report)
+    p = command(sub, "report", _cmd_report, "full pipeline over all (or selected) lakes")
     _add_run_flags(p)
     p.add_argument("--out-dir", required=True)
 
@@ -178,7 +176,7 @@ def _lake_ids_from_file(path: str | None) -> tuple[int, ...] | None:
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    """The run configuration a command's flags set; flags it lacks keep their defaults.
+    """The run configuration the given flags set; every other field keeps `RunConfig`'s default.
 
     Flag destinations are named after `RunConfig` fields, except
     `--noise` and `--lakes`, which are converted here.
@@ -206,21 +204,32 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_lakes_rank(args) -> int:
-    if args.top < 1:
+    if args.top is not None and args.top < 1:
         raise ConfigError(f"--top must be at least 1, got {args.top}")
-    lakes = [ds.apply_exclusions(s) for s in _load_lakes(args)[0]]
-    if args.top > len(lakes):
-        raise ConfigError(f"--top {args.top} exceeds the {len(lakes)} lakes in the input")
-    ranked = ds.select_top_lakes(lakes, args.top)
-    profiles = {s.lake_id: ds.missingness_profile(s) for s in lakes}
+    lakes, profiles, skipped = [], {}, {}
+    for series in map(ds.apply_exclusions, _load_lakes(args)[0]):
+        try:
+            profiles[series.lake_id] = ds.missingness_profile(series)
+            lakes.append(series)
+        except InsufficientDataError as exc:
+            skipped[series.lake_id] = str(exc)
+    if not lakes:
+        raise ConfigError("no lake can be ranked: " + "; ".join(f"{i}: {m}" for i, m in sorted(skipped.items())))
+    top = min(DEFAULT_TOP, len(lakes)) if args.top is None else args.top
+    if top > len(lakes):
+        rankable = " that can be ranked" if skipped else ""
+        raise ConfigError(f"--top {top} exceeds the {len(lakes)} lakes in the input{rankable}")
+    ranked = ds.select_top_lakes(lakes, top)
     payload = {
         "missingness_after_exclusions": True,
         "lakes": ranked,
         "profiles": [{"lake_id": lake_id, **dataclasses.asdict(profiles[lake_id])} for lake_id in ranked],
     }
     write_json(Path(args.out), payload)
-    print(f"ranked {len(lakes)} lakes; kept top {args.top}")
-    return 0
+    print(f"ranked {len(lakes)} lakes; kept top {top}")
+    for lake_id, message in sorted(skipped.items()):
+        print(f"lake {lake_id} skipped: {message}", file=sys.stderr)
+    return 1 if skipped else 0
 
 
 def _cmd_impute(args) -> int:
@@ -236,7 +245,7 @@ def _cmd_impute(args) -> int:
 def _cmd_sample_curve(args) -> int:
     series, config = _lake_and_config(args)
     lake = prepare_lake(series, config, rank=False)
-    curve = lake_curve(lake, config)
+    curve = sample_curve(lake.split, lake.completed, config.grid_spec(), config.tolerance, config.penalty)
     write_nmae_table(Path(args.out), curve, lake_id=args.lake)
     print(f"lake {args.lake}: n_star={curve.n_star}, reference nMAE {curve.reference_nmae:.4f}")
     return 0
@@ -261,7 +270,7 @@ def _cmd_feature_select(args) -> int:
 def _cmd_joint(args) -> int:
     config = _run_config(args)
     reports, failures, _ = process_lakes(_load_lakes(args)[0], config)
-    summary = aggregate_configs([r.minimal for r in reports], config.exclude_fallback)
+    summary = aggregate_configs([r.minimal for r in reports])
     write_json(
         Path(args.out),
         {

@@ -271,19 +271,16 @@ def sample_curve(
     tolerance: float = DEFAULT_TOLERANCE,
     penalty: float = DEFAULT_RIDGE_PENALTY,
 ) -> SampleCurve:
-    """Test nMAE over the size grid with the full feature set.
+    """Test nMAE with the full feature set at the grid's sizes that fit it (n >= p+1).
 
     The reference is the full-pool fit (n = N_pre, always on the grid);
-    the minimal sample count is the smallest grid size within
-    (1 + tolerance) of it.
+    the minimal sample count is the smallest of those sizes within
+    (1 + tolerance) of it. A pool of fewer than p+1 rows is an
+    EvaluationError.
     """
     p = len(completed.feature_schema)
-    grid = grid_spec.resolve(split.n_pre, p)
-    if grid[0] < p + 1:
-        raise EvaluationError(
-            f"grid starts at {grid[0]} but the full {p}-feature fit needs at least {p + 1} rows"
-        )
-
+    require_full_fit(split.n_pre, p)
+    grid = [n for n in grid_spec.resolve(split.n_pre, p) if n > p]
     values = prefix_nmae(split, completed, grid, completed.feature_schema, penalty)[:, p - 1]
     return SampleCurve.from_nmae(grid, values.tolist(), tolerance)
 

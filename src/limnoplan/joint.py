@@ -131,28 +131,25 @@ def minimal_config(grid: FeasibilityGrid) -> MinimalConfig:
     return MinimalConfig(grid.lake_id, n, k, grid.feature_order[:k], fallback=found is None)
 
 
-def aggregate_configs(
-    configs: Sequence[MinimalConfig], exclude_fallback: bool = False
-) -> JointSummary:
+def aggregate_configs(configs: Sequence[MinimalConfig]) -> JointSummary:
     """Median/IQR of the per-lake minima plus lone-predictor frequencies.
 
-    Fallback lakes enter the medians at their full configuration unless
-    excluded. IQR is Q3 - Q1 with linearly interpolated quantiles.
+    Fallback lakes enter the medians at their full configuration and
+    are counted. IQR is Q3 - Q1 with linearly interpolated quantiles.
     Frequencies are tabulated over lakes whose minimum uses a single
     predictor and sum to 1 whenever any such lake exists.
     """
-    kept = [c for c in configs if not (exclude_fallback and c.fallback)]
-    if not kept:
+    if not configs:
         raise EvaluationError("no configurations to aggregate")
 
-    n_values = np.array([c.n_hat for c in kept], dtype=float)
-    k_values = np.array([c.k_hat for c in kept], dtype=float)
+    n_values = np.array([c.n_hat for c in configs], dtype=float)
+    k_values = np.array([c.k_hat for c in configs], dtype=float)
 
     def iqr(values: np.ndarray) -> float:
         q1, q3 = np.percentile(values, [25, 75])
         return float(q3 - q1)
 
-    single = [c for c in kept if c.k_hat == 1]
+    single = [c for c in configs if c.k_hat == 1]
     frequency: dict[str, float] = {}
     for config in single:
         name = config.selected_features[0]
@@ -165,6 +162,6 @@ def aggregate_configs(
         median_k=float(np.median(k_values)),
         iqr_k=iqr(k_values),
         feature_frequency=frequency,
-        fallback_count=sum(1 for c in kept if c.fallback),
-        n_lakes=len(kept),
+        fallback_count=sum(1 for c in configs if c.fallback),
+        n_lakes=len(configs),
     )

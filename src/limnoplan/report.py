@@ -37,7 +37,6 @@ from .evaluation import (
     SizeGridSpec,
     fit_reference,
     require_full_fit,
-    sample_curve,
     score_predictions,
 )
 from .imputation import CompletedMatrix, ImputeConfig, ImputeReport, impute_series
@@ -54,13 +53,12 @@ class RunConfig:
     tolerance: float = DEFAULT_TOLERANCE
     penalty: float = DEFAULT_RIDGE_PENALTY
     seed: int = 0
-    impute_sweeps: int = 10
+    impute_sweeps: int = ImputeConfig.max_sweeps
     impute_noise: bool = False
-    n_trees: int = 200
+    n_trees: int = ForestConfig.n_trees
     grid_n_min: int | None = None
     grid_stride: int = 1
     lake_ids: tuple[int, ...] | None = None
-    exclude_fallback: bool = False
     use_global_ranking: bool = False
 
     def __post_init__(self) -> None:
@@ -76,10 +74,6 @@ class RunConfig:
 
     def grid_spec(self) -> SizeGridSpec:
         return SizeGridSpec(n_min=self.grid_n_min, stride=self.grid_stride)
-
-    def curve_sizes(self, n_pre: int, p: int) -> list[int]:
-        """The sample curve's sizes: the grid sizes that fit every feature (n >= p+1)."""
-        return [n for n in self.grid_spec().resolve(n_pre, p) if n > p] or [n_pre]
 
     # Every entry point seeds a lake's imputation and forest through these
     # two methods, so a lake's results depend only on (seed, lake id).
@@ -307,10 +301,10 @@ def input_key(digest: str, na_tokens: frozenset[str]) -> str:
 
 
 def lake_key(series: ds.LakeSeries, config: RunConfig) -> str:
-    """Digest of the post-exclusion series and every setting but `tolerance`, `exclude_fallback` and `lake_ids`."""
+    """Digest of the post-exclusion series and every setting but `tolerance` and `lake_ids`."""
     columns = (series.dates, series.sdd, series.covariates, series.sdd_to_bottom)
     data = hashlib.sha256(b"".join(np.ascontiguousarray(c).tobytes() for c in columns)).hexdigest()
-    settings = replace(config, tolerance=DEFAULT_TOLERANCE, exclude_fallback=False, lake_ids=None)
+    settings = replace(config, tolerance=DEFAULT_TOLERANCE, lake_ids=None)
     return config_fingerprint(settings, json.dumps([CACHE_VERSION, series.lake_id, series.feature_schema, data]))
 
 
@@ -340,13 +334,6 @@ def lake_entry(lake: PreparedLake, selection: SelectionResult, grid: Feasibility
         "completed_csv": np.frombuffer(completed_text(lake.completed).encode(), np.uint8),
         "grid_csv": np.frombuffer(grid_csv.encode(), np.uint8),
     }
-
-
-def lake_curve(lake: PreparedLake, config: RunConfig) -> SampleCurve:
-    """The lake's sample curve over `RunConfig.curve_sizes`."""
-    sizes = config.curve_sizes(lake.split.n_pre, len(lake.completed.feature_schema))
-    spec = SizeGridSpec(sizes[0], config.grid_stride)  # resolves to `sizes`
-    return sample_curve(lake.split, lake.completed, spec, config.tolerance, config.penalty)
 
 
 # --------------------------------------------------------------------------- #
@@ -399,8 +386,9 @@ def process_lake(
         if cache is not None:
             entry = lake_entry(lake, selection, grid)
             cache.put(series.lake_id, lake_key(series, config), entry)
-    # The sample curve is the grid's all-features column, which does not depend on the feature order.
-    sizes = config.curve_sizes(split.n_pre, p)
+    # The sample curve is the grid's all-features column at the sizes `sample_curve` keeps (n >= p+1);
+    # it does not depend on the feature order.
+    sizes = [n for n in grid.n_grid if n > p]
     curve = SampleCurve.from_nmae(sizes, [grid.nmae[(n, p)] for n in sizes], config.tolerance)
 
     return LakeReport(
@@ -499,7 +487,7 @@ def run_pipeline(
     config_hash = config_fingerprint(config, input_digest)
     ordered, failures, shared = process_lakes(lakes, config, StageCache(out_dir / "cache"))
 
-    summary = aggregate_configs([r.minimal for r in ordered], config.exclude_fallback)
+    summary = aggregate_configs([r.minimal for r in ordered])
     agg_ranking = shared or aggregate_ranking([r.lake.ranking for r in ordered])
     star_values = [r.curve.n_star for r in ordered if r.curve.n_star is not None]
     mean_n_star = float(np.mean(star_values)) if star_values else None

@@ -194,9 +194,14 @@ class TestSampleCurve:
         assert curve.n_star == expected
 
     def test_grid_below_full_fit_errors(self, rng):
+        # Grid sizes below p+1 leave the curve; only a pool too short for the full fit is an error.
         series, split, completed = _linear_lake(rng)
+        p = len(completed.feature_schema)
+        curve = sample_curve(split, completed, SizeGridSpec(n_min=2))
+        assert curve.grid == list(range(p + 1, split.n_pre + 1))
+        assert curve == sample_curve(split, completed, SizeGridSpec(n_min=p + 1))
         with pytest.raises(EvaluationError):
-            sample_curve(split, completed, SizeGridSpec(n_min=2))
+            sample_curve(split_by_count(series, p), completed, SizeGridSpec(n_min=2))
 
     def test_grid_spec_always_includes_endpoint(self):
         spec = SizeGridSpec(n_min=5, stride=7)

@@ -214,8 +214,6 @@ class TestAggregate:
         ]
         everything = aggregate_configs(configs)
         assert everything.fallback_count == 1 and everything.n_lakes == 2
-        trimmed = aggregate_configs(configs, exclude_fallback=True)
-        assert trimmed.n_lakes == 1 and trimmed.median_n == 10
 
     def test_empty_errors(self):
         with pytest.raises(EvaluationError):

@@ -133,8 +133,6 @@ class TestPipeline:
         for report in result.reports:
             grid = report.grid
             assert grid.nmae[(grid.n_pre, grid.p)] == grid.full_nmae and not report.minimal.fallback
-        config = RunConfig(seed=4, tolerance=1e-12, exclude_fallback=True, **FAST)
-        assert run_pipeline(lakes, config, tmp_path / "excluded").summary == result.summary
 
     def test_reports_embed_config_hash(self, tmp_path):
         csv_path = tmp_path / "lakes.csv"
@@ -697,6 +695,55 @@ class TestCli:
         assert main(["lakes", "rank", "--input", str(missing), "--top", "0", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: --top")
 
+    def test_lakes_rank_without_top_keeps_every_lake_of_a_small_input(self, tmp_path, capsys):
+        csv_path = tmp_path / "lakes.csv"
+        synth_csv(csv_path, small_lake_configs(3))
+        out = tmp_path / "rank.json"
+        assert main(["lakes", "rank", "--input", str(csv_path), "--out", str(out)]) == 0
+        assert sorted(json.loads(out.read_text())["lakes"]) == [100, 101, 102]
+        assert capsys.readouterr() == ("ranked 3 lakes; kept top 3\n", "")
+
+    @staticmethod
+    def _disk_on_bottom_everywhere(path: Path, lake_ids: set[str]) -> None:
+        """Mark every visit of `lake_ids` as disk-on-bottom, so exclusions leave those lakes empty."""
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        column = rows[0].index("seccbot")
+        for row in rows[1:]:
+            if row[0] in lake_ids:
+                row[column] = "Yes"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+
+    def test_lakes_rank_skips_a_lake_it_cannot_rank(self, tmp_path, capsys):
+        csv_path = tmp_path / "lakes.csv"
+        synth_csv(csv_path, small_lake_configs(3))
+        self._disk_on_bottom_everywhere(csv_path, {"102"})
+        out, top2, top3 = tmp_path / "rank.json", tmp_path / "top2.json", tmp_path / "top3.json"
+        assert main(["lakes", "rank", "--input", str(csv_path), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("ranked 2 lakes; kept top 2\n", "lake 102 skipped: lake 102: empty series\n")
+        payload = json.loads(out.read_text())
+        assert sorted(payload["lakes"]) == [100, 101]
+        assert [profile["lake_id"] for profile in payload["profiles"]] == payload["lakes"]
+        assert main(["lakes", "rank", "--input", str(csv_path), "--top", "2", "--out", str(top2)]) == 1
+        assert top2.read_bytes() == out.read_bytes()
+        capsys.readouterr()
+        # --top is checked against the lakes that can be ranked, not the lakes in the input.
+        assert main(["lakes", "rank", "--input", str(csv_path), "--top", "3", "--out", str(top3)]) == 2
+        assert capsys.readouterr().err == "error: --top 3 exceeds the 2 lakes in the input that can be ranked\n"
+        assert not top3.exists()
+
+    def test_lakes_rank_with_no_rankable_lake_is_one_error_line(self, tmp_path, capsys):
+        csv_path = tmp_path / "lakes.csv"
+        synth_csv(csv_path, small_lake_configs(2))
+        self._disk_on_bottom_everywhere(csv_path, {"100", "101"})
+        out = tmp_path / "rank.json"
+        assert main(["lakes", "rank", "--input", str(csv_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: no lake can be ranked: 100: lake 100: empty series; 101: lake 101: empty series\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["report", "joint"])
     def test_every_lake_failed_names_each_lake(self, tmp_path, capsys, command):
         csv_path = self._write_synth_inputs(tmp_path)
@@ -1199,11 +1246,11 @@ class TestCli:
         wanted = tmp_path / "wanted.json"
         wanted.write_text("[100]")
         common = ["report", "--input", str(csv_path), "--trees", "15", "--n-stride", "6"]
-        flags = ["--global-ranking", "--exclude-fallback", "--lakes", str(wanted)]
+        flags = ["--global-ranking", "--lakes", str(wanted)]
         assert main([*common, *flags, "--out-dir", str(tmp_path / "first")]) == 0
         assert main([*common, "--out-dir", str(tmp_path / "second")]) == 0
         config = json.loads((tmp_path / "second" / "run_config.json").read_text())["config"]
-        assert config["use_global_ranking"] is False and config["exclude_fallback"] is False
+        assert config["use_global_ranking"] is False
         assert config["lake_ids"] is None
         # The second command alone, in a process whose parser has parsed nothing before.
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -1211,6 +1258,53 @@ class TestCli:
         alone = [sys.executable, "-m", "limnoplan.cli", *common, "--out-dir", str(tmp_path / "alone")]
         subprocess.run(alone, env=env, check=True, capture_output=True)
         assert bundle(tmp_path / "second") == bundle(tmp_path / "alone")
+
+
+class TestRunConfigDefaults:
+    """Every default of a run setting is `RunConfig`'s: no command's parser holds one of its own."""
+
+    PROTOCOL = ["--test-years", "--tolerance", "--lambda", "--seed", "--n-stride", "--n-min"]
+    RUN = [*PROTOCOL, "--trees", "--global-ranking", "--lakes"]
+    COMMANDS = {
+        "impute": (["--lake", "1", "--out", "o.csv"], ["--sweeps", "--noise", "--seed"]),
+        "sample-curve": (["--lake", "1", "--out", "o.csv"], PROTOCOL),
+        "feature-rank": (["--lake", "1", "--out", "o.json"], ["--test-years", "--trees", "--seed"]),
+        "feature-select": (["--lake", "1", "--out", "o.csv"], [*PROTOCOL, "--trees"]),
+        "joint": (["--out", "o.json"], RUN),
+        "report": (["--out-dir", "out"], RUN),
+    }
+    # Each flag's words and the (field, value) of `RunConfig` they set; none is the field's default.
+    FLAGS = {
+        "--test-years": (["3"], "test_years", 3),
+        "--tolerance": (["0.2"], "tolerance", 0.2),
+        "--lambda": (["2.5"], "penalty", 2.5),
+        "--seed": (["7"], "seed", 7),
+        "--n-stride": (["3"], "grid_stride", 3),
+        "--n-min": (["9"], "grid_n_min", 9),
+        "--trees": (["11"], "n_trees", 11),
+        "--sweeps": (["4"], "impute_sweeps", 4),
+        "--noise": (["on"], "impute_noise", True),
+        "--global-ranking": ([], "use_global_ranking", True),
+        "--lakes": (["lakes.json"], "lake_ids", (101, 100)),
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_required_flags_alone_give_the_default_config(self, command):
+        required, _ = self.COMMANDS[command]
+        args = cli.build_parser().parse_args([command, "--input", "in.csv", *required])
+        assert not {f.name for f in dataclasses.fields(RunConfig)} & set(vars(args))
+        assert cli._run_config(args) == RunConfig()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_flag_sets_only_its_own_field(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        Path("lakes.json").write_text("[101, 100]")
+        required, flags = self.COMMANDS[command]
+        for flag in flags:
+            words, field, value = self.FLAGS[flag]
+            assert getattr(RunConfig(), field) != value, flag
+            args = cli.build_parser().parse_args([command, "--input", "in.csv", *required, flag, *words])
+            assert cli._run_config(args) == dataclasses.replace(RunConfig(), **{field: value}), flag
 
 
 MEMO_CSV = (
