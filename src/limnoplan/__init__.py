@@ -69,11 +69,9 @@ from .joint import (
 )
 from .models import (
     ForestConfig,
-    ForestModel,
     RidgeModel,
     fit_forest,
     fit_ridge,
-    mdi_importances,
     predict_ridge,
 )
 from .report import RunConfig, run_pipeline, train_test_table

@@ -6,16 +6,17 @@ features are standardized by training means/stds, the intercept is the
 normal equations on the standardized design with a direct Cholesky
 solve of the k x k Gram matrix.
 
-The regression forest exists to score features: its mean decrease in
-impurity drives the importance ranking. Trees are grown on seeded
-bootstrap samples with per-split feature subsampling, all trees
-together one depth level at a time, with exact CART splits. There is
-no prediction API: the trees are kept only as the node tables the
-importances are summed from. Internally the forest works in name-sorted
-("canonical") column order, so fitting on a permuted copy of the
-columns with the same seed yields the identical trees and importances.
-Tree i draws its bootstrap and then one candidate-key matrix per depth
-level from ``SeedSequence([seed, i])``, so it depends only on (seed, i).
+The regression forest exists to score features: ``fit_forest`` returns
+its mean decrease in impurity, which drives the importance ranking.
+Trees are grown on seeded bootstrap samples with per-split feature
+subsampling, all trees together one depth level at a time, with exact
+CART splits. There is no prediction API and no tree is kept: the
+grower returns one record per node, and the importances are summed
+from those. Internally the forest works in name-sorted ("canonical")
+column order, so fitting on a permuted copy of the columns with the
+same seed yields the identical trees and importances. Tree i draws its
+bootstrap and then one candidate-key matrix per depth level from
+``SeedSequence([seed, i])``, so it depends only on (seed, i).
 """
 
 from __future__ import annotations
@@ -124,28 +125,7 @@ def predict_ridge(model: RidgeModel, X: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ForestConfig:
     n_trees: int = 200
-    min_samples_leaf: int = 2
-    features_per_split: int | None = None  # None -> ceil(p/3)
     seed: int = 0
-
-
-@dataclass
-class TreeNodes:
-    """One tree as parallel node arrays (feature -1 marks a leaf), stored
-    breadth-first: the j-th split node's children are nodes 2j+1 (left)
-    and 2j+2 (right), so ``feature`` alone pins the tree's shape."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    n_samples: np.ndarray
-    impurity_decrease: np.ndarray
-
-
-@dataclass
-class ForestModel:
-    trees: list[TreeNodes]
-    feature_schema: list[str]
-    canonical_order: list[int]  # caller column -> position used internally
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -274,20 +254,22 @@ def _grow_forest(
     seed: int,
     n_trees: int,
     min_leaf: int,
-    features_per_split: int,
-) -> list[TreeNodes]:
+    n_candidates: int,
+) -> tuple[np.ndarray, ...]:
     """Grow every tree of the forest together, one depth level at a time.
 
     Tree i draws its bootstrap sample from its own generator, then, at
     each level, one ``random((splittable nodes of tree i, p))`` key
-    matrix, whatever ``features_per_split`` is; a node's candidates are
-    the ``features_per_split`` columns with the smallest keys. A tree
-    thus depends only on (seed, i). A level's nodes are ordered by tree,
-    then left to right, and each node's rows are a contiguous block of
-    ``rows`` (indices into ``Xc``) in parent order. A level's records
-    are (tree, feature, threshold, n_samples, decrease); one stable sort
-    by tree at the end leaves each tree's nodes breadth-first, so the
-    j-th split node's children are nodes 2j+1 and 2j+2.
+    matrix, whatever ``n_candidates`` is; a node's candidates are the
+    ``n_candidates`` columns with the smallest keys. A tree thus depends
+    only on (seed, i). A level's nodes are ordered by tree, then left to
+    right, and each node's rows are a contiguous block of ``rows``
+    (indices into ``Xc``) in parent order.
+    Returns one record per node as the flat arrays (tree, feature,
+    threshold, n_samples, decrease); feature -1 marks a leaf, whose
+    threshold is nan and decrease 0. They run tree by tree, each tree's
+    nodes breadth-first, so within a tree the j-th split node's children
+    are nodes 2j+1 and 2j+2.
     Each column's dense value ranks are computed once, by ``np.unique``
     (so -0.0 and 0.0 share a rank, as they tie in value), for the split
     search's sort keys.
@@ -323,7 +305,7 @@ def _grow_forest(
         if todo.size:
             per_tree = np.bincount(tree_of[todo], minlength=n_trees)
             keys = np.vstack([rngs[t].random((per_tree[t], p)) for t in np.flatnonzero(per_tree).tolist()])
-            candidates = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :features_per_split], axis=1)
+            candidates = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :n_candidates], axis=1)
             f, thr, total = _best_splits(
                 X_pad, y_pad, ranks, rows, starts[todo], counts[todo], candidates, min_leaf
             )
@@ -346,13 +328,11 @@ def _grow_forest(
         counts = np.bincount(child, minlength=2 * np.count_nonzero(split))
         tree_of = np.repeat(tree_of[split], 2)
 
-    tree_of, *columns = (np.concatenate(column) for column in zip(*levels))
+    records = [np.concatenate(column) for column in zip(*levels)]
     # Stable-sorting the level-major node list by tree keeps each tree's
     # nodes in level order, which is breadth-first.
-    order = np.argsort(tree_of, kind="stable")
-    bounds = np.cumsum(np.bincount(tree_of, minlength=n_trees))[:-1]
-    per_tree = zip(*(np.split(column[order], bounds) for column in columns))
-    return [TreeNodes(*arrays) for arrays in per_tree]
+    order = np.argsort(records[0], kind="stable")
+    return tuple(column[order] for column in records)
 
 
 def fit_forest(
@@ -360,12 +340,17 @@ def fit_forest(
     y: np.ndarray,
     config: ForestConfig = ForestConfig(),
     feature_schema: Sequence[str] | None = None,
-) -> ForestModel:
-    """Fit a bagged regression forest, deterministic given the seed.
+) -> np.ndarray:
+    """Impurity-decrease importances of a bagged regression forest, aligned
+    to the caller's columns and deterministic given the seed.
 
-    Tree i draws its bootstrap sample and then, level by level, its
-    candidate-feature keys from ``SeedSequence([seed, i])`` alone, so it
-    is the same tree in a forest of any size.
+    Leaves hold at least 2 rows, and each split draws ceil(p/3) candidate
+    columns. Tree i draws its bootstrap sample and then, level by level,
+    its candidate-feature keys from ``SeedSequence([seed, i])`` alone, so
+    it is the same tree in a forest of any size. Each split contributes
+    (node sample fraction) x (impurity decrease) to its feature; the sums
+    are averaged over trees and normalized to sum to 1. An all-leaf forest
+    scores zero.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -384,42 +369,15 @@ def fit_forest(
         raise FitError("feature_schema must name each column exactly once")
 
     canonical_order = sorted(range(p), key=schema.__getitem__)
-    Xc = X[:, canonical_order]
-
-    fps = config.features_per_split
-    if fps is None:
-        fps = math.ceil(p / 3)
-    fps = max(1, min(fps, p))
-
-    trees = _grow_forest(
-        Xc,
-        y,
-        config.seed,
-        config.n_trees,
-        min_leaf=max(1, config.min_samples_leaf),
-        features_per_split=fps,
+    _, feature, _, n_samples, decrease = _grow_forest(
+        X[:, canonical_order], y, config.seed, config.n_trees, min_leaf=2, n_candidates=math.ceil(p / 3)
     )
-    return ForestModel(
-        trees=trees,
-        feature_schema=schema,
-        canonical_order=canonical_order,
-    )
-
-
-def mdi_importances(model: ForestModel) -> np.ndarray:
-    """Impurity-decrease importances, aligned to the fit-time schema.
-
-    Per tree, each split contributes (node sample fraction) x
-    (impurity decrease) to its feature; tree sums are averaged and the
-    result normalized to sum to 1. An all-leaf forest scores zero.
-    """
-    p = len(model.feature_schema)
+    # The records run tree by tree, so np.add.at (unbuffered, in index
+    # order) makes the additions of a per-tree loop, bit for bit.
+    split = feature >= 0
     raw_canonical = np.zeros(p)
-    for tree in model.trees:
-        splits = tree.feature >= 0
-        weights = tree.n_samples[splits] / tree.n_samples[0]
-        np.add.at(raw_canonical, tree.feature[splits], weights * tree.impurity_decrease[splits])
-    raw_canonical /= len(model.trees)
+    np.add.at(raw_canonical, feature[split], n_samples[split] / n * decrease[split])
+    raw_canonical /= config.n_trees
     # Normalize before leaving canonical order, so the sum (and every bit of
     # the result) does not depend on the caller's column order.
     total = raw_canonical.sum()
@@ -427,6 +385,5 @@ def mdi_importances(model: ForestModel) -> np.ndarray:
         raw_canonical /= total
 
     scores = np.zeros(p)
-    scores[model.canonical_order] = raw_canonical
+    scores[canonical_order] = raw_canonical
     return scores
-

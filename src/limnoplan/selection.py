@@ -17,7 +17,7 @@ from .dataset import SplitSeries
 from .errors import EvaluationError, SchemaError
 from .evaluation import DEFAULT_TOLERANCE, feasibility_threshold, first_within, prefix_nmae, require_full_fit
 from .imputation import CompletedMatrix
-from .models import DEFAULT_RIDGE_PENALTY, ForestConfig, fit_forest, mdi_importances
+from .models import DEFAULT_RIDGE_PENALTY, ForestConfig, fit_forest
 
 
 @dataclass
@@ -72,8 +72,7 @@ def rank_features(
     """Forest-importance ranking fit on all pre-test rows."""
     X = completed.values[split.pre_rows]
     y = split.pre.sdd
-    model = fit_forest(X, y, forest_config, feature_schema=completed.feature_schema)
-    importances = mdi_importances(model)
+    importances = fit_forest(X, y, forest_config, feature_schema=completed.feature_schema)
     return FeatureRanking.from_scores({name: float(s) for name, s in zip(completed.feature_schema, importances)})
 
 

@@ -11,15 +11,7 @@ import pytest
 from limnoplan import models
 from limnoplan.dataset import split_by_count
 from limnoplan.errors import FitError
-from limnoplan.models import (
-    _SPLIT_CHUNK_CELLS,
-    ForestConfig,
-    ForestModel,
-    fit_forest,
-    fit_ridge,
-    mdi_importances,
-    predict_ridge,
-)
+from limnoplan.models import _SPLIT_CHUNK_CELLS, ForestConfig, fit_forest, fit_ridge, predict_ridge
 from limnoplan.selection import rank_features
 from limnoplan.synth import SynthConfig, generate_lake
 
@@ -217,22 +209,62 @@ def oracle_best_splits(
     return feature, threshold, best
 
 
-def oracle_forest(X, y, config):
-    """The forest grown tree by tree with the depth-first grower.
-
-    Columns are taken as already canonical (names x0, x1, ... sort in
-    order for p <= 10); tree i bootstraps from SeedSequence([seed, i]).
-    """
+def oracle_forest(X, y, seed, n_trees, min_leaf):
+    """The forest grown tree by tree with the depth-first grower, every
+    column a candidate; tree i bootstraps from SeedSequence([seed, i])."""
     n, p = X.shape
     trees = []
-    for i in range(config.n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed & 0xFFFFFFFF, i]))
+    for i in range(n_trees):
+        rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, i]))
         boot = rng.integers(0, n, size=n)
-        trees.append(
-            oracle_grow_tree(X[boot], y[boot], rng, max(1, config.min_samples_leaf), p)
-        )
-    schema = [f"x{j}" for j in range(p)]
-    return ForestModel(trees, schema, list(range(p)))
+        trees.append(oracle_grow_tree(X[boot], y[boot], rng, min_leaf, p))
+    return trees
+
+
+def grow_trees(X, y, seed, n_trees, min_leaf, n_candidates):
+    """The grower's node records split into one namespace of node arrays
+    per tree. The records must run tree by tree, each tree's in one block."""
+    tree, *columns = models._grow_forest(X, y, seed, n_trees, min_leaf, n_candidates)
+    assert np.array_equal(np.unique(tree), np.arange(n_trees))
+    assert np.all(np.diff(tree) >= 0)
+    bounds = np.cumsum(np.bincount(tree))[:-1]
+    per_tree = zip(*(np.split(column, bounds) for column in columns))
+    return [SimpleNamespace(**dict(zip(TREE_ARRAYS, arrays))) for arrays in per_tree]
+
+
+def default_trees(X, y, config):
+    """`fit_forest`'s trees for columns already in canonical order: leaves
+    of at least 2 rows, ceil(p/3) candidates per split."""
+    return grow_trees(X, y, config.seed, config.n_trees, 2, math.ceil(X.shape[1] / 3))
+
+
+def records_of(trees):
+    """Per-tree node arrays joined back into flat records, tree by tree."""
+    tree = np.repeat(np.arange(len(trees)), [len(t.feature) for t in trees])
+    return (tree, *(np.concatenate([getattr(t, name) for t in trees]) for name in TREE_ARRAYS))
+
+
+def oracle_mdi(records, p):
+    """Impurity-decrease importances summed tree by tree (the reference).
+
+    Each tree's nodes are picked out by their tree index, in the order the
+    records give them, and one np.add.at per tree adds each split's
+    (sample fraction) x (decrease) to its feature; the sums are averaged
+    over trees and normalized to sum to 1. An all-leaf forest scores zero.
+    """
+    tree, feature, _, n_samples, decrease = records
+    raw = np.zeros(p)
+    n_trees = int(tree.max()) + 1
+    for t in range(n_trees):
+        node = tree == t
+        split = node & (feature >= 0)
+        weights = n_samples[split] / n_samples[node][0]
+        np.add.at(raw, feature[split], weights * decrease[split])
+    raw /= n_trees
+    total = raw.sum()
+    if total > 0:
+        raw /= total
+    return raw
 
 
 def breadth_first_children(feature):
@@ -397,39 +429,39 @@ class TestForest:
 
     def test_constant_target_single_leaf_trees(self, rng):
         X = rng.normal(size=(40, 3))
-        model = fit_forest(X, np.full(40, 3.3), ForestConfig(n_trees=10, seed=0))
-        assert all(len(t.feature) == 1 and t.feature[0] == -1 for t in model.trees)
-        assert np.array_equal(mdi_importances(model), np.zeros(3))
+        config = ForestConfig(n_trees=10, seed=0)
+        trees = default_trees(X, np.full(40, 3.3), config)
+        assert len(trees) == 10
+        assert all(len(t.feature) == 1 and t.feature[0] == -1 for t in trees)
+        assert np.array_equal(fit_forest(X, np.full(40, 3.3), config), np.zeros(3))
 
     def test_single_informative_feature_dominates(self):
         for seed in range(5):
             rng = np.random.default_rng(100 + seed)
             X = rng.normal(size=(500, 2))
             y = X[:, 0].copy()
-            model = fit_forest(X, y, ForestConfig(n_trees=50, seed=seed))
-            imp = mdi_importances(model)
+            imp = fit_forest(X, y, ForestConfig(n_trees=50, seed=seed))
             assert imp[0] > 0.9
 
     def test_determinism(self, rng):
         X = rng.normal(size=(60, 4))
         y = rng.normal(size=60)
-        a = fit_forest(X, y, ForestConfig(n_trees=12, seed=7))
-        b = fit_forest(X, y, ForestConfig(n_trees=12, seed=7))
-        for ta, tb in zip(a.trees, b.trees):
+        config = ForestConfig(n_trees=12, seed=7)
+        for ta, tb in zip(default_trees(X, y, config), default_trees(X, y, config)):
             assert_same_tree(ta, tb)
+        assert_bitwise_equal(fit_forest(X, y, config), fit_forest(X, y, config))
 
     def test_importances_normalized(self, rng):
         X = rng.normal(size=(80, 5))
         y = X @ rng.normal(size=5) + rng.normal(0, 0.1, 80)
-        imp = mdi_importances(fit_forest(X, y, ForestConfig(n_trees=20, seed=3)))
+        imp = fit_forest(X, y, ForestConfig(n_trees=20, seed=3))
         assert (imp >= 0).all()
         assert abs(imp.sum() - 1.0) <= 1e-12
 
     def test_impurity_decreases_nonnegative(self, rng):
         X = rng.normal(size=(50, 3))
         y = rng.normal(size=50)
-        model = fit_forest(X, y, ForestConfig(n_trees=5, seed=0))
-        for tree in model.trees:
+        for tree in default_trees(X, y, ForestConfig(n_trees=5, seed=0)):
             assert (tree.impurity_decrease >= 0).all()
             leaves = tree.feature == -1
             assert np.allclose(tree.impurity_decrease[leaves], 0.0)
@@ -437,10 +469,10 @@ class TestForest:
     def test_min_samples_leaf_respected(self, rng):
         X = rng.normal(size=(64, 2))
         y = rng.normal(size=64)
-        model = fit_forest(X, y, ForestConfig(n_trees=6, min_samples_leaf=5, seed=2))
-        for tree in model.trees:
-            leaves = tree.feature == -1
-            assert tree.n_samples[leaves].min() >= 5
+        for min_leaf in (2, 5):
+            for tree in grow_trees(X, y, 2, 6, min_leaf, 1):
+                leaves = tree.feature == -1
+                assert tree.n_samples[leaves].min() >= min_leaf
 
     def test_repeated_schema_name_is_fit_error(self, rng):
         X, y = rng.normal(size=(20, 3)), rng.normal(size=20)
@@ -469,18 +501,13 @@ class TestForestAgainstDepthFirstOracle:
         # Few distinct values, so columns and targets repeat within nodes.
         X = rng.integers(0, int(rng.integers(2, 9)), size=(n, p)) * 0.37
         y = np.round(X @ rng.normal(size=p) + rng.normal(size=n), 1) + 3.0
-        config = ForestConfig(
-            n_trees=5,
-            min_samples_leaf=int(rng.integers(1, 4)),
-            features_per_split=p,
-            seed=case,
-        )
-        model = fit_forest(X, y, config)
-        oracle = oracle_forest(X, y, config)
+        min_leaf = int(rng.integers(1, 4))
+        trees = grow_trees(X, y, case, 5, min_leaf, p)
+        oracle = oracle_forest(X, y, case, 5, min_leaf)
         # Decreases are sums over the node's rows, added in another order;
         # their rounding follows the target's scale.
         decrease_tol = 1e-12 * float(np.max(y * y))
-        for tree, ref in zip(model.trees, oracle.trees):
+        for tree, ref in zip(trees, oracle):
             paths = nodes_by_path(tree.feature, *breadth_first_children(tree.feature))
             ref_paths = nodes_by_path(ref.feature, ref.left, ref.right)
             assert paths.keys() == ref_paths.keys()
@@ -495,12 +522,12 @@ class TestForestAgainstDepthFirstOracle:
                     abs(tree.impurity_decrease[node] - ref.impurity_decrease[ref_node])
                     <= decrease_tol
                 ), path
-        assert np.max(np.abs(mdi_importances(model) - mdi_importances(oracle))) <= 1e-12
+        assert np.max(np.abs(oracle_mdi(records_of(trees), p) - oracle_mdi(records_of(oracle), p))) <= 1e-12
 
     def test_breadth_first_node_ids(self, rng):
         X = rng.normal(size=(80, 3))
         y = X[:, 0] + rng.normal(0, 0.3, 80)
-        for tree in fit_forest(X, y, ForestConfig(n_trees=4, seed=2)).trees:
+        for tree in default_trees(X, y, ForestConfig(n_trees=4, seed=2)):
             split = np.flatnonzero(tree.feature >= 0)
             # Every split adds one pair of children, and the j-th split's
             # pair, nodes 2j+1 and 2j+2, holds exactly its rows.
@@ -516,10 +543,11 @@ class TestForestRandomness:
     def test_tree_depends_only_on_seed_and_index(self, rng):
         X = rng.normal(size=(90, 7))
         y = X[:, 2] - X[:, 5] + rng.normal(0, 0.3, 90)
-        full = fit_forest(X, y, ForestConfig(n_trees=12, seed=11))
+        full = default_trees(X, y, ForestConfig(n_trees=12, seed=11))
         for k in (1, 5, 11):
-            part = fit_forest(X, y, ForestConfig(n_trees=k, seed=11))
-            for tree, ref in zip(part.trees, full.trees[:k]):
+            part = default_trees(X, y, ForestConfig(n_trees=k, seed=11))
+            assert len(part) == k
+            for tree, ref in zip(part, full):
                 assert_same_tree(tree, ref)
 
     @pytest.mark.parametrize("seed", range(40))
@@ -530,17 +558,20 @@ class TestForestRandomness:
         names = [f"f{j}" for j in range(5)]
         perm = [3, 0, 4, 1, 2]
         config = ForestConfig(n_trees=8, seed=5)
+        permuted_names = [names[j] for j in perm]
         base = fit_forest(X, y, config, feature_schema=names)
-        permuted = fit_forest(X[:, perm], y, config, feature_schema=[names[j] for j in perm])
-        imp_base = dict(zip(base.feature_schema, mdi_importances(base).tolist()))
-        imp_perm = dict(zip(permuted.feature_schema, mdi_importances(permuted).tolist()))
+        permuted = fit_forest(X[:, perm], y, config, feature_schema=permuted_names)
+        imp_base = dict(zip(names, base.tolist()))
+        imp_perm = dict(zip(permuted_names, permuted.tolist()))
         assert imp_base == imp_perm
 
 
 
 class TestDefaultForestPinned:
-    """The default 200-tree ranking of one fixed pool, pinned bit for bit
-    across commits; a change here changes every default ranking."""
+    """The default 200-tree ranking of two fixed pools, pinned bit for bit
+    across commits; a change here changes every default ranking. The
+    second pool has the paper's shape: 13 covariates, 469 rows, so 5
+    candidates per split and deeper trees than the 8-covariate pool's."""
 
     ORDER = ["x01", "x08", "x06", "x05", "x03", "x07", "x02", "x04"]
     SCORES = {
@@ -553,6 +584,22 @@ class TestDefaultForestPinned:
         "x07": "0x1.2078e24f6e255p-4",
         "x08": "0x1.c67fa731334cbp-4",
     }
+    PAPER_ORDER = ["x01", "x03", "x02", "x12", "x04", "x06", "x13", "x08", "x07", "x09", "x11", "x05", "x10"]
+    PAPER_SCORES = {
+        "x01": "0x1.3873939c9e937p-2",
+        "x02": "0x1.acc0b795e0317p-4",
+        "x03": "0x1.d60e26180eb61p-3",
+        "x04": "0x1.65b4bc6bd67afp-5",
+        "x05": "0x1.d79e313ef68e0p-6",
+        "x06": "0x1.33fe359f45763p-5",
+        "x07": "0x1.f555ec5ce3fcep-6",
+        "x08": "0x1.fae8a214b7896p-6",
+        "x09": "0x1.e2264d03a86e3p-6",
+        "x10": "0x1.d443018e524aap-6",
+        "x11": "0x1.df69d1d068092p-6",
+        "x12": "0x1.0f767fd60c063p-4",
+        "x13": "0x1.233179ce61bfdp-5",
+    }
 
     def test_default_ranking_is_pinned(self):
         series, _ = generate_lake(SynthConfig(n_samples=240, n_features=8, seed=17))
@@ -560,6 +607,13 @@ class TestDefaultForestPinned:
         ranking = rank_features(split, completed_from_series(series))
         assert ranking.order == self.ORDER
         assert {name: float.hex(score) for name, score in ranking.scores.items()} == self.SCORES
+
+    def test_paper_shaped_ranking_is_pinned(self):
+        series, _ = generate_lake(SynthConfig(n_samples=600, n_features=13, cross_correlation=0.3, seed=29))
+        split = split_by_count(series, 469)
+        ranking = rank_features(split, completed_from_series(series))
+        assert ranking.order == self.PAPER_ORDER
+        assert {name: float.hex(score) for name, score in ranking.scores.items()} == self.PAPER_SCORES
 
 def random_level(case):
     """One level's split-search inputs: padded pool, node blocks, candidates.
@@ -645,7 +699,9 @@ class TestForestBitForBit:
     """The whole forest, grown with the oracle split search swapped in,
     must be the same in every bit. A `chunk_cells` budget of a few cells
     scores each node in a chunk of its own (None keeps the default), so
-    the chunking cannot change a bit either."""
+    the chunking cannot change a bit either. fps None is `fit_forest`'s
+    ceil(p/3); with it and leaves of 2 rows, `fit_forest` must also score
+    as the per-tree sum of the records does."""
 
     @pytest.mark.parametrize(
         "n, p, n_trees, min_leaf, chunk_cells, fps",
@@ -664,13 +720,44 @@ class TestForestBitForBit:
         X = np.round(rng.normal(size=(n, p)), 1)
         X[:, 0] = rng.choice([-0.0, 0.0, 0.5], size=n)
         y = np.round(X @ rng.normal(size=p) + rng.normal(size=n), 2)
-        config = ForestConfig(n_trees, min_leaf, fps, seed=n_trees)
+        grow = (X, y, n_trees, n_trees, min_leaf, fps or math.ceil(p / 3))
         if chunk_cells is not None:
             monkeypatch.setattr(models, "_SPLIT_CHUNK_CELLS", chunk_cells)
-        model = fit_forest(X, y, config)
+        records = models._grow_forest(*grow)
+        if fps is None and min_leaf == 2:
+            scores = fit_forest(X, y, ForestConfig(n_trees, seed=n_trees))
+            assert_bitwise_equal(scores, oracle_mdi(records, p))
         monkeypatch.setattr(models, "_best_splits", oracle_split_adapter)
-        oracle = fit_forest(X, y, config)
-        for tree, ref in zip(model.trees, oracle.trees):
-            for name in TREE_ARRAYS:
-                assert_bitwise_equal(getattr(tree, name), getattr(ref, name))
-        assert_bitwise_equal(mdi_importances(model), mdi_importances(oracle))
+        oracle = models._grow_forest(*grow)
+        for got, want in zip(records, oracle, strict=True):
+            assert_bitwise_equal(got, want)
+
+
+class TestForestScoresAgainstPerTreeSum:
+    """`fit_forest` sums every split record in one np.add.at; it must give
+    the per-tree loop's bits. Its grower, asked for leaves of 2 rows and
+    ceil(p/3) candidates, is swapped for one with the case's settings."""
+
+    @pytest.mark.parametrize("case", range(64))
+    def test_scores_equal_per_tree_sum_bit_for_bit(self, monkeypatch, case):
+        rng = np.random.default_rng(5000 + case)
+        n = int(rng.integers(2, 401))
+        p = int(rng.integers(1, 14))
+        n_trees = int(rng.integers(1, 81))
+        min_leaf = int(rng.integers(1, 4))
+        n_candidates = int(rng.integers(1, p + 1))
+        if case % 2:
+            X = rng.integers(0, int(rng.integers(2, 6)), size=(n, p)) * 0.5
+        else:
+            X = rng.normal(size=(n, p))
+        y = np.round(X @ rng.normal(size=p) + rng.normal(size=n), int(rng.integers(0, 3)))
+        names = [f"x{j:02d}" for j in range(p)]  # canonical order is column order
+        grow = models._grow_forest
+
+        def grow_with_case_settings(Xc, y, seed, n_trees, **defaults):
+            assert defaults == {"min_leaf": 2, "n_candidates": math.ceil(p / 3)}
+            return grow(Xc, y, seed, n_trees, min_leaf, n_candidates)
+
+        monkeypatch.setattr(models, "_grow_forest", grow_with_case_settings)
+        scores = fit_forest(X, y, ForestConfig(n_trees, seed=case), feature_schema=names)
+        assert_bitwise_equal(scores, oracle_mdi(grow(X, y, case, n_trees, min_leaf, n_candidates), p))
