@@ -71,6 +71,7 @@ from .models import (
     ForestConfig,
     RidgeModel,
     fit_forest,
+    fit_forests,
     fit_ridge,
     predict_ridge,
 )

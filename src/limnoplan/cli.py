@@ -23,8 +23,8 @@ from .evaluation import sample_curve
 from .imputation import impute_series
 from .joint import aggregate_configs
 from .report import (
-    RunConfig, StageCache, completed_text, grid_rows, input_key, prepare_lake, process_lakes, run_pipeline,
-    select_series, train_test_table, write_csv, write_json, write_nmae_table, write_result,
+    RunConfig, StageCache, completed_text, grid_rows, input_key, prepare_lake, process_lakes, rank_features,
+    run_pipeline, select_series, train_test_table, write_csv, write_json, write_nmae_table, write_result,
 )
 from .selection import forward_selection
 from .synth import config_from_dict, generate_lake
@@ -244,7 +244,7 @@ def _cmd_impute(args) -> int:
 
 def _cmd_sample_curve(args) -> int:
     series, config = _lake_and_config(args)
-    lake = prepare_lake(series, config, rank=False)
+    lake = prepare_lake(series, config)
     curve = sample_curve(lake.split, lake.completed, config.grid_spec(), config.tolerance, config.penalty)
     write_nmae_table(Path(args.out), curve, lake_id=args.lake)
     print(f"lake {args.lake}: n_star={curve.n_star}, reference nMAE {curve.reference_nmae:.4f}")
@@ -252,7 +252,9 @@ def _cmd_sample_curve(args) -> int:
 
 
 def _cmd_feature_rank(args) -> int:
-    lake = prepare_lake(*_lake_and_config(args))
+    series, config = _lake_and_config(args)
+    lake = prepare_lake(series, config)
+    rank_features([lake], config)
     write_result(Path(args.out), lake.ranking, lake_id=args.lake)
     print(f"lake {args.lake}: top feature {lake.ranking.order[0]}")
     return 0
@@ -261,6 +263,7 @@ def _cmd_feature_rank(args) -> int:
 def _cmd_feature_select(args) -> int:
     series, config = _lake_and_config(args)
     lake = prepare_lake(series, config)
+    rank_features([lake], config)
     result = forward_selection(lake.split, lake.completed, lake.ranking, config.tolerance, config.penalty)
     write_nmae_table(Path(args.out), result, lake_id=args.lake)
     print(f"lake {args.lake}: k_star={result.k_star} ({', '.join(result.subset)})")

@@ -41,8 +41,8 @@ from .evaluation import (
 )
 from .imputation import CompletedMatrix, ImputeConfig, ImputeReport, impute_series
 from .joint import FeasibilityGrid, JointSummary, MinimalConfig, aggregate_configs, feasibility_grid, minimal_config
-from .models import DEFAULT_RIDGE_PENALTY, ForestConfig, RidgeModel, predict_ridge
-from .selection import FeatureRanking, SelectionResult, aggregate_ranking, forward_selection, rank_features
+from .models import DEFAULT_RIDGE_PENALTY, ForestConfig, RidgeModel, fit_forests, forest_input, predict_ridge
+from .selection import FeatureRanking, SelectionResult, aggregate_ranking, forward_selection
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ class PreparedLake:
     split: ds.SplitSeries
     completed: CompletedMatrix
     impute_report: ImputeReport
-    ranking: FeatureRanking | None  # None when prepared without ranking
+    ranking: FeatureRanking | None  # None until `rank_features` ranks it, unless read from the cache
     cached: dict[str, np.ndarray] | None = None  # the lake's cache entry, when prepared from one
 
 
@@ -340,10 +340,8 @@ def lake_entry(lake: PreparedLake, selection: SelectionResult, grid: Feasibility
 # Per-lake processing
 # --------------------------------------------------------------------------- #
 
-def prepare_lake(
-    series: ds.LakeSeries, config: RunConfig, rank: bool = True, cache: StageCache | None = None
-) -> PreparedLake:
-    """Split, impute and (unless `rank` is false) rank one exclusion-filtered lake, or read it from `cache`."""
+def prepare_lake(series: ds.LakeSeries, config: RunConfig, cache: StageCache | None = None) -> PreparedLake:
+    """Split and impute one exclusion-filtered lake, or read it, ranking included, from `cache`."""
     split = ds.split_test_block(series, config.test_years)
     entry = cache and cache.get(series.lake_id, lake_key(series, config), entry_layout(series, split, config))
     if entry is not None:
@@ -353,8 +351,20 @@ def prepare_lake(
         ranking = FeatureRanking.from_scores(dict(zip(schema, entry["scores"].tolist())))
         return PreparedLake(series, split, CompletedMatrix(entry["values"], schema, mask), report, ranking, entry)
     completed, impute_report = impute_series(series, config.impute_config(series.lake_id))
-    ranking = rank_features(split, completed, config.forest_config(series.lake_id)) if rank else None
-    return PreparedLake(series, split, completed, impute_report, ranking)
+    return PreparedLake(series, split, completed, impute_report, None)
+
+
+def forest_problem(lake: PreparedLake, config: RunConfig) -> tuple:
+    """The lake's pre-test rows as the forest input (X, y, config, schema) that `models.fit_forests` takes."""
+    schema, rows = lake.completed.feature_schema, lake.split.pre_rows
+    return lake.completed.values[rows], lake.split.pre.sdd, config.forest_config(lake.series.lake_id), schema
+
+
+def rank_features(lakes: Sequence[PreparedLake], config: RunConfig) -> None:
+    """Set each lake's ranking to its `selection.rank_features` ranking, bit for bit. The forests of all
+    lakes grow together in passes bounded in rows; none depends on the other lakes in its pass."""
+    for lake, scores in zip(lakes, fit_forests([forest_problem(lake, config) for lake in lakes])):
+        lake.ranking = FeatureRanking.from_scores(dict(zip(lake.completed.feature_schema, scores.tolist())))
 
 
 def process_lake(
@@ -438,13 +448,14 @@ def select_series(lakes: Sequence[ds.LakeSeries], lake_ids: tuple[int, ...] | No
 def process_lakes(
     lakes: Sequence[ds.LakeSeries], config: RunConfig, cache: StageCache | None = None
 ) -> tuple[list[LakeReport], dict[int, str], FeatureRanking | None]:
-    """Prepare and process the lakes `config` selects, in lake-id order.
+    """Prepare and check every lake `config` selects, rank those not read from the cache together, then
+    process each, in lake-id order.
 
     Returns the reports, the failure message of each lake that failed a
     stage, and, in global-ranking mode, the average of the prepared
     lakes' rankings that every grid used (None otherwise). A lake too
-    short to fit every feature fails before that average, so it never
-    enters it.
+    short to fit every feature fails before it is ranked, so it never
+    enters that average.
     """
     selected = [ds.apply_exclusions(s) for s in select_series(lakes, config.lake_ids)]
     if not selected:
@@ -454,10 +465,14 @@ def process_lakes(
     for series in selected:
         try:
             lake = prepare_lake(series, config, cache=cache)
+            forest_input(*forest_problem(lake, config))
             require_full_fit(lake.split.n_pre, len(lake.completed.feature_schema))
             prepared.append(lake)
         except LimnoplanError as exc:
             failures[series.lake_id] = str(exc)
+    unranked = [lake for lake in prepared if lake.ranking is None]
+    if unranked:  # a run served from the cache grows no forest
+        rank_features(unranked, config)
     shared = aggregate_ranking([lake.ranking for lake in prepared]) if config.use_global_ranking and prepared else None
     reports: list[LakeReport] = []
     for lake in prepared:

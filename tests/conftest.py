@@ -7,6 +7,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from limnoplan import models
 from limnoplan.dataset import LakeSeries
 from limnoplan.imputation import CompletedMatrix, initialize_fill
 
@@ -54,6 +55,18 @@ def completed_from_series(series: LakeSeries) -> CompletedMatrix:
     """Completion of a series that must already be gap-free."""
     assert not np.isnan(series.covariates).any(), "fixture expected to be gap-free"
     return initialize_fill(series.covariates, list(series.feature_schema))
+
+
+def count_passes(monkeypatch) -> list[int]:
+    """Swap in a forest grower that notes how many forests each pass grows; returns those counts."""
+    passes, grow = [], models._grow_forests
+
+    def counting(jobs, *args, **kwargs):
+        passes.append(len(jobs))
+        return grow(jobs, *args, **kwargs)
+
+    monkeypatch.setattr(models, "_grow_forests", counting)
+    return passes
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from limnoplan.models import _SPLIT_CHUNK_CELLS, ForestConfig, fit_forest, fit_r
 from limnoplan.selection import rank_features
 from limnoplan.synth import SynthConfig, generate_lake
 
-from conftest import completed_from_series
+from conftest import completed_from_series, count_passes
 
 TREE_ARRAYS = ("feature", "threshold", "n_samples", "impurity_decrease")
 
@@ -761,3 +761,71 @@ class TestForestScoresAgainstPerTreeSum:
         monkeypatch.setattr(models, "_grow_forest", grow_with_case_settings)
         scores = fit_forest(X, y, ForestConfig(n_trees, seed=case), feature_schema=names)
         assert_bitwise_equal(scores, oracle_mdi(grow(X, y, case, n_trees, min_leaf, n_candidates), p))
+
+
+def pooled_lake(rng, p, kind):
+    """A lake of p columns for the pooled-forest tests: (X, y)."""
+    n = 2 if kind == "two rows" else int(rng.integers(3, 301))
+    X = np.round(rng.normal(size=(n, p)), 1)
+    if kind == "ties":
+        X = rng.integers(0, 3, size=(n, p)) * 0.5
+    elif kind == "signed zeros":
+        X[:, 0] = rng.choice([-0.0, 0.0, 0.7], size=n)
+    y = np.round(X @ rng.normal(size=p) + rng.normal(size=n), int(rng.integers(0, 3)))
+    if kind == "constant target":
+        y = np.full(n, 2.5)
+    return X, y
+
+
+class TestForestsGrownTogether:
+    """`fit_forests` grows the forests of several lakes in shared passes;
+    each lake's scores must equal its forest grown alone, bit for bit,
+    however the lakes fall into passes."""
+
+    KINDS = ["plain", "ties", "signed zeros", "two rows", "constant target"]
+
+    @pytest.mark.parametrize("pool_rows", ["one lake per pass", "part-way", "one pass"])
+    @pytest.mark.parametrize("case", range(6))
+    def test_each_forest_equals_its_forest_grown_alone(self, monkeypatch, case, pool_rows):
+        rng = np.random.default_rng(7000 + case)
+        p = int(rng.integers(1, 9))
+        kinds = list(rng.permutation(self.KINDS)) + ["plain"] * int(rng.integers(0, 3))
+        lakes = [pooled_lake(rng, p, kind) for kind in kinds]
+        configs = [ForestConfig(n_trees=int(rng.integers(1, 30)), seed=int(rng.integers(0, 2**32))) for _ in lakes]
+        names = [f"x{j:02d}" for j in range(p)]  # canonical order is column order
+        alone = [fit_forest(X, y, config, names) for (X, y), config in zip(lakes, configs)]
+
+        loads = [len(y) * config.n_trees for (_, y), config in zip(lakes, configs)]
+        limit = {"one lake per pass": 1, "part-way": loads[0] + loads[1], "one pass": 1 << 40}
+        monkeypatch.setattr(models, "_POOL_ROWS", limit[pool_rows])
+        passes = count_passes(monkeypatch)
+        pooled = models.fit_forests([(X, y, config, names) for (X, y), config in zip(lakes, configs)])
+        assert sum(passes) == len(lakes)
+        if pool_rows == "one lake per pass":
+            assert passes == [1] * len(lakes)
+        elif pool_rows == "one pass":
+            assert passes == [len(lakes)]
+        else:  # the first two lakes share a pass, and the rest follow in others
+            assert passes[0] == 2 and len(passes) > 1
+        for kind, (X, y), config, got, want in zip(kinds, lakes, configs, pooled, alone):
+            assert_bitwise_equal(got, want)
+            records = records_of(grow_trees(X, y, config.seed, config.n_trees, 2, math.ceil(p / 3)))
+            assert_bitwise_equal(got, oracle_mdi(records, p))
+            if kind in ("two rows", "constant target"):  # every tree is one leaf
+                assert np.array_equal(records[1], np.full(config.n_trees, -1)) and not got.any()
+
+    def test_lakes_of_another_column_count_start_a_new_pass(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        lakes = [pooled_lake(rng, p, "plain") for p in (3, 3, 5, 3)]
+        passes = count_passes(monkeypatch)
+        config = ForestConfig(n_trees=4, seed=2)
+        pooled = models.fit_forests([(X, y, config, None) for X, y in lakes])
+        assert passes == [2, 1, 1]
+        for (X, y), got in zip(lakes, pooled):
+            assert_bitwise_equal(got, fit_forest(X, y, config))
+
+    def test_a_bad_input_is_the_fit_forest_error(self, rng):
+        good = (rng.normal(size=(20, 2)), rng.normal(size=20), ForestConfig(n_trees=3), None)
+        bad = (rng.normal(size=(1, 2)), np.ones(1), ForestConfig(n_trees=3), None)
+        with pytest.raises(FitError, match="^need at least 2 rows and 1 feature column to grow trees, have 1 x 2$"):
+            models.fit_forests([good, bad])

@@ -10,6 +10,7 @@ import os
 import shutil
 import subprocess
 import sys
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from limnoplan.joint import FeasibilityGrid
 from limnoplan.report import RunConfig, run_pipeline, train_test_table
 from limnoplan.synth import SynthConfig, generate_lake
 
-from conftest import series_from_arrays
+from conftest import count_passes, series_from_arrays
 
 
 def synth_csv(path: Path, configs: list[SynthConfig]) -> list:
@@ -1437,3 +1438,73 @@ class TestInputEntry:
         assert main(args) == 2
         assert capsys.readouterr().err == "error: tolerance must be finite and positive, got 0.0\n"
         assert not (tmp_path / "b").exists()
+
+
+def dated_lake(lake_id: int, early_visits: int, rng) -> dataset.LakeSeries:
+    """A lake of four covariates: `early_visits` visits more than five years before its last, then 40
+    monthly ones."""
+    early = [date(2000, 1, 1) + timedelta(days=60 * i) for i in range(early_visits)]
+    recent = [date(2010, 1, 1) + timedelta(days=30 * i) for i in range(40)]
+    X = rng.normal(size=(len(early) + len(recent), 4))
+    return series_from_arrays(lake_id, 3 + X[:, 0], X, ["x01", "x02", "x03", "x04"], dates=early + recent)
+
+
+class TestPooledRanking:
+    """The forests of all lakes grow in shared passes; a lake's results
+    must not depend on which lakes share its pass, and a lake that fails
+    still fails alone, with its own message."""
+
+    FLAGS = ["--trees", "20", "--n-stride", "4", "--seed", "6"]
+
+    @staticmethod
+    def lake_files(out: Path, lake_id: int) -> dict:
+        """The lake's bundle files (JSON without its config-hash stamp) and its cache entry."""
+        files = {"cache": (out / "cache" / f"{lake_id}.npz").read_bytes()}
+        for path in sorted((out / "lakes" / str(lake_id)).iterdir()):
+            files[path.name] = path.read_bytes()
+            if path.suffix == ".json":
+                files[path.name] = json.loads(path.read_text())
+                assert files[path.name].pop("config_hash")
+        return files
+
+    def report(self, csv_path: Path, out: Path, *flags: str) -> int:
+        return main(["report", "--input", str(csv_path), *self.FLAGS, *flags, "--out-dir", str(out)])
+
+    def test_a_lake_ranked_with_others_equals_it_ranked_alone(self, tmp_path, monkeypatch):
+        csv_path, one = tmp_path / "lakes.csv", tmp_path / "one.json"
+        synth_csv(csv_path, [dataclasses.replace(c, lake_id=1001 + i) for i, c in enumerate(small_lake_configs(3))])
+        one.write_text("[1001]")
+        passes = count_passes(monkeypatch)
+        assert self.report(csv_path, tmp_path / "all") == 0
+        assert passes == [3]  # the three forests grew in one pass
+        assert self.report(csv_path, tmp_path / "one", "--lakes", str(one)) == 0
+        assert passes == [3, 1]
+        files = self.lake_files(tmp_path / "all", 1001)
+        assert {"ranking.json", "grid.csv", "minimal_config.json"} <= files.keys()
+        assert files == self.lake_files(tmp_path / "one", 1001)
+
+    def test_failing_lakes_fail_alone_with_their_own_messages(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(3)
+        csv_path, survivors = tmp_path / "lakes.csv", tmp_path / "survivors.json"
+        synth_csv(csv_path, small_lake_configs(2))
+        text = csv_path.read_text()
+        # No visit before the test window, one pre-test row, and three pre-test rows for four covariates.
+        for lake_id, early_visits in ((201, 0), (202, 1), (203, 3)):
+            buffer = io.StringIO()
+            write_series_csv(dated_lake(lake_id, early_visits, rng), buffer)
+            text += buffer.getvalue().split("\n", 1)[1]
+        csv_path.write_text(text)
+        passes = count_passes(monkeypatch)
+        assert self.report(csv_path, tmp_path / "all") == 1
+        assert passes == [2]  # lake 203 fails its full-fit check before any forest grows
+        failures = {
+            "201": "lake 201: record does not span more than the 5-year test window",
+            "202": "need at least 2 rows and 1 feature column to grow trees, have 1 x 4",
+            "203": "training size 3 outside [5, 3] for 4 feature(s)",
+        }
+        assert json.loads((tmp_path / "all" / "summary.json").read_text())["failures"] == failures
+        assert capsys.readouterr().err == "".join(f"lake {i} skipped: {m}\n" for i, m in failures.items())
+        survivors.write_text("[100, 101]")
+        assert self.report(csv_path, tmp_path / "survivors", "--lakes", str(survivors)) == 0
+        for lake_id in (100, 101):
+            assert self.lake_files(tmp_path / "all", lake_id) == self.lake_files(tmp_path / "survivors", lake_id)
