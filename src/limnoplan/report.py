@@ -22,7 +22,6 @@ import json
 import math
 import os
 import shutil
-import zipfile
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -238,21 +237,23 @@ INPUT_COLUMNS = {"dates": "<M8[D]", "sdd": "f8", "covariates": "f8", "sdd_to_bot
 
 @dataclass
 class StageCache:
-    """Disk cache of `.npz` entries of named arrays: one per lake and one for the parsed input, each under its key."""
+    """Disk cache of named arrays: one entry per lake and one for the parsed input, each under its key. An entry is
+    one `.npy` record, a 0-d structured array of one field per array, so a read parses one header."""
 
     root: Path
 
     def _path(self, lake_id: int | str) -> Path:
-        return self.root / f"{lake_id}.npz"
+        return self.root / f"{lake_id}.npy"
 
     def get(self, lake_id: int | str, key: str, layout: dict[str, tuple]) -> dict[str, np.ndarray] | None:
         """The arrays stored under `key`, or None unless each array `layout` names is there at its (dtype, shape)."""
         layout = {"key": ("u1", (len(key),)), **layout}
         try:
             with open(self._path(lake_id), "rb") as fh:
-                entry = np.load(fh, allow_pickle=False)  # never unpickle: an out-dir may be shared
-                arrays = {name: entry[name] for name in layout}
-        except (OSError, EOFError, IndexError, KeyError, ValueError, zipfile.BadZipFile):
+                # Only the .npy format, never unpickled: an out-dir may be shared.
+                record = np.lib.format.read_array(fh, allow_pickle=False)
+            arrays = {name: record[name] for name in layout}
+        except Exception:  # a damaged header alone can raise a SyntaxError, TypeError or tokenize.TokenError
             return None
 
         def fits(a: np.ndarray, dtype: str, shape: tuple | int | None) -> bool:
@@ -264,13 +265,27 @@ class StageCache:
         return arrays if fit and arrays.pop("key").tobytes() == key.encode() else None
 
     def put(self, lake_id: int | str, key: str, arrays: dict[str, np.ndarray]) -> None:
-        """Store `arrays` and `key` as one uncompressed `.npz`, in place of the entry stored before."""
+        """Store `key` and `arrays` as one `.npy` record, in place of the entry stored before. Its fields go in
+        descending alignment, so each array `get` returns is an aligned, C-contiguous view of the record."""
+        arrays = {"key": np.frombuffer(key.encode(), np.uint8), **arrays}
+        names = sorted(arrays, key=lambda name: -arrays[name].dtype.alignment)
+        try:
+            record = np.empty((), [(name, arrays[name].dtype, arrays[name].shape) for name in names])
+        except ValueError:  # over 2 GiB: numpy keeps a record's size in a C int. Such an entry is not stored.
+            return
+        for name in names:
+            record[name] = arrays[name]
         # Write then rename, so a reader never sees a partial entry.
         path = self._path(lake_id)
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp.npz")  # savez appends .npz to other names
-        np.savez(tmp, key=np.frombuffer(key.encode(), np.uint8), **arrays)
-        os.replace(tmp, path)
+        tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp.npy")
+        try:
+            with open(tmp, "wb") as fh:
+                np.save(fh, record)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     def get_input(self, key: str) -> tuple[list[ds.LakeSeries], list[ds.RowError]] | None:
         """The `parse_dataset` result stored by `put_input`, or None unless its row counts fit its arrays."""

@@ -71,8 +71,17 @@ def bundle(out_dir: Path) -> dict[str, bytes]:
 
 
 def entry_arrays(path: Path) -> dict[str, np.ndarray]:
-    with np.load(path, allow_pickle=False) as entry:
-        return dict(entry)
+    """The arrays of a stage-cache entry, `key` included: the fields of its one `.npy` record."""
+    record = np.load(path, allow_pickle=False)
+    return {name: record[name] for name in record.dtype.names}
+
+
+def save_entry(path: Path, arrays: dict[str, np.ndarray]) -> None:
+    """`arrays` as one stage-cache record at `path`: a 0-d structured array of a field per array."""
+    record = np.empty((), [(name, a.dtype, a.shape) for name, a in arrays.items()])
+    for name, a in arrays.items():
+        record[name] = a
+    save_npy(path, record)
 
 
 def stored_key(path: Path) -> str:
@@ -85,8 +94,24 @@ def same_arrays(a: dict[str, np.ndarray], b: dict[str, np.ndarray]) -> bool:
 
 
 def save_npy(path: Path, array: np.ndarray) -> None:
-    with open(path, "wb") as fh:  # np.save would add ".npy" to a path
+    with open(path, "wb") as fh:  # np.save would add ".npy" to a path not ending in it
         np.save(fh, array)
+
+
+def save_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
+    """`arrays` as the earlier format's entry: an uncompressed `.npz` zip of one member per array."""
+    with open(path, "wb") as fh:  # np.savez would add ".npz" to a path
+        np.savez(fh, **arrays)
+
+
+# Tampers that any entry fails on: the earlier `.npz` format under the new name, a non-structured array
+# holding every byte of the entry's arrays, a record without its key, and a header numpy cannot parse.
+FORMAT_TAMPERS = {
+    "old-npz": save_npz,
+    "plain-npy": lambda path, arrays: save_npy(path, np.array(b"".join(a.tobytes() for a in arrays.values()))),
+    "missing-key": lambda path, arrays: save_entry(path, {k: v for k, v in arrays.items() if k != "key"}),
+    "damaged-header": lambda path, arrays: path.write_bytes(path.read_bytes().replace(b"[", b"[[", 1)),
+}
 
 
 def load_csv(path: Path) -> list:
@@ -320,7 +345,7 @@ class TestPipeline:
         # A grid computed the old way, under the old version's key.
         arrays = entry_arrays(old_entry)
         arrays["grid"] = np.zeros_like(arrays["grid"])
-        np.savez(old_entry, **arrays)
+        save_entry(old_entry, arrays)
         monkeypatch.undo()
 
         run_pipeline(lakes, config, out)
@@ -333,19 +358,20 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "tamper",
         [
-            lambda path, arrays: np.savez(path, **{k: v for k, v in arrays.items() if k != "selection"}),
-            lambda path, arrays: np.savez(path, **{**arrays, "grid": arrays["grid"][:-1]}),
-            lambda path, arrays: np.savez(path, **{**arrays, "scores": arrays["scores"].astype(np.float32)}),
+            lambda path, arrays: save_entry(path, {k: v for k, v in arrays.items() if k != "selection"}),
+            lambda path, arrays: save_entry(path, {**arrays, "grid": arrays["grid"][:-1]}),
+            lambda path, arrays: save_entry(path, {**arrays, "scores": arrays["scores"].astype(np.float32)}),
             lambda path, arrays: save_npy(path, arrays["values"]),
             lambda path, arrays: path.write_text(json.dumps({"nmae": [[1, 2]], "excluded": []})),
             lambda path, arrays: path.write_text("{}"),
-            lambda path, arrays: np.savez(path, **{**arrays, "grid_csv": arrays["grid_csv"][:-100]}),
-            lambda path, arrays: np.savez(path, **{k: v for k, v in arrays.items() if k != "completed_csv"}),
-            lambda path, arrays: np.savez(path, **{**arrays, "grid_csv": arrays["grid_csv"].astype(np.int16)}),
+            lambda path, arrays: save_entry(path, {**arrays, "grid_csv": arrays["grid_csv"][:-100]}),
+            lambda path, arrays: save_entry(path, {k: v for k, v in arrays.items() if k != "completed_csv"}),
+            lambda path, arrays: save_entry(path, {**arrays, "grid_csv": arrays["grid_csv"].astype(np.int16)}),
+            *FORMAT_TAMPERS.values(),
         ],
         ids=[
             "missing-array", "wrong-shape", "wrong-dtype", "npy-file", "old-json-grid", "empty-json",
-            "truncated-grid-text", "missing-completed-text", "grid-text-not-uint8",
+            "truncated-grid-text", "missing-completed-text", "grid-text-not-uint8", *FORMAT_TAMPERS,
         ],
     )
     def test_unusable_cache_entry_is_a_miss_and_rewritten(self, tmp_path, tamper):
@@ -415,7 +441,7 @@ class TestPipeline:
         config = RunConfig(seed=4, **FAST)
         shared = tmp_path / "shared"
         run_pipeline(load_csv(csv_path), config, shared)
-        keys = {lake_id: stored_key(shared / "cache" / f"{lake_id}.npz") for lake_id in (100, 101)}
+        keys = {lake_id: stored_key(shared / "cache" / f"{lake_id}.npy") for lake_id in (100, 101)}
         lines = csv_path.read_text().splitlines(keepends=True)
         header = lines[0].rstrip("\n").split(",")
         row = lines[-3].rstrip("\n").split(",")  # a visit of lake 101
@@ -427,9 +453,9 @@ class TestPipeline:
         run_pipeline(load_csv(csv_path), config, shared)
         run_pipeline(load_csv(csv_path), config, tmp_path / "fresh")
         assert bundle(shared) == bundle(tmp_path / "fresh")
-        assert sorted(path.name for path in (shared / "cache").iterdir()) == ["100.npz", "101.npz"]
-        assert stored_key(shared / "cache" / "101.npz") != keys[101]
-        assert stored_key(shared / "cache" / "100.npz") == keys[100]
+        assert sorted(path.name for path in (shared / "cache").iterdir()) == ["100.npy", "101.npy"]
+        assert stored_key(shared / "cache" / "101.npy") != keys[101]
+        assert stored_key(shared / "cache" / "100.npy") == keys[100]
 
     @pytest.mark.parametrize(
         "change", [dict(seed=5), dict(n_trees=30), dict(penalty=0.5), dict(test_years=4)],
@@ -961,7 +987,7 @@ class TestCli:
             return payload
 
         def files(out_dir):  # but the input's cache entry, whose key holds the input's digest
-            return sorted(p.relative_to(out_dir) for p in out_dir.rglob("*") if not p.match("cache/input.npz"))
+            return sorted(p.relative_to(out_dir) for p in out_dir.rglob("*") if not p.match("cache/input.npy"))
 
         clean_files, dirty_files = files(tmp_path / "clean"), files(tmp_path / "dirty")
         assert clean_files == dirty_files
@@ -1362,32 +1388,33 @@ class TestInputEntry:
         path, cache = tmp_path / "lakes.csv", tmp_path / "cache"
         path.write_text(MEMO_CSV)
         self.load(path, cache, capsys)
-        keys = [stored_key(cache / "input.npz")]
+        keys = [stored_key(cache / "input.npy")]
         calls = self.counting_parser(monkeypatch)
         lakes, _, _ = self.load(path, cache, capsys, na_token="-999")
         assert len(calls) == 1 and np.isnan(lakes[1].covariates[1, 0])
-        keys.append(stored_key(cache / "input.npz"))
+        keys.append(stored_key(cache / "input.npy"))
         path.write_text(MEMO_CSV.replace("No,4.0,", "No,4.1,"))
         lakes, _, _ = self.load(path, cache, capsys)
         assert len(calls) == 2 and lakes[1].sdd.tolist() == [5.0, 4.1]
-        keys.append(stored_key(cache / "input.npz"))
-        assert list(cache.iterdir()) == [cache / "input.npz"] and len(set(keys)) == 3
+        keys.append(stored_key(cache / "input.npy"))
+        assert list(cache.iterdir()) == [cache / "input.npy"] and len(set(keys)) == 3
 
     @pytest.mark.parametrize(
         "tamper",
         [
             lambda path, arrays: path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2]),
-            lambda path, arrays: path.write_bytes(b"not an npz"),
-            lambda path, arrays: np.savez(path, **{k: v for k, v in arrays.items() if k != "sdd_to_bottom"}),
-            lambda path, arrays: np.savez(path, **{**arrays, "sdd": arrays["sdd"].astype(np.float32)}),
-            lambda path, arrays: np.savez(path, **{**arrays, "dates": arrays["dates"][:-1]}),
-            lambda path, arrays: np.savez(path, **{**arrays, **{c: arrays[c][:-1] for c in report.INPUT_COLUMNS}}),
-            lambda path, arrays: np.savez(path, **{**arrays, "covariates": arrays["covariates"][:, :1]}),
-            lambda path, arrays: np.savez(path, **{**arrays, "parse": arrays["parse"][:-5]}),
-            lambda path, arrays: np.savez(path, **{**arrays, "parse": np.frombuffer(b'{"lakes": []}', np.uint8)}),
+            lambda path, arrays: path.write_bytes(b"not an npy"),
+            lambda path, arrays: save_entry(path, {k: v for k, v in arrays.items() if k != "sdd_to_bottom"}),
+            lambda path, arrays: save_entry(path, {**arrays, "sdd": arrays["sdd"].astype(np.float32)}),
+            lambda path, arrays: save_entry(path, {**arrays, "dates": arrays["dates"][:-1]}),
+            lambda path, arrays: save_entry(path, {**arrays, **{c: arrays[c][:-1] for c in report.INPUT_COLUMNS}}),
+            lambda path, arrays: save_entry(path, {**arrays, "covariates": arrays["covariates"][:, :1]}),
+            lambda path, arrays: save_entry(path, {**arrays, "parse": arrays["parse"][:-5]}),
+            lambda path, arrays: save_entry(path, {**arrays, "parse": np.frombuffer(b'{"lakes": []}', np.uint8)}),
+            *FORMAT_TAMPERS.values(),
         ],
         ids=["truncated", "garbage", "missing-array", "wrong-dtype", "short-column", "every-column-short",
-             "narrow-covariates", "truncated-json", "other-json"],
+             "narrow-covariates", "truncated-json", "other-json", *FORMAT_TAMPERS],
     )
     def test_an_unusable_entry_is_a_miss_and_rewritten(self, tmp_path, capsys, monkeypatch, tamper):
         path, cache = tmp_path / "lakes.csv", tmp_path / "cache"
@@ -1440,6 +1467,94 @@ class TestInputEntry:
         assert not (tmp_path / "b").exists()
 
 
+class TestEntryRecord:
+    """A stage-cache entry is one `.npy` record: a 0-d structured array of one field per array."""
+
+    FLAGS = ["--trees", "15", "--n-stride", "6"]
+
+    @staticmethod
+    def assert_stored(got: dict[str, np.ndarray], want: dict[str, np.ndarray]) -> None:
+        assert got.keys() == want.keys()
+        for name, a in got.items():
+            b = want[name]
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+            assert a.flags.c_contiguous and a.flags.aligned, name
+
+    def test_a_lake_entry_reads_back_as_stored(self, tmp_path):
+        synth_csv(tmp_path / "lakes.csv", small_lake_configs(1))
+        config = RunConfig(seed=4, **FAST)
+        (lake_report,) = run_pipeline(load_csv(tmp_path / "lakes.csv"), config, tmp_path / "out").reports
+        series, split, entry = lake_report.lake.series, lake_report.lake.split, lake_report.entry
+        cache, key = report.StageCache(tmp_path / "cache"), report.lake_key(series, config)
+        cache.put(series.lake_id, key, entry)
+        self.assert_stored(cache.get(series.lake_id, key, report.entry_layout(series, split, config)), entry)
+
+    @pytest.mark.parametrize(
+        "text", [MEMO_CSV, "midas,lake,date,zS_m\n1,A,2001-06-01,3.0\n2,B,2001-06-02,2.5\n2,B,2001-07-02,2.0\n"],
+        ids=["covariates", "no-covariates"],
+    )
+    def test_an_input_entry_reads_back_as_stored(self, tmp_path, text):
+        lakes, errors = parse_dataset(io.StringIO(text, newline=""))
+        cache, key = report.StageCache(tmp_path / "cache"), "0123456789abcdef"
+        cache.put_input(key, lakes, errors)
+        columns = {c: np.concatenate([getattr(s, c) for s in lakes]) for c in report.INPUT_COLUMNS}
+        layout = {"parse": ("u1", None), **{c: (t, None) for c, t in report.INPUT_COLUMNS.items()}}
+        got = cache.get("input", key, layout)
+        assert got.pop("parse").flags.c_contiguous
+        self.assert_stored(got, columns)
+        assert columns["covariates"].shape[1] == (2 if text == MEMO_CSV else 0)
+        hit, hit_errors = cache.get_input(key)
+        assert hit_errors == errors
+        for a, b in zip(hit, lakes):
+            self.assert_stored({c: getattr(a, c) for c in columns}, {c: getattr(b, c) for c in columns})
+
+    def test_an_entry_over_the_record_size_is_not_stored(self, tmp_path):
+        cache = report.StageCache(tmp_path / "cache")
+        cache.put("input", "0123456789abcdef", {"sdd": np.broadcast_to(np.zeros(1), (2**28,))})  # 2 GiB, no memory
+        assert not list(cache.root.glob("*"))
+
+    @pytest.mark.parametrize("stage", ["input", "lake"])
+    def test_a_failed_put_leaves_cache_as_it_was(self, tmp_path, capsys, monkeypatch, stage):
+        synth_csv(tmp_path / "lakes.csv", small_lake_configs(1))
+        args = ["report", "--input", str(tmp_path / "lakes.csv"), *self.FLAGS, "--out-dir", str(tmp_path / "out")]
+        if stage == "lake":  # the input entry hits, and the lake's entry at another seed is stored
+            assert main(args) == 0
+            args += ["--seed", "5"]
+        cache = tmp_path / "out" / "cache"
+        before = {path.name: path.read_bytes() for path in cache.glob("*")}
+
+        def failing_save(file, array, *args, **kwargs):
+            file.write(b"\x93NUMPY")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "save", failing_save)
+        capsys.readouterr()
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert {path.name: path.read_bytes() for path in cache.glob("*")} == before
+
+    def test_entries_of_the_npz_format_are_ignored_and_kept(self, tmp_path, monkeypatch):
+        synth_csv(tmp_path / "lakes.csv", small_lake_configs(2))
+        args = ["report", "--input", str(tmp_path / "lakes.csv"), *self.FLAGS, "--out-dir"]
+        assert main([*args, str(tmp_path / "cold")]) == 0
+        old = tmp_path / "old" / "cache"
+        old.mkdir(parents=True)
+        for entry in (tmp_path / "cold" / "cache").iterdir():  # what the earlier format stored, key included
+            save_npz(old / f"{entry.stem}.npz", entry_arrays(entry))
+        npz = {path.name: path.read_bytes() for path in old.iterdir()}
+        assert sorted(npz) == ["100.npz", "101.npz", "input.npz"]
+
+        calls = []
+        for name in ("impute_series", "rank_features"):
+            counted = lambda *a, _name=name, _f=getattr(report, name), **k: calls.append(_name) or _f(*a, **k)
+            monkeypatch.setattr(report, name, counted)
+        assert main([*args, str(tmp_path / "old")]) == 0
+        assert sorted(calls) == ["impute_series", "impute_series", "rank_features"]
+        assert bundle(tmp_path / "old") == bundle(tmp_path / "cold")
+        assert {path.name: path.read_bytes() for path in old.glob("*.npz")} == npz
+        assert sorted(path.name for path in old.glob("*.npy")) == ["100.npy", "101.npy", "input.npy"]
+
+
 def dated_lake(lake_id: int, early_visits: int, rng) -> dataset.LakeSeries:
     """A lake of four covariates: `early_visits` visits more than five years before its last, then 40
     monthly ones."""
@@ -1459,7 +1574,7 @@ class TestPooledRanking:
     @staticmethod
     def lake_files(out: Path, lake_id: int) -> dict:
         """The lake's bundle files (JSON without its config-hash stamp) and its cache entry."""
-        files = {"cache": (out / "cache" / f"{lake_id}.npz").read_bytes()}
+        files = {"cache": (out / "cache" / f"{lake_id}.npy").read_bytes()}
         for path in sorted((out / "lakes" / str(lake_id)).iterdir()):
             files[path.name] = path.read_bytes()
             if path.suffix == ".json":
