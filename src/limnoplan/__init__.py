@@ -70,7 +70,6 @@ from .joint import (
 from .models import (
     ForestConfig,
     RidgeModel,
-    fit_forest,
     fit_forests,
     fit_ridge,
     predict_ridge,

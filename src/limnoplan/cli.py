@@ -158,10 +158,8 @@ def _lake_and_config(args: argparse.Namespace) -> tuple[ds.LakeSeries, RunConfig
     return ds.apply_exclusions(series), config
 
 
-def _lake_ids_from_file(path: str | None) -> tuple[int, ...] | None:
+def _lake_ids_from_file(path: str) -> tuple[int, ...]:
     """Lake ids from a JSON list, or from the "lakes" list of a JSON object."""
-    if path is None:
-        return None
     try:
         with open(path) as fh:
             payload = json.load(fh)

@@ -6,18 +6,18 @@ features are standardized by training means/stds, the intercept is the
 normal equations on the standardized design with a direct Cholesky
 solve of the k x k Gram matrix.
 
-The regression forest exists to score features: ``fit_forest`` returns
-its mean decrease in impurity, which drives the importance ranking, and
-``fit_forests`` returns that of several forests (one per lake) grown
-together, in passes bounded in rows. Trees are grown on seeded bootstrap
-samples with per-split feature subsampling and exact CART splits, every
-tree of a pass together, one depth level at a time. There is no
-prediction API and no tree is kept: the grower returns one record per
-node, and each forest's importances are summed from its own records.
-Internally the forest works in name-sorted ("canonical") column order,
-so fitting on a permuted copy of the columns with the same seed yields
-the identical trees and importances. Tree i draws its bootstrap and then
-one candidate-key matrix per depth level from ``SeedSequence([seed, i])``,
+The regression forest exists to score features: ``fit_forests`` returns
+the mean decrease in impurity of one or more forests (one per lake),
+which drives the importance ranking; forests grow together, in passes
+bounded in rows. Trees are grown on seeded bootstrap samples with
+per-split feature subsampling and exact CART splits, every tree of a
+pass together, one depth level at a time. There is no prediction API and
+no tree is kept: the grower returns one record per node, and each
+forest's importances are summed from its own records. Internally the
+forest works in name-sorted ("canonical") column order, so fitting on a
+permuted copy of the columns with the same seed yields the identical
+trees and importances. Tree i draws its bootstrap and then one
+candidate-key matrix per depth level from ``SeedSequence([seed, i])``,
 so it depends only on (seed, i) and its own forest's rows, never on the
 other forests in its pass.
 """
@@ -349,12 +349,6 @@ def _grow_forests(jobs: Sequence[tuple], min_leaf: int, n_candidates: int) -> li
     return [(tree - first, *columns) for first, tree, *columns in parts]
 
 
-def _grow_forest(Xc: np.ndarray, y: np.ndarray, seed: int, n_trees: int, min_leaf: int, n_candidates: int) -> tuple:
-    """One forest's node records: `_grow_forests` with one job."""
-    (records,) = _grow_forests([(Xc, y, seed, n_trees)], min_leaf, n_candidates)
-    return records
-
-
 def forest_input(
     X: np.ndarray, y: np.ndarray, config: ForestConfig, feature_schema: Sequence[str] | None = None
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -399,32 +393,22 @@ def _importances(records: tuple, n: int, n_trees: int, canonical_order: list[int
     return scores
 
 
-def fit_forest(
-    X: np.ndarray,
-    y: np.ndarray,
-    config: ForestConfig = ForestConfig(),
-    feature_schema: Sequence[str] | None = None,
-) -> np.ndarray:
-    """Impurity-decrease importances of a bagged regression forest, aligned
-    to the caller's columns and deterministic given the seed.
+def fit_forests(problems: Sequence[tuple]) -> list[np.ndarray]:
+    """Impurity-decrease importances of a bagged regression forest per problem ``(X, y, config,
+    feature_schema)``, in order, each aligned to its caller's columns and deterministic given its seed.
 
     Leaves hold at least 2 rows, and each split draws ceil(p/3) candidate
     columns. Tree i draws its bootstrap sample and then, level by level,
     its candidate-feature keys from ``SeedSequence([seed, i])`` alone, so
-    it is the same tree in a forest of any size. Each split contributes
-    (node sample fraction) x (impurity decrease) to its feature; the sums
-    are averaged over trees and normalized to sum to 1. An all-leaf forest
-    scores zero. The checks on the input are `forest_input`'s.
+    it is the same tree in a forest of any size, and a forest's scores do
+    not depend on the other problems. Each split contributes (node sample
+    fraction) x (impurity decrease) to its feature; the sums are averaged
+    over trees and normalized to sum to 1. An all-leaf forest scores zero.
+    Every input passes `forest_input`'s checks first; then runs of
+    consecutive problems with the same column count grow in one pass of
+    the grower while their bootstrap rows per level (n x n_trees, summed)
+    stay within `_POOL_ROWS`.
     """
-    Xc, y, canonical_order = forest_input(X, y, config, feature_schema)
-    records = _grow_forest(Xc, y, config.seed, config.n_trees, min_leaf=2, n_candidates=math.ceil(Xc.shape[1] / 3))
-    return _importances(records, len(y), config.n_trees, canonical_order)
-
-
-def fit_forests(problems: Sequence[tuple]) -> list[np.ndarray]:
-    """`fit_forest(X, y, config, feature_schema)` of each problem, in order, bit for bit. Every input is
-    checked first; then runs of consecutive problems with the same column count grow in one pass of the
-    grower while their bootstrap rows per level (n x n_trees, summed) stay within `_POOL_ROWS`."""
     passes: list[list[tuple]] = []
     rows, p = math.inf, 0  # the bootstrap rows per level and the columns of the pass under way
     for X, y, config, schema in problems:

@@ -22,6 +22,8 @@ import json
 import math
 import os
 import shutil
+import warnings
+import zlib
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -41,7 +43,7 @@ from .evaluation import (
 from .imputation import CompletedMatrix, ImputeConfig, ImputeReport, impute_series
 from .joint import FeasibilityGrid, JointSummary, MinimalConfig, aggregate_configs, feasibility_grid, minimal_config
 from .models import DEFAULT_RIDGE_PENALTY, ForestConfig, RidgeModel, fit_forests, forest_input, predict_ridge
-from .selection import FeatureRanking, SelectionResult, aggregate_ranking, forward_selection
+from .selection import FeatureRanking, SelectionResult, aggregate_ranking, forest_problem, forward_selection
 
 
 @dataclass(frozen=True)
@@ -150,15 +152,11 @@ def _jsonable(obj: Any) -> Any:
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, (np.floating, float)):
         value = float(obj)
         return None if math.isnan(value) else value
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     return obj
 
 
@@ -238,7 +236,7 @@ INPUT_COLUMNS = {"dates": "<M8[D]", "sdd": "f8", "covariates": "f8", "sdd_to_bot
 @dataclass
 class StageCache:
     """Disk cache of named arrays: one entry per lake and one for the parsed input, each under its key. An entry is
-    one `.npy` record, a 0-d structured array of one field per array, so a read parses one header."""
+    one `.npy` record, a 0-d structured array of one field per array and a `crc32` one, so a read parses one header."""
 
     root: Path
 
@@ -247,11 +245,11 @@ class StageCache:
 
     def get(self, lake_id: int | str, key: str, layout: dict[str, tuple]) -> dict[str, np.ndarray] | None:
         """The arrays stored under `key`, or None unless each array `layout` names is there at its (dtype, shape)."""
-        layout = {"key": ("u1", (len(key),)), **layout}
+        layout = {"key": ("u1", (len(key),)), "crc32": ("u4", ()), **layout}
         try:
-            with open(self._path(lake_id), "rb") as fh:
-                # Only the .npy format, never unpickled: an out-dir may be shared.
-                record = np.lib.format.read_array(fh, allow_pickle=False)
+            with open(self._path(lake_id), "rb") as fh, warnings.catch_warnings():
+                warnings.simplefilter("error")  # a header only numpy's Python 2 filter parses warns: damaged too
+                record = np.lib.format.read_array(fh, allow_pickle=False)  # never unpickled: an out-dir may be shared
             arrays = {name: record[name] for name in layout}
         except Exception:  # a damaged header alone can raise a SyntaxError, TypeError or tokenize.TokenError
             return None
@@ -262,12 +260,13 @@ class StageCache:
             return a.dtype == dtype and shape in (None, a.shape)  # None: any shape
 
         fit = all(fits(arrays[name], *want) for name, want in layout.items())
+        fit = fit and arrays.pop("crc32") == record_crc32(record)  # a flipped data bit is a miss
         return arrays if fit and arrays.pop("key").tobytes() == key.encode() else None
 
     def put(self, lake_id: int | str, key: str, arrays: dict[str, np.ndarray]) -> None:
         """Store `key` and `arrays` as one `.npy` record, in place of the entry stored before. Its fields go in
         descending alignment, so each array `get` returns is an aligned, C-contiguous view of the record."""
-        arrays = {"key": np.frombuffer(key.encode(), np.uint8), **arrays}
+        arrays = {"key": np.frombuffer(key.encode(), np.uint8), "crc32": np.uint32(0), **arrays}
         names = sorted(arrays, key=lambda name: -arrays[name].dtype.alignment)
         try:
             record = np.empty((), [(name, arrays[name].dtype, arrays[name].shape) for name in names])
@@ -275,6 +274,7 @@ class StageCache:
             return
         for name in names:
             record[name] = arrays[name]
+        record["crc32"] = record_crc32(record)
         # Write then rename, so a reader never sees a partial entry.
         path = self._path(lake_id)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -308,6 +308,12 @@ class StageCache:
         meta = [lakes[0].feature_schema, [[s.lake_id, s.name, len(s)] for s in lakes], [astuple(e) for e in errors]]
         arrays = {c: np.concatenate([getattr(s, c) for s in lakes]) for c in INPUT_COLUMNS}
         self.put("input", key, {"parse": np.frombuffer(json.dumps(meta).encode(), np.uint8), **arrays})
+
+
+def record_crc32(record: np.ndarray) -> int:
+    """CRC-32 of a cache record's bytes but its `crc32` field's, via a uint8 view (a datetime64 field has no buffer)."""
+    data, at = record.reshape(1).view(np.uint8), record.dtype.fields["crc32"][1]
+    return zlib.crc32(data[at + 4 :], zlib.crc32(data[:at]))
 
 
 def input_key(digest: str, na_tokens: frozenset[str]) -> str:
@@ -369,16 +375,11 @@ def prepare_lake(series: ds.LakeSeries, config: RunConfig, cache: StageCache | N
     return PreparedLake(series, split, completed, impute_report, None)
 
 
-def forest_problem(lake: PreparedLake, config: RunConfig) -> tuple:
-    """The lake's pre-test rows as the forest input (X, y, config, schema) that `models.fit_forests` takes."""
-    schema, rows = lake.completed.feature_schema, lake.split.pre_rows
-    return lake.completed.values[rows], lake.split.pre.sdd, config.forest_config(lake.series.lake_id), schema
-
-
 def rank_features(lakes: Sequence[PreparedLake], config: RunConfig) -> None:
     """Set each lake's ranking to its `selection.rank_features` ranking, bit for bit. The forests of all
     lakes grow together in passes bounded in rows; none depends on the other lakes in its pass."""
-    for lake, scores in zip(lakes, fit_forests([forest_problem(lake, config) for lake in lakes])):
+    problems = [forest_problem(lake.split, lake.completed, config.forest_config(lake.series.lake_id)) for lake in lakes]
+    for lake, scores in zip(lakes, fit_forests(problems)):
         lake.ranking = FeatureRanking.from_scores(dict(zip(lake.completed.feature_schema, scores.tolist())))
 
 
@@ -480,7 +481,7 @@ def process_lakes(
     for series in selected:
         try:
             lake = prepare_lake(series, config, cache=cache)
-            forest_input(*forest_problem(lake, config))
+            forest_input(*forest_problem(lake.split, lake.completed, config.forest_config(series.lake_id)))
             require_full_fit(lake.split.n_pre, len(lake.completed.feature_schema))
             prepared.append(lake)
         except LimnoplanError as exc:

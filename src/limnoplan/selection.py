@@ -17,7 +17,7 @@ from .dataset import SplitSeries
 from .errors import EvaluationError, SchemaError
 from .evaluation import DEFAULT_TOLERANCE, feasibility_threshold, first_within, prefix_nmae, require_full_fit
 from .imputation import CompletedMatrix
-from .models import DEFAULT_RIDGE_PENALTY, ForestConfig, fit_forest
+from .models import DEFAULT_RIDGE_PENALTY, ForestConfig, fit_forests
 
 
 @dataclass
@@ -64,16 +64,17 @@ def minimal_feature_count(
     return k
 
 
+def forest_problem(split: SplitSeries, completed: CompletedMatrix, forest_config: ForestConfig) -> tuple:
+    """The pre-test rows as the forest input (X, y, config, schema) that `models.fit_forests` takes."""
+    return completed.values[split.pre_rows], split.pre.sdd, forest_config, completed.feature_schema
+
+
 def rank_features(
-    split: SplitSeries,
-    completed: CompletedMatrix,
-    forest_config: ForestConfig = ForestConfig(),
+    split: SplitSeries, completed: CompletedMatrix, forest_config: ForestConfig = ForestConfig()
 ) -> FeatureRanking:
     """Forest-importance ranking fit on all pre-test rows."""
-    X = completed.values[split.pre_rows]
-    y = split.pre.sdd
-    importances = fit_forest(X, y, forest_config, feature_schema=completed.feature_schema)
-    return FeatureRanking.from_scores({name: float(s) for name, s in zip(completed.feature_schema, importances)})
+    (scores,) = fit_forests([forest_problem(split, completed, forest_config)])
+    return FeatureRanking.from_scores(dict(zip(completed.feature_schema, scores.tolist())))
 
 
 def forward_selection(

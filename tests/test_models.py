@@ -11,7 +11,7 @@ import pytest
 from limnoplan import models
 from limnoplan.dataset import split_by_count
 from limnoplan.errors import FitError
-from limnoplan.models import _SPLIT_CHUNK_CELLS, ForestConfig, fit_forest, fit_ridge, predict_ridge
+from limnoplan.models import _SPLIT_CHUNK_CELLS, ForestConfig, fit_forests, fit_ridge, predict_ridge
 from limnoplan.selection import rank_features
 from limnoplan.synth import SynthConfig, generate_lake
 
@@ -221,10 +221,15 @@ def oracle_forest(X, y, seed, n_trees, min_leaf):
     return trees
 
 
+def fit_forest(X, y, config=ForestConfig(), feature_schema=None):
+    """One forest's scores: `fit_forests` of the one problem."""
+    return fit_forests([(X, y, config, feature_schema)])[0]
+
+
 def grow_trees(X, y, seed, n_trees, min_leaf, n_candidates):
     """The grower's node records split into one namespace of node arrays
     per tree. The records must run tree by tree, each tree's in one block."""
-    tree, *columns = models._grow_forest(X, y, seed, n_trees, min_leaf, n_candidates)
+    tree, *columns = models._grow_forests([(X, y, seed, n_trees)], min_leaf, n_candidates)[0]
     assert np.array_equal(np.unique(tree), np.arange(n_trees))
     assert np.all(np.diff(tree) >= 0)
     bounds = np.cumsum(np.bincount(tree))[:-1]
@@ -233,7 +238,7 @@ def grow_trees(X, y, seed, n_trees, min_leaf, n_candidates):
 
 
 def default_trees(X, y, config):
-    """`fit_forest`'s trees for columns already in canonical order: leaves
+    """`fit_forests`' trees for columns already in canonical order: leaves
     of at least 2 rows, ceil(p/3) candidates per split."""
     return grow_trees(X, y, config.seed, config.n_trees, 2, math.ceil(X.shape[1] / 3))
 
@@ -699,8 +704,8 @@ class TestForestBitForBit:
     """The whole forest, grown with the oracle split search swapped in,
     must be the same in every bit. A `chunk_cells` budget of a few cells
     scores each node in a chunk of its own (None keeps the default), so
-    the chunking cannot change a bit either. fps None is `fit_forest`'s
-    ceil(p/3); with it and leaves of 2 rows, `fit_forest` must also score
+    the chunking cannot change a bit either. fps None is `fit_forests`'
+    ceil(p/3); with it and leaves of 2 rows, `fit_forests` must also score
     as the per-tree sum of the records does."""
 
     @pytest.mark.parametrize(
@@ -720,21 +725,21 @@ class TestForestBitForBit:
         X = np.round(rng.normal(size=(n, p)), 1)
         X[:, 0] = rng.choice([-0.0, 0.0, 0.5], size=n)
         y = np.round(X @ rng.normal(size=p) + rng.normal(size=n), 2)
-        grow = (X, y, n_trees, n_trees, min_leaf, fps or math.ceil(p / 3))
+        job, settings = (X, y, n_trees, n_trees), (min_leaf, fps or math.ceil(p / 3))
         if chunk_cells is not None:
             monkeypatch.setattr(models, "_SPLIT_CHUNK_CELLS", chunk_cells)
-        records = models._grow_forest(*grow)
+        records = models._grow_forests([job], *settings)[0]
         if fps is None and min_leaf == 2:
             scores = fit_forest(X, y, ForestConfig(n_trees, seed=n_trees))
             assert_bitwise_equal(scores, oracle_mdi(records, p))
         monkeypatch.setattr(models, "_best_splits", oracle_split_adapter)
-        oracle = models._grow_forest(*grow)
+        oracle = models._grow_forests([job], *settings)[0]
         for got, want in zip(records, oracle, strict=True):
             assert_bitwise_equal(got, want)
 
 
 class TestForestScoresAgainstPerTreeSum:
-    """`fit_forest` sums every split record in one np.add.at; it must give
+    """`fit_forests` sums every split record in one np.add.at; it must give
     the per-tree loop's bits. Its grower, asked for leaves of 2 rows and
     ceil(p/3) candidates, is swapped for one with the case's settings."""
 
@@ -752,15 +757,15 @@ class TestForestScoresAgainstPerTreeSum:
             X = rng.normal(size=(n, p))
         y = np.round(X @ rng.normal(size=p) + rng.normal(size=n), int(rng.integers(0, 3)))
         names = [f"x{j:02d}" for j in range(p)]  # canonical order is column order
-        grow = models._grow_forest
+        grow = models._grow_forests
 
-        def grow_with_case_settings(Xc, y, seed, n_trees, **defaults):
+        def grow_with_case_settings(jobs, **defaults):
             assert defaults == {"min_leaf": 2, "n_candidates": math.ceil(p / 3)}
-            return grow(Xc, y, seed, n_trees, min_leaf, n_candidates)
+            return grow(jobs, min_leaf, n_candidates)
 
-        monkeypatch.setattr(models, "_grow_forest", grow_with_case_settings)
+        monkeypatch.setattr(models, "_grow_forests", grow_with_case_settings)
         scores = fit_forest(X, y, ForestConfig(n_trees, seed=case), feature_schema=names)
-        assert_bitwise_equal(scores, oracle_mdi(grow(X, y, case, n_trees, min_leaf, n_candidates), p))
+        assert_bitwise_equal(scores, oracle_mdi(grow([(X, y, case, n_trees)], min_leaf, n_candidates)[0], p))
 
 
 def pooled_lake(rng, p, kind):

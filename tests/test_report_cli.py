@@ -10,6 +10,8 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
+import zlib
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -77,10 +79,15 @@ def entry_arrays(path: Path) -> dict[str, np.ndarray]:
 
 
 def save_entry(path: Path, arrays: dict[str, np.ndarray]) -> None:
-    """`arrays` as one stage-cache record at `path`: a 0-d structured array of a field per array."""
+    """`arrays` as one stage-cache record at `path`: a 0-d structured array of a field per array. A `crc32`
+    field is set to the CRC-32 of the record's other bytes, so a tamper written here misses for its own fault."""
     record = np.empty((), [(name, a.dtype, a.shape) for name, a in arrays.items()])
     for name, a in arrays.items():
         record[name] = a
+    if "crc32" in arrays:
+        data, at = bytearray(record.tobytes()), record.dtype.fields["crc32"][1]
+        del data[at : at + 4]
+        record["crc32"] = zlib.crc32(data)
     save_npy(path, record)
 
 
@@ -104,13 +111,34 @@ def save_npz(path: Path, arrays: dict[str, np.ndarray]) -> None:
         np.savez(fh, **arrays)
 
 
+def python2_header(path: Path, arrays: dict[str, np.ndarray]) -> None:
+    """The key's shape written the Python 2 way, `(16L,)`, and one header padding space dropped: a header that
+    only numpy's Python 2 filter parses, with a `UserWarning`."""
+    data = path.read_bytes()
+    assert b"(16,)" in data
+    path.write_bytes(data.replace(b"(16,)", b"(16L,)", 1).replace(b" \n", b"\n", 1))
+
+
+def flip_data_bit(path: Path, arrays: dict[str, np.ndarray]) -> None:
+    """One bit of the first byte of the entry's first float64 array flipped on disk, its checksum as stored."""
+    record, data = np.load(path), bytearray(path.read_bytes())
+    name = next(name for name in record.dtype.names if record.dtype[name].base == np.float64)
+    data[len(data) - record.dtype.itemsize + record.dtype.fields[name][1]] ^= 1
+    path.write_bytes(bytes(data))
+
+
 # Tampers that any entry fails on: the earlier `.npz` format under the new name, a non-structured array
-# holding every byte of the entry's arrays, a record without its key, and a header numpy cannot parse.
+# holding every byte of the entry's arrays, a record without its key, a header numpy cannot parse, one only
+# its Python 2 filter parses, a record without its checksum (as stored before there was one) and a
+# flipped data bit.
 FORMAT_TAMPERS = {
     "old-npz": save_npz,
     "plain-npy": lambda path, arrays: save_npy(path, np.array(b"".join(a.tobytes() for a in arrays.values()))),
     "missing-key": lambda path, arrays: save_entry(path, {k: v for k, v in arrays.items() if k != "key"}),
     "damaged-header": lambda path, arrays: path.write_bytes(path.read_bytes().replace(b"[", b"[[", 1)),
+    "python2-header": python2_header,
+    "missing-checksum": lambda path, arrays: save_entry(path, {k: v for k, v in arrays.items() if k != "crc32"}),
+    "flipped-data-bit": flip_data_bit,
 }
 
 
@@ -389,7 +417,10 @@ class TestPipeline:
         stale = out / "cache" / "100_grid_0123456789abcdef.json"
         stale.write_text(json.dumps({"nmae": [[1, 2]]}))
 
-        run_pipeline(lakes, config, out)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # recorded, not raised: a cold run prints no warning either
+            run_pipeline(lakes, config, out)
+        assert caught == []
         assert bundle(out) == cold
         assert same_arrays(entry_arrays(entry), stored)
         assert sorted((out / "cache").iterdir()) == [entry, stale]
@@ -1424,8 +1455,10 @@ class TestInputEntry:
         stored = entry_arrays(entry)
         tamper(entry, stored)
         calls = self.counting_parser(monkeypatch)
-        _, errors, err = self.load(path, cache, capsys)
-        assert calls == [1] and errors == want_errors and err == want_err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # recorded, not raised: a cold run prints no warning either
+            _, errors, err = self.load(path, cache, capsys)
+        assert calls == [1] and errors == want_errors and err == want_err and caught == []
         assert list(cache.iterdir()) == [entry] and same_arrays(entry_arrays(entry), stored)
 
     @pytest.mark.parametrize(
