@@ -210,13 +210,14 @@ def prefix_nmae(
         raise EvaluationError(f"nMAE normalizer (mean target) must be positive, got {denom}")
 
     out = np.full((len(sizes), p), np.nan)
-    n = np.asarray(sizes)
-    kmax = np.minimum(n - 1, q)
-    rows = np.flatnonzero(kmax >= 1)  # sizes below 2 fit nothing
+    by_size = np.argsort(sizes, kind="stable")
+    size = np.asarray(sizes)[by_size]
+    rows = by_size[size >= 2]  # sizes below 2 fit nothing; the others ascending, so size > k is a suffix
+    size = size[size >= 2]
     if penalty == 0:
-        for size, k in zip(n[rows].tolist(), kmax[rows].tolist()):
+        for n, k in zip(size.tolist(), np.minimum(size - 1, q).tolist()):
             # Every prefix longer than a deficient one is deficient too.
-            if np.linalg.matrix_rank(standardize_columns(X_pre[-size:, :k])[0]) < k:
+            if np.linalg.matrix_rank(standardize_columns(X_pre[-n:, :k])[0]) < k:
                 raise FitError("rank-deficient design with zero penalty")
 
     raw = np.column_stack([X_pre[-n_top:, :q], y_pre[-n_top:]])[::-1]
@@ -231,12 +232,12 @@ def prefix_nmae(
     comoment = np.empty((n_top, q + 1, q + 1))
     comoment[0] = 0.0
     np.multiply(dev[:, :, None], (dev * (counts[:-1] / counts[1:])[:, None])[:, None, :], out=comoment[1:])
-    size = n[rows]
     comoment = np.cumsum(comoment, axis=0, out=comoment)[size - 1]  # a copy; the running stack is freed
-    # As in `standardize_columns`, a constant column is zero with std 1.
-    live = (np.maximum.accumulate(raw[:, :q]) > np.minimum.accumulate(raw[:, :q]))[size - 1]
+    # As in `standardize_columns`, a constant column, or one whose computed std is 0, is zero with std 1.
     diag = np.arange(q)
-    stds = np.where(live, np.sqrt(comoment[:, diag, diag] / size[:, None]), 1.0)
+    stds = np.sqrt(comoment[:, diag, diag] / size[:, None])
+    live = (np.maximum.accumulate(raw[:, :q]) > np.minimum.accumulate(raw[:, :q]))[size - 1] & (stds > 0)
+    stds[~live] = 1.0
     rhs = np.where(live, comoment[:, :q, q], 0.0) / stds
     gram = comoment[:, :q, :q]  # scaled in place: no second stack of this size
     gram /= stds[:, :, None] * stds[:, None, :]
@@ -245,14 +246,20 @@ def prefix_nmae(
     means = running[size - 1]
     X_test_c, y_test_c = X_test[:, :q] - center[:q], y_test - center[q]
     for k in range(1, q + 1):
-        at = np.flatnonzero(size > k)  # the sizes with at least k+1 rows
-        pick = np.argsort(cols) if k == p else np.arange(k)  # all features in schema order
+        lo = int(np.searchsorted(size, k, side="right"))  # sizes ascend: these have at least k+1 rows
+        # Below p, the leading k x k block is a view: `solve` copies each matrix into its own buffer, so
+        # no bit depends on the layout. The all-features block is gathered in schema order, and the test
+        # block, which a matmul reads, is gathered at every k.
+        pick = np.argsort(cols) if k == p else np.arange(k)
+        sel = pick if k == p else slice(k)
+        lhs = gram[lo:, pick[:, None], pick] if k == p else gram[lo:, :k, :k]
         try:
-            weights = np.linalg.solve(gram[np.ix_(at, pick, pick)], rhs[np.ix_(at, pick)][..., None])[..., 0]
+            weights = np.linalg.solve(lhs, rhs[lo:, sel][..., None])[..., 0]
         except np.linalg.LinAlgError as exc:
             raise FitError("singular penalized system; a positive penalty keeps the fit well-posed") from exc
-        weights /= stds[np.ix_(at, pick)]
-        offset = (means[np.ix_(at, pick)] * weights).sum(axis=1) - means[at, q]
+        del lhs  # the all-features gather, before the residuals take their own stack
+        weights /= stds[lo:, sel]
+        offset = (means[lo:, sel] * weights).sum(axis=1) - means[lo:, q]
         residuals = (X_test_c[:, pick] @ weights[..., None])[..., 0]
         residuals -= offset[:, None]
         residuals -= y_test_c
@@ -260,7 +267,7 @@ def prefix_nmae(
         del residuals  # before the next k allocates its own
         if not np.isfinite(values).all():
             raise EvaluationError("nMAE is not finite")
-        out[rows[at], k - 1] = values
+        out[rows[lo:], k - 1] = values
     return out
 
 

@@ -82,8 +82,9 @@ def _conditional_predictions(
     penalty: float,
     noise_rng: np.random.Generator | None,
 ) -> np.ndarray:
-    """Ridge predictions for the masked rows; with ``noise_rng``, plus
-    zero-mean Gaussian noise at the fit's residual standard deviation.
+    """Ridge predictions for the masked rows, standardizing `X_mis` in place;
+    with ``noise_rng``, plus zero-mean Gaussian noise at the fit's residual
+    standard deviation.
 
     Unlike the forecasting fit this path accepts fewer observed rows
     than regressors; the penalty keeps the solve well-posed.
@@ -93,18 +94,21 @@ def _conditional_predictions(
         raise ImputationError("rank-deficient conditional fit with zero penalty")
     intercept = y_obs.mean()
     w = solve_standardized_ridge(Xs, y_obs - intercept, penalty)
-    preds = intercept + ((X_mis - means) / stds) @ w
+    X_mis -= means
+    X_mis /= stds
+    preds = intercept + X_mis @ w
     if noise_rng is not None:
         resid = y_obs - (intercept + Xs @ w)
         preds = preds + noise_rng.normal(0.0, float(resid.std()), size=preds.shape)
     return preds
 
 
-def _visit_plan(mask: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray, list[int]]]:
-    """(column, observed rows, missing rows, other columns) per gappy column, by gap count, ties by column index."""
+def _visit_plan(mask: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """(column, observed rows, missing rows, every other column then the column) per gappy column, by gap count,
+    ties by column index."""
     n_missing, p = mask.sum(axis=0), mask.shape[1]
     return [
-        (j, np.flatnonzero(~mask[:, j]), np.flatnonzero(mask[:, j]), [c for c in range(p) if c != j])
+        (j, np.flatnonzero(~mask[:, j]), np.flatnonzero(mask[:, j]), np.array([c for c in range(p) if c != j] + [j]))
         for j in sorted(range(p), key=lambda j: (n_missing[j], j))
         if n_missing[j]
     ]
@@ -113,10 +117,12 @@ def _visit_plan(mask: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray, lis
 def _sweep(values: np.ndarray, plan: list, config: ImputeConfig, rng: np.random.Generator | None) -> float:
     """One chained pass over `plan`, in place on `values`; the largest absolute cell change."""
     max_delta, noise = 0.0, rng if config.add_noise else None
-    for j, obs, mis, others in plan:
-        X_obs, X_mis = values[obs][:, others], values[mis][:, others]  # np.ix_ gathers another layout: other bits
-        preds = _conditional_predictions(X_obs, values[obs, j], X_mis, config.ridge_penalty, noise)
-        max_delta = max(max_delta, float(np.abs(preds - values[mis, j]).max()))
+    for j, obs, mis, cols in plan:
+        # A row gather, then a column pick: each block is column-major, as `values[obs][:, others]` is, and a
+        # fit's bits rest on that layout. Its leading columns, the regressors, stay so; the last is column j.
+        fit, gaps = (values.take(rows, axis=0)[:, cols] for rows in (obs, mis))
+        preds = _conditional_predictions(fit[:, :-1], fit[:, -1], gaps[:, :-1], config.ridge_penalty, noise)
+        max_delta = max(max_delta, float(np.abs(preds - gaps[:, -1]).max()))
         values[mis, j] = preds
     return max_delta
 

@@ -15,7 +15,7 @@ grid can be re-thresholded at a new tolerance without any refitting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ from .selection import FeatureRanking, require_permutation
 
 @dataclass
 class FeasibilityGrid:
-    """Test nMAE per (n, k) plus the acceptance threshold."""
+    """Test nMAE per (n, k) plus the acceptance threshold; `from_nmae` also keeps the array as `values`."""
 
     lake_id: int
     n_grid: list[int]
@@ -43,6 +43,7 @@ class FeasibilityGrid:
     excluded: set[tuple[int, int]]
     full_nmae: float
     tolerance: float
+    values: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         feasibility_threshold(self.full_nmae, self.tolerance)  # rejects a tolerance that is not finite and positive
@@ -59,7 +60,7 @@ class FeasibilityGrid:
     def from_nmae(
         cls, lake_id: int, n_grid: list[int], order: Sequence[str], values: np.ndarray, tolerance: float
     ) -> FeasibilityGrid:
-        """The grid of nMAE `values[i, k-1]` at (n_grid[i], k); cells with n < k+1 are excluded."""
+        """The grid of nMAE `values[i, k-1]` at (n_grid[i], k), keeping `values`; cells with n < k+1 are excluded."""
         p, n_pre = len(order), n_grid[-1]
         nmae: dict[tuple[int, int], float] = {}
         excluded: set[tuple[int, int]] = set()
@@ -69,7 +70,7 @@ class FeasibilityGrid:
                     excluded.add((n, k))
                 else:
                     nmae[(n, k)] = row[k - 1]
-        return cls(lake_id, n_grid, p, n_pre, list(order), nmae, excluded, nmae[(n_pre, p)], tolerance)
+        return cls(lake_id, n_grid, p, n_pre, list(order), nmae, excluded, nmae[(n_pre, p)], tolerance, values)
 
     def rethreshold(self, tolerance: float) -> "FeasibilityGrid":
         """Same evaluations, new tolerance; no refitting happens."""

@@ -53,10 +53,16 @@ class RidgeModel:
 
 def standardize_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Column-wise standardization; a constant column keeps std 1. Constancy
-    is tested exactly: twelve 0.1s have a computed std of 1e-17, not 0."""
+    is tested exactly: twelve 0.1s have a computed std of 1e-17, not 0. A
+    column whose computed std is 0 all the same (a spread of subnormals,
+    whose squares underflow) counts as constant too. The std takes
+    `X.std`'s steps on the one centred copy, so its bits are `X.std`'s."""
     means = X.mean(axis=0)
-    stds = np.where(X.max(axis=0) > X.min(axis=0), X.std(axis=0), 1.0)
-    return (X - means) / stds, means, stds
+    Xs = X - means
+    stds = np.sqrt((Xs * Xs).sum(axis=0) / len(X))
+    stds = np.where((X.max(axis=0) > X.min(axis=0)) & (stds > 0), stds, 1.0)
+    Xs /= stds
+    return Xs, means, stds
 
 
 def check_penalty(penalty: float) -> None:

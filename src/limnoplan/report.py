@@ -1,10 +1,11 @@
 """End-to-end pipeline and report generation.
 
 Wires ingest -> exclusions -> imputation -> feature ranking ->
-reference fit -> forward selection -> joint feasibility search, per
-lake, then aggregates across lakes. The sample curve is the grid's
-all-features column, so the curve, the selection and the grid share
-one full-pool, full-feature reference nMAE. All outputs are JSON
+reference fit -> joint feasibility search, per lake, then aggregates
+across lakes. The sample curve is the grid's all-features column and,
+under the lake's own ranking, forward selection is its full-pool row,
+so the curve, the selection and the grid share one full-pool,
+full-feature reference nMAE. All outputs are JSON
 (machine) and CSV (plot data); every report embeds the hash of the run
 configuration that produced it, and identical configurations reproduce
 byte-identical reports. Each lake's results that do not depend on the
@@ -350,7 +351,7 @@ def lake_entry(lake: PreparedLake, selection: SelectionResult, grid: Feasibility
         "impute": np.array([impute.sweeps, impute.final_delta, impute.converged], dtype=float),
         "scores": np.array([lake.ranking.scores[f] for f in schema]),
         "selection": np.array([selection.nmae_by_k[k] for k in range(1, grid.p + 1)]),
-        "grid": np.array([[grid.nmae.get((n, k), np.nan) for k in range(1, grid.p + 1)] for n in grid.n_grid]),
+        "grid": grid.values,
         "grid_order": np.array([schema.index(f) for f in grid.feature_order], dtype=np.int64),
         "completed_csv": np.frombuffer(completed_text(lake.completed).encode(), np.uint8),
         "grid_csv": np.frombuffer(grid_csv.encode(), np.uint8),
@@ -399,19 +400,22 @@ def process_lake(
     )
 
     ranking, entry, p = global_ranking or lake.ranking, lake.cached, len(completed.feature_schema)
-    if entry is None:
-        selection = forward_selection(split, completed, lake.ranking, config.tolerance, config.penalty)
-    else:
-        selection = SelectionResult.from_nmae(entry["selection"].tolist(), lake.ranking.order, config.tolerance)
     # A grid over another ranking than the cached one's (a global ranking of other lakes) is recomputed.
-    if entry is not None and entry["grid_order"].tolist() == list(map(completed.feature_schema.index, ranking.order)):
+    fresh = entry is None or entry["grid_order"].tolist() != list(map(completed.feature_schema.index, ranking.order))
+    if fresh:
+        grid = feasibility_grid(split, completed, ranking, config.grid_spec(), config.tolerance, config.penalty)
+    else:
         n_grid = config.grid_spec().resolve(split.n_pre, p)
         grid = FeasibilityGrid.from_nmae(series.lake_id, n_grid, ranking.order, entry["grid"], config.tolerance)
+    if entry is not None:
+        selection = SelectionResult.from_nmae(entry["selection"].tolist(), lake.ranking.order, config.tolerance)
+    elif global_ranking is None:  # forward selection is the grid's full-pool row, n = N_pre
+        selection = SelectionResult.from_nmae(grid.values[-1].tolist(), ranking.order, config.tolerance)
     else:
-        grid = feasibility_grid(split, completed, ranking, config.grid_spec(), config.tolerance, config.penalty)
-        if cache is not None:
-            entry = lake_entry(lake, selection, grid)
-            cache.put(series.lake_id, lake_key(series, config), entry)
+        selection = forward_selection(split, completed, lake.ranking, config.tolerance, config.penalty)
+    if fresh and cache is not None:
+        entry = lake_entry(lake, selection, grid)
+        cache.put(series.lake_id, lake_key(series, config), entry)
     # The sample curve is the grid's all-features column at the sizes `sample_curve` keeps (n >= p+1);
     # it does not depend on the feature order.
     sizes = [n for n in grid.n_grid if n > p]

@@ -7,12 +7,12 @@ from limnoplan.errors import ImputationError
 from limnoplan.imputation import (
     CompletedMatrix,
     ImputeReport,
-    _conditional_predictions,
     ImputeConfig,
     impute_series,
     initialize_fill,
     mice_impute,
 )
+from limnoplan.models import solve_standardized_ridge
 from limnoplan.synth import SynthConfig, generate_lake
 
 from conftest import series_from_arrays
@@ -26,6 +26,23 @@ def oracle_column_ridge(x_obs, y_obs, x_query, penalty):
     yc = y_obs - y_obs.mean()
     w = (xs @ yc) / (xs @ xs + penalty)
     return y_obs.mean() + w * (x_query - mean_x) / std_x
+
+
+def oracle_column_fit(values, gaps, j, penalty, rng):
+    """One conditional fit written out in full: the column-major `values[obs][:, others]` gather,
+    `X.std`, `(X - means) / stds` and the Cholesky solve. The reference for every bit of a fit."""
+    others = [c for c in range(values.shape[1]) if c != j]
+    X_obs, y_obs, X_mis = values[~gaps][:, others], values[~gaps, j], values[gaps][:, others]
+    means = X_obs.mean(axis=0)
+    stds = np.where(X_obs.max(axis=0) > X_obs.min(axis=0), X_obs.std(axis=0), 1.0)
+    Xs = (X_obs - means) / stds
+    intercept = y_obs.mean()
+    w = solve_standardized_ridge(Xs, y_obs - intercept, penalty)
+    preds = intercept + ((X_mis - means) / stds) @ w
+    if rng is not None:
+        resid = y_obs - (intercept + Xs @ w)
+        preds = preds + rng.normal(0.0, float(resid.std()), size=preds.shape)
+    return preds
 
 
 def oracle_mice_impute(matrix, config):
@@ -42,10 +59,7 @@ def oracle_mice_impute(matrix, config):
             gaps = mask[:, j]
             if not gaps.any():
                 continue
-            others = [c for c in range(values.shape[1]) if c != j]
-            preds = _conditional_predictions(
-                values[~gaps][:, others], values[~gaps, j], values[gaps][:, others], config.ridge_penalty, rng
-            )
+            preds = oracle_column_fit(values, gaps, j, config.ridge_penalty, rng)
             delta = max(delta, float(np.abs(preds - values[gaps, j]).max()))
             values[gaps, j] = preds
         completed = CompletedMatrix(values, completed.feature_schema, mask)
@@ -160,6 +174,39 @@ class TestImpute:
             (out, report), (want, want_report) = mice_impute(M, config), oracle_mice_impute(M, config)
             assert out.values.tobytes() == want.values.tobytes(), trial
             assert np.array_equal(out.imputed_mask, want.imputed_mask) and report == want_report, trial
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            dict(),
+            dict(add_noise=True),
+            dict(ridge_penalty=0.0),
+            dict(constant=True),
+            dict(constant=True, add_noise=True),
+            dict(n_features=2),
+            dict(n_features=1),
+            dict(mechanism="mar", n_features=12, n_samples=400),
+        ],
+        ids=["plain", "noise", "penalty-0", "constant", "constant-noise", "two-columns", "one-column", "mar-12"],
+    )
+    def test_synth_lakes_match_the_oracle_bit_for_bit(self, case):
+        case = dict(case)
+        constant = case.pop("constant", False)
+        lake = dict(n_features=case.pop("n_features", 6), n_samples=case.pop("n_samples", 160))
+        mechanism = case.pop("mechanism", "mcar")
+        for seed in range(3):
+            series, _ = generate_lake(
+                SynthConfig(
+                    **lake, cross_correlation=0.3, missing_fraction=0.3, missing_mechanism=mechanism, seed=seed
+                )
+            )
+            matrix = series.covariates.copy()
+            if constant:
+                matrix[~np.isnan(matrix[:, 0]), 0] = 0.1  # twelve 0.1s have a computed std of 1e-17
+            config = ImputeConfig(seed=seed, **case)
+            (out, report), (want, want_report) = mice_impute(matrix, config), oracle_mice_impute(matrix, config)
+            assert out.values.tobytes() == want.values.tobytes(), seed
+            assert report == want_report, seed
 
     def test_impute_series_leaves_the_series_gappy(self):
         series, truth = generate_lake(SynthConfig(n_samples=60, missing_fraction=0.3, seed=8))

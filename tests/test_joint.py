@@ -299,6 +299,96 @@ def _engine_lake(seed, schema, n=70, n_pre=50, constant=None, duplicate=None):
     return split_by_count(series, n_pre), completed_from_series(series)
 
 
+def oracle_prefix_nmae(split, completed, sizes, order, penalty=1.0):
+    """`prefix_nmae`'s arithmetic with one `np.ix_` gather per operand and prefix length: the
+    reference for every bit the engine returns on input it accepts."""
+    cols = [completed.feature_schema.index(f) for f in order]
+    p, n_top = len(cols), max(sizes)
+    X_pre = completed.values[split.pre_rows][:, cols]
+    y_pre = split.pre.sdd
+    X_test = completed.values[split.test_rows][:, cols]
+    y_test = split.test.sdd
+    q = min(p, n_top - 1)
+    denom = y_test.mean()
+
+    out = np.full((len(sizes), p), np.nan)
+    n = np.asarray(sizes)
+    kmax = np.minimum(n - 1, q)
+    rows = np.flatnonzero(kmax >= 1)
+    raw = np.column_stack([X_pre[-n_top:, :q], y_pre[-n_top:]])[::-1]
+    center = np.ascontiguousarray(raw.T).mean(axis=1)
+    block = raw - center
+    counts = np.arange(1, n_top + 1)
+    running = np.cumsum(block, axis=0) / counts[:, None]
+    dev = block[1:] - running[:-1]
+    comoment = np.empty((n_top, q + 1, q + 1))
+    comoment[0] = 0.0
+    np.multiply(dev[:, :, None], (dev * (counts[:-1] / counts[1:])[:, None])[:, None, :], out=comoment[1:])
+    size = n[rows]
+    comoment = np.cumsum(comoment, axis=0, out=comoment)[size - 1]
+    live = (np.maximum.accumulate(raw[:, :q]) > np.minimum.accumulate(raw[:, :q]))[size - 1]
+    diag = np.arange(q)
+    stds = np.where(live, np.sqrt(comoment[:, diag, diag] / size[:, None]), 1.0)
+    rhs = np.where(live, comoment[:, :q, q], 0.0) / stds
+    gram = comoment[:, :q, :q]
+    gram /= stds[:, :, None] * stds[:, None, :]
+    gram[~(live[:, :, None] & live[:, None, :])] = 0.0
+    gram[:, diag, diag] += penalty
+    means = running[size - 1]
+    X_test_c, y_test_c = X_test[:, :q] - center[:q], y_test - center[q]
+    for k in range(1, q + 1):
+        at = np.flatnonzero(size > k)
+        pick = np.argsort(cols) if k == p else np.arange(k)
+        weights = np.linalg.solve(gram[np.ix_(at, pick, pick)], rhs[np.ix_(at, pick)][..., None])[..., 0]
+        weights /= stds[np.ix_(at, pick)]
+        offset = (means[np.ix_(at, pick)] * weights).sum(axis=1) - means[at, q]
+        residuals = (X_test_c[:, pick] @ weights[..., None])[..., 0]
+        residuals -= offset[:, None]
+        residuals -= y_test_c
+        out[rows[at], k - 1] = np.abs(residuals).mean(axis=1) / denom
+    return out
+
+
+class TestPrefixEngineBitForBit:
+    """`prefix_nmae` returns the oracle's bytes on seeded `synth` lakes."""
+
+    @staticmethod
+    def _lake(seed, n_features, constant=False, n=220, n_pre=170):
+        series, _ = generate_lake(
+            SynthConfig(n_samples=n, n_features=n_features, cross_correlation=0.3, noise_sd=0.4, seed=seed)
+        )
+        if constant:
+            series.covariates[:, 1] = 0.1  # twelve 0.1s have a computed std of 1e-17
+        return split_by_count(series, n_pre), completed_from_series(series)
+
+    # A constant column makes a zero-penalty design rank-deficient, so it runs penalized only.
+    @pytest.mark.parametrize(
+        "n_features, constant, penalty",
+        [(1, False, 0.0), (1, False, 1.0), (4, False, 0.0), (4, False, 1e-3), (4, True, 1e-3), (4, True, 1.0),
+         (9, False, 0.0), (9, False, 1.0)],
+    )
+    def test_unsorted_sizes_with_sizes_below_two(self, n_features, constant, penalty):
+        for seed in range(3):
+            split, completed = self._lake(seed, n_features, constant)
+            rng = np.random.default_rng(seed)
+            order = [str(f) for f in rng.permutation(completed.feature_schema)]
+            n_min = n_features + 2 if penalty == 0.0 else 2
+            sizes = SizeGridSpec(n_min=n_min, stride=3).resolve(split.n_pre, n_features)
+            sizes = [int(s) for s in rng.permutation(sizes)]
+            if penalty > 0:
+                sizes += [1, 0, 2]
+            got = prefix_nmae(split, completed, sizes, order, penalty)
+            want = oracle_prefix_nmae(split, completed, sizes, order, penalty)
+            assert got.tobytes() == want.tobytes(), seed
+
+    def test_a_pool_smaller_than_the_features(self):
+        split, completed = self._lake(5, 9, n_pre=6)
+        order = completed.feature_schema[::-1]
+        sizes = [6, 3, 1, 5]
+        want = oracle_prefix_nmae(split, completed, sizes, order)
+        assert prefix_nmae(split, completed, sizes, order).tobytes() == want.tobytes()
+
+
 class TestPrefixEngineAgainstOracle:
     """Grid, curve and selection share one factorization per training
     size; every value must still match a separate `backward_eval` fit."""
@@ -522,3 +612,22 @@ class TestBatchedEngineEdges:
         for (n, k), value in grid.nmae.items():
             expected = backward_eval(split, completed, n, self.ORDER[:k], 0.0).nmae
             assert value == pytest.approx(expected, rel=1e-12, abs=0.0), (n, k)
+
+
+@pytest.mark.parametrize("penalty", [1e-3, 1.0])
+def test_a_column_whose_std_underflows_matches_backward_eval(penalty):
+    # Multiples of the smallest subnormal: most windows have max > min, but every squared deviation
+    # underflows, so the computed std is 0 and both paths treat the column as constant.
+    rng = np.random.default_rng(21)
+    n, schema = 120, ["x01", "tiny", "x02"]
+    X = rng.normal(size=(n, 3))
+    X[:, 1] = rng.integers(0, 40, size=n) * 5e-324
+    sdd = 5.0 + X[:, 0] - 0.5 * X[:, 2] + rng.normal(0.0, 0.3, n)
+    series = series_from_arrays(1, sdd, X, schema)
+    split, completed = split_by_count(series, 90), completed_from_series(series)
+    order = ["tiny", "x02", "x01"]
+    grid = feasibility_grid(split, completed, FeatureRanking({}, order), SizeGridSpec(n_min=2), penalty=penalty)
+    assert np.isfinite(list(grid.nmae.values())).all()
+    for (n, k), value in grid.nmae.items():
+        expected = backward_eval(split, completed, n, order[:k], penalty).nmae
+        assert value == pytest.approx(expected, rel=1e-12, abs=0.0), (n, k)

@@ -11,7 +11,14 @@ import pytest
 from limnoplan import models
 from limnoplan.dataset import split_by_count
 from limnoplan.errors import FitError
-from limnoplan.models import _SPLIT_CHUNK_CELLS, ForestConfig, fit_forests, fit_ridge, predict_ridge
+from limnoplan.models import (
+    _SPLIT_CHUNK_CELLS,
+    ForestConfig,
+    fit_forests,
+    fit_ridge,
+    predict_ridge,
+    standardize_columns,
+)
 from limnoplan.selection import rank_features
 from limnoplan.synth import SynthConfig, generate_lake
 
@@ -377,6 +384,32 @@ class TestRidge:
         X[:, 1] = value
         model = fit_ridge(X, rng.normal(size=12), penalty=1.0)
         assert model.train_stds[1] == 1.0 and abs(model.weights[1]) < 1e-12
+
+    @pytest.mark.parametrize("layout", ["C", "F", "F-view"])
+    def test_standardize_columns_matches_the_old_formula_bit_for_bit(self, rng, layout):
+        for trial in range(30):
+            n, k = int(rng.integers(2, 90)), int(rng.integers(1, 9))
+            X = rng.normal(size=(n, k)) * rng.uniform(1e-3, 1e3, size=k) + rng.normal(0.0, 1e4, size=k)
+            X[:, rng.integers(k)] = [0.1, 7.77, 2.5][trial % 3]  # a constant column
+            if layout == "F":
+                X = np.asfortranarray(X)
+            elif layout == "F-view":  # the column-major rows of a larger gather, as imputation reads them
+                X = np.asfortranarray(np.vstack([X, rng.normal(size=(5, k))]))[:n]
+            means = X.mean(axis=0)
+            stds = np.where(X.max(axis=0) > X.min(axis=0), X.std(axis=0), 1.0)
+            got = standardize_columns(X)
+            for a, b in zip(got, ((X - means) / stds, means, stds)):
+                assert a.tobytes("A") == b.tobytes("A") and a.flags.f_contiguous == b.flags.f_contiguous, trial
+
+    def test_spread_whose_std_underflows_is_treated_as_constant(self, rng):
+        # Forty multiples of the smallest subnormal: max > min, but every
+        # squared deviation underflows, so the computed std is 0.
+        X = np.column_stack([rng.normal(size=40), np.arange(40) * 5e-324])
+        assert X[:, 1].max() > X[:, 1].min() and X[:, 1].std() == 0.0
+        Xs, _, stds = standardize_columns(X)
+        assert stds[1] == 1.0 and np.isfinite(Xs).all()
+        model = fit_ridge(X, rng.normal(size=40), penalty=1.0)
+        assert model.train_stds[1] == 1.0 and np.isfinite(model.weights).all()
 
     def test_shape_mismatch_on_predict(self, rng):
         model = fit_ridge(rng.normal(size=(10, 2)), rng.normal(size=10))

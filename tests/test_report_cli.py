@@ -24,6 +24,7 @@ from limnoplan.dataset import parse_dataset, write_series_csv
 from limnoplan.errors import ConfigError
 from limnoplan.joint import FeasibilityGrid
 from limnoplan.report import RunConfig, run_pipeline, train_test_table
+from limnoplan.selection import aggregate_ranking, forward_selection
 from limnoplan.synth import SynthConfig, generate_lake
 
 from conftest import count_passes, series_from_arrays
@@ -1656,3 +1657,73 @@ class TestPooledRanking:
         assert self.report(csv_path, tmp_path / "survivors", "--lakes", str(survivors)) == 0
         for lake_id in (100, 101):
             assert self.lake_files(tmp_path / "all", lake_id) == self.lake_files(tmp_path / "survivors", lake_id)
+
+
+class TestSelectionFromTheGrid:
+    """Under the lake's own ranking, a cold lake's forward selection is read off its grid's full-pool row
+    and its cache entry stores the engine's array; under a global ranking the selection is its own call."""
+
+    @staticmethod
+    def hexes(selection) -> dict[int, str]:
+        return {k: float.hex(v) for k, v in selection.nmae_by_k.items()}
+
+    def assert_forward_selection(self, lake_report, config: RunConfig) -> None:
+        lake = lake_report.lake
+        want = forward_selection(lake.split, lake.completed, lake.ranking, config.tolerance, config.penalty)
+        got = lake_report.selection
+        assert self.hexes(got) == self.hexes(want), lake_report.lake_id
+        assert (got.k_star, got.subset) == (want.k_star, want.subset)
+        assert float.hex(got.full_nmae) == float.hex(want.full_nmae)
+
+    def test_lake_ranking_selection_is_forward_selection_bit_for_bit(self, tmp_path, monkeypatch):
+        synth_csv(tmp_path / "lakes.csv", small_lake_configs(3))
+        config = RunConfig(seed=4, **FAST)
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("a lake-ranking run called forward_selection")
+
+        monkeypatch.setattr("limnoplan.report.forward_selection", no_call)
+        result = run_pipeline(load_csv(tmp_path / "lakes.csv"), config, tmp_path / "out")
+        monkeypatch.undo()
+        for lake_report in result.reports:
+            self.assert_forward_selection(lake_report, config)
+
+    def test_global_ranking_selection_stays_over_the_lake_ranking(self, tmp_path):
+        synth_csv(tmp_path / "lakes.csv", small_lake_configs(3))
+        config = RunConfig(seed=4, use_global_ranking=True, **FAST)
+        result = run_pipeline(load_csv(tmp_path / "lakes.csv"), config, tmp_path / "out")
+        shared = aggregate_ranking([r.lake.ranking for r in result.reports])
+        assert any(r.lake.ranking.order != shared.order for r in result.reports)  # else the modes agree
+        for lake_report in result.reports:
+            assert lake_report.grid.feature_order == shared.order
+            assert lake_report.selection.subset == lake_report.lake.ranking.order[: lake_report.selection.k_star]
+            self.assert_forward_selection(lake_report, config)
+
+    @pytest.mark.parametrize("use_global_ranking", [False, True], ids=["per-lake", "global"])
+    def test_a_cold_entry_grid_is_the_dict_rebuild(self, tmp_path, use_global_ranking):
+        synth_csv(tmp_path / "lakes.csv", small_lake_configs(2))
+        config = RunConfig(seed=4, grid_n_min=2, use_global_ranking=use_global_ranking, **FAST)
+        result = run_pipeline(load_csv(tmp_path / "lakes.csv"), config, tmp_path / "out")
+        for lake_report in result.reports:
+            grid = lake_report.grid
+            rebuilt = np.array([[grid.nmae.get((n, k), np.nan) for k in range(1, grid.p + 1)] for n in grid.n_grid])
+            assert np.isnan(rebuilt).any()  # the cells with n < k+1
+            stored = entry_arrays(tmp_path / "out" / "cache" / f"{lake_report.lake_id}.npy")["grid"]
+            for got in (lake_report.entry["grid"], stored):
+                assert (got.dtype, got.shape, got.tobytes()) == (rebuilt.dtype, rebuilt.shape, rebuilt.tobytes())
+
+
+def test_a_covariate_whose_std_underflows_reports_like_a_constant(tmp_path, capsys):
+    # Multiples of the smallest subnormal: max > min over every window, but every squared deviation
+    # underflows, so each computed std is 0. Tier-1 turns any numpy warning into an error.
+    series, _ = generate_lake(SynthConfig(n_samples=200, n_features=4, missing_fraction=0.1, lake_id=7, seed=3))
+    gaps = np.isnan(series.covariates[:, 2])
+    series.covariates[:, 2] = np.random.default_rng(3).integers(0, 40, size=len(series)) * 5e-324
+    series.covariates[gaps, 2] = np.nan
+    buffer = io.StringIO()
+    write_series_csv(series, buffer)
+    (tmp_path / "lake.csv").write_text(buffer.getvalue())
+    out = tmp_path / "out"
+    assert main(["report", "--input", str(tmp_path / "lake.csv"), "--trees", "10", "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "summary.json").read_text())["failures"] == {}
