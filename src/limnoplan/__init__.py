@@ -10,10 +10,11 @@ tolerance of the full-data, full-feature reference:
   profiles, lake ranking, train/test splitting
 - :mod:`limnoplan.imputation` - chained-equation covariate completion
 - :mod:`limnoplan.models` - ridge forecaster and regression forest
-- :mod:`limnoplan.evaluation` - MAE/nMAE, recent-history protocol,
-  sample curves and the minimal sample count
-- :mod:`limnoplan.selection` - importance ranking and forward selection
-- :mod:`limnoplan.joint` - joint (samples, features) feasibility search
+- :mod:`limnoplan.evaluation` - MAE/nMAE, the recent-history protocol
+  and the engine that scores every (n, k) cell
+- :mod:`limnoplan.selection` - forest-importance ranking
+- :mod:`limnoplan.joint` - the (samples, features) feasibility grid,
+  read as the sample curve, forward selection and the joint minimum
 - :mod:`limnoplan.synth` - seeded synthetic lakes with ground truth
 - :mod:`limnoplan.report` / :mod:`limnoplan.cli` - pipeline and CLI
 """
@@ -46,9 +47,7 @@ from .evaluation import (
     backward_eval,
     complete_case_eval,
     mae,
-    minimal_size,
     nmae,
-    sample_curve,
     score_predictions,
 )
 from .imputation import (
@@ -65,7 +64,9 @@ from .joint import (
     MinimalConfig,
     aggregate_configs,
     feasibility_grid,
+    forward_selection,
     minimal_config,
+    sample_curve,
 )
 from .models import (
     ForestConfig,
@@ -79,7 +80,6 @@ from .selection import (
     FeatureRanking,
     SelectionResult,
     aggregate_ranking,
-    forward_selection,
     rank_features,
 )
 from .synth import SynthConfig, SynthTruth, generate_lake

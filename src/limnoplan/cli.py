@@ -19,14 +19,12 @@ import numpy as np
 
 from . import dataset as ds
 from .errors import ConfigError, InsufficientDataError, LimnoplanError, SchemaError
-from .evaluation import sample_curve
 from .imputation import impute_series
-from .joint import aggregate_configs
+from .joint import aggregate_configs, forward_selection, sample_curve
 from .report import (
     RunConfig, StageCache, completed_text, grid_rows, input_key, prepare_lake, process_lakes, rank_features,
     run_pipeline, select_series, train_test_table, write_csv, write_json, write_nmae_table, write_result,
 )
-from .selection import forward_selection
 from .synth import config_from_dict, generate_lake
 
 DEFAULT_TOP = 30  # `lakes rank` keeps this many lakes, or every lake it ranked if fewer

@@ -1,10 +1,10 @@
-"""Forecast metrics and the recent-history training protocol.
+"""Forecast metrics, the recent-history training protocol and its engine.
 
 A held-out recent block stays fixed while training uses the `n` most
-recent pre-test rows; sweeping n over a size grid yields a sample
-curve whose reference point uses the full training pool. The minimal
-sample count is the smallest grid size whose test error stays within
-the configured tolerance of that reference.
+recent pre-test rows. `prefix_nmae` scores every ranking prefix at
+every training size in one call; `joint.feasibility_grid` is its one
+caller, and the sample curve (n varies, every feature) and forward
+selection (k varies, the full pool) are readings of that grid.
 
 Errors are normalized by the test block's mean target (nMAE) so lakes
 of different baseline clarity are comparable.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
@@ -27,11 +27,9 @@ from .models import (
     check_penalty,
     fit_ridge,
     predict_ridge,
+    require_summable,
     standardize_columns,
 )
-
-DEFAULT_TOLERANCE = 0.05
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -71,25 +69,6 @@ class SampleCurve:
     reference_nmae: float
     n_star: int | None
     tolerance: float
-
-    @classmethod
-    def from_nmae(cls, grid: list[int], values: Sequence[float], tolerance: float) -> SampleCurve:
-        """The curve of nMAE `values` over `grid`, referenced to its last size, the full pool."""
-        nmae_at = dict(zip(grid, values))
-        reference = nmae_at[grid[-1]]
-        return cls(grid, nmae_at, reference, minimal_size(grid, nmae_at, reference, tolerance), tolerance)
-
-
-def feasibility_threshold(reference: float, tolerance: float) -> float:
-    """The largest nMAE within `tolerance` of `reference`: the feasibility rule of every search."""
-    if not 0 < tolerance < math.inf:  # false for NaN too
-        raise EvaluationError(f"tolerance must be finite and positive, got {tolerance}")
-    return (1.0 + tolerance) * reference
-
-
-def first_within(candidates: Iterable[T], nmae: dict[T, float], threshold: float) -> T | None:
-    """The first of `candidates`, in search order, whose nMAE is at most `threshold`; one without an nMAE never is."""
-    return next((c for c in candidates if nmae.get(c, math.nan) <= threshold), None)
 
 
 def mae(y: np.ndarray, y_hat: np.ndarray) -> float:
@@ -205,6 +184,7 @@ def prefix_nmae(
     q = min(p, n_top - 1)
     if not (np.isfinite(X_pre[-n_top:, :q]).all() and np.isfinite(y_pre[-n_top:]).all()):
         raise FitError("non-finite values in design or target")
+    require_summable(X_pre[-n_top:, :q], y_pre[-n_top:])
     denom = y_test.mean() if y_test.size else 0.0
     if denom <= 0:
         raise EvaluationError(f"nMAE normalizer (mean target) must be positive, got {denom}")
@@ -269,37 +249,6 @@ def prefix_nmae(
             raise EvaluationError("nMAE is not finite")
         out[rows[lo:], k - 1] = values
     return out
-
-
-def sample_curve(
-    split: SplitSeries,
-    completed: CompletedMatrix,
-    grid_spec: SizeGridSpec = SizeGridSpec(),
-    tolerance: float = DEFAULT_TOLERANCE,
-    penalty: float = DEFAULT_RIDGE_PENALTY,
-) -> SampleCurve:
-    """Test nMAE with the full feature set at the grid's sizes that fit it (n >= p+1).
-
-    The reference is the full-pool fit (n = N_pre, always on the grid);
-    the minimal sample count is the smallest of those sizes within
-    (1 + tolerance) of it. A pool of fewer than p+1 rows is an
-    EvaluationError.
-    """
-    p = len(completed.feature_schema)
-    require_full_fit(split.n_pre, p)
-    grid = [n for n in grid_spec.resolve(split.n_pre, p) if n > p]
-    values = prefix_nmae(split, completed, grid, completed.feature_schema, penalty)[:, p - 1]
-    return SampleCurve.from_nmae(grid, values.tolist(), tolerance)
-
-
-def minimal_size(
-    grid: Sequence[int],
-    nmae_at: dict[int, float],
-    reference: float,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> int | None:
-    """Smallest grid size whose nMAE is within (1+tolerance) of the reference."""
-    return first_within(sorted(grid), nmae_at, feasibility_threshold(reference, tolerance))
 
 
 def complete_case_eval(

@@ -9,25 +9,43 @@ minimal configuration is the lexicographically smallest feasible pair
 (n first, then k), falling back to the full configuration when nothing
 smaller qualifies, so every lake gets a well-defined answer.
 
+The grid answers the other two questions under the same threshold: its
+all-features column is the sample curve, its full-pool row forward
+selection. `sample_curve` and `forward_selection` read grids they build.
+
 nMAE values are stored per (n, k) independent of the tolerance, so a
 grid can be re-thresholded at a new tolerance without any refitting.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from .dataset import SplitSeries
 from .errors import EvaluationError
-from .evaluation import (
-    DEFAULT_TOLERANCE, SizeGridSpec, feasibility_threshold, first_within, prefix_nmae, require_full_fit
-)
+from .evaluation import SampleCurve, SizeGridSpec, prefix_nmae, require_full_fit
 from .imputation import CompletedMatrix
 from .models import DEFAULT_RIDGE_PENALTY
-from .selection import FeatureRanking, require_permutation
+from .selection import FeatureRanking, SelectionResult, require_permutation
+
+DEFAULT_TOLERANCE = 0.05
+T = TypeVar("T")
+
+
+def feasibility_threshold(reference: float, tolerance: float) -> float:
+    """The largest nMAE within `tolerance` of `reference`: the feasibility rule of every search."""
+    if not 0 < tolerance < math.inf:  # false for NaN too
+        raise EvaluationError(f"tolerance must be finite and positive, got {tolerance}")
+    return (1.0 + tolerance) * reference
+
+
+def first_within(candidates: Iterable[T], nmae: dict[T, float], threshold: float) -> T | None:
+    """The first of `candidates`, in search order, whose nMAE is at most `threshold`; one without an nMAE never is."""
+    return next((c for c in candidates if nmae.get(c, math.nan) <= threshold), None)
 
 
 @dataclass
@@ -76,6 +94,22 @@ class FeasibilityGrid:
         """Same evaluations, new tolerance; no refitting happens."""
         return replace(self, tolerance=tolerance)
 
+    def curve(self) -> SampleCurve:
+        """The all-features column at the sizes that fit every feature (n >= p+1), referenced to the full
+        cell; n* is the smallest of those sizes within the grid's threshold, None if none is."""
+        sizes = [n for n in self.n_grid if n > self.p]
+        nmae_at = {n: self.nmae[(n, self.p)] for n in sizes}
+        n_star = first_within(sorted(sizes), nmae_at, self.tau)
+        return SampleCurve(sizes, nmae_at, self.full_nmae, n_star, self.tolerance)
+
+    def selection(self) -> SelectionResult:
+        """The full-pool row (n = N_pre): k* is the shortest ranking prefix within the grid's threshold."""
+        nmae_by_k = {k: self.nmae[(self.n_pre, k)] for k in range(1, self.p + 1)}
+        k_star = first_within(range(1, self.p + 1), nmae_by_k, self.tau)
+        if k_star is None:
+            raise EvaluationError("no ranking prefix is within tolerance of the all-features error")
+        return SelectionResult(k_star, self.feature_order[:k_star], nmae_by_k, self.full_nmae)
+
 
 @dataclass(frozen=True)
 class MinimalConfig:
@@ -103,21 +137,50 @@ def feasibility_grid(
     split: SplitSeries,
     completed: CompletedMatrix,
     ranking: FeatureRanking,
-    grid_spec: SizeGridSpec = SizeGridSpec(),
+    grid_spec: SizeGridSpec | Sequence[int] = SizeGridSpec(),
     tolerance: float = DEFAULT_TOLERANCE,
     penalty: float = DEFAULT_RIDGE_PENALTY,
 ) -> FeasibilityGrid:
-    """Evaluate every admissible (n, k) cell of the grid.
-
-    One stacked solve per k covers every training size.
+    """Evaluate every admissible (n, k) cell of the grid, at the sizes `grid_spec` resolves to (or lists,
+    ascending and ending at N_pre), in one engine call: one stacked solve per k covers every size.
     """
     p, order = len(completed.feature_schema), ranking.order
     require_permutation(order, completed.feature_schema)
-    n_grid = grid_spec.resolve(split.n_pre, p)
+    n_grid = grid_spec.resolve(split.n_pre, p) if isinstance(grid_spec, SizeGridSpec) else list(grid_spec)
     require_full_fit(split.n_pre, p)
 
     values = prefix_nmae(split, completed, n_grid, order, penalty)
     return FeasibilityGrid.from_nmae(split.pre.lake_id, n_grid, order, values, tolerance)
+
+
+def sample_curve(
+    split: SplitSeries,
+    completed: CompletedMatrix,
+    grid_spec: SizeGridSpec = SizeGridSpec(),
+    tolerance: float = DEFAULT_TOLERANCE,
+    penalty: float = DEFAULT_RIDGE_PENALTY,
+) -> SampleCurve:
+    """Test nMAE with the full feature set at the sizes of `grid_spec` that fit it (n >= p+1): the curve
+    of a grid over those sizes only, so no smaller size is fit. A pool of fewer than p+1 rows is an
+    EvaluationError.
+    """
+    schema = completed.feature_schema
+    sizes = [n for n in grid_spec.resolve(split.n_pre, len(schema)) if n > len(schema)]
+    return feasibility_grid(split, completed, FeatureRanking({}, schema), sizes, tolerance, penalty).curve()
+
+
+def forward_selection(
+    split: SplitSeries,
+    completed: CompletedMatrix,
+    ranking: FeatureRanking,
+    tolerance: float = DEFAULT_TOLERANCE,
+    penalty: float = DEFAULT_RIDGE_PENALTY,
+) -> SelectionResult:
+    """Shortest ranking prefix within tolerance of the full-feature fit: the selection of the one-row grid
+    at the whole pre-test pool, so only the feature count varies.
+    """
+    grid = feasibility_grid(split, completed, ranking, SizeGridSpec(n_min=split.n_pre), tolerance, penalty)
+    return grid.selection()
 
 
 def minimal_config(grid: FeasibilityGrid) -> MinimalConfig:

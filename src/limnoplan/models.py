@@ -71,6 +71,14 @@ def check_penalty(penalty: float) -> None:
         raise FitError(f"penalty must be finite and nonnegative, got {penalty}")
 
 
+def require_summable(*arrays: np.ndarray) -> None:
+    """A FitError unless a sum of squared differences over each finite array's rows stays finite: every
+    |value| is at most half the square root of the largest float over the row count. The test never warns."""
+    for a in arrays:
+        if np.abs(a).max(initial=0.0) > 0.5 * math.sqrt(np.finfo(float).max / max(len(a), 1)):
+            raise FitError("values in design or target too large: sums of their squares overflow")
+
+
 def solve_standardized_ridge(Xs: np.ndarray, y_centered: np.ndarray, penalty: float) -> np.ndarray:
     """Solve (Xs'Xs + penalty*I) w = Xs'y via Cholesky on the Gram matrix."""
     try:
@@ -371,6 +379,7 @@ def forest_input(
         raise FitError("n_trees must be >= 1")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise FitError("non-finite values in design or target")
+    require_summable(y)  # the grower sums squares of the target only
 
     schema = list(feature_schema) if feature_schema is not None else [f"x{j}" for j in range(p)]
     if len(schema) != p or len(set(schema)) != p:

@@ -3,15 +3,15 @@
 Wires ingest -> exclusions -> imputation -> feature ranking ->
 reference fit -> joint feasibility search, per lake, then aggregates
 across lakes. The sample curve is the grid's all-features column and,
-under the lake's own ranking, forward selection is its full-pool row,
-so the curve, the selection and the grid share one full-pool,
-full-feature reference nMAE. All outputs are JSON
-(machine) and CSV (plot data); every report embeds the hash of the run
-configuration that produced it, and identical configurations reproduce
-byte-identical reports. Each lake's results that do not depend on the
-tolerance are cached on disk as one entry, so a re-run at a new
-tolerance imputes and fits nothing: it only re-thresholds the cached
-nMAE values.
+under the lake's own ranking, forward selection is its full-pool row
+(`FeasibilityGrid.curve` and `.selection`), so the curve, the selection
+and the grid share one full-pool, full-feature reference nMAE. All
+outputs are JSON (machine) and CSV (plot data); every report embeds the
+hash of the run configuration that produced it, and identical
+configurations reproduce byte-identical reports. Each lake's results
+that do not depend on the tolerance are cached on disk as one entry, so
+a re-run at a new tolerance imputes and fits nothing: it only
+re-thresholds the cached nMAE values.
 """
 
 from __future__ import annotations
@@ -33,18 +33,14 @@ import numpy as np
 
 from . import dataset as ds
 from .errors import ConfigError, LimnoplanError
-from .evaluation import (
-    DEFAULT_TOLERANCE,
-    SampleCurve,
-    SizeGridSpec,
-    fit_reference,
-    require_full_fit,
-    score_predictions,
-)
+from .evaluation import SampleCurve, SizeGridSpec, fit_reference, require_full_fit, score_predictions
 from .imputation import CompletedMatrix, ImputeConfig, ImputeReport, impute_series
-from .joint import FeasibilityGrid, JointSummary, MinimalConfig, aggregate_configs, feasibility_grid, minimal_config
+from .joint import (
+    DEFAULT_TOLERANCE, FeasibilityGrid, JointSummary, MinimalConfig, aggregate_configs, feasibility_grid,
+    forward_selection, minimal_config,
+)
 from .models import DEFAULT_RIDGE_PENALTY, ForestConfig, RidgeModel, fit_forests, forest_input, predict_ridge
-from .selection import FeatureRanking, SelectionResult, aggregate_ranking, forest_problem, forward_selection
+from .selection import FeatureRanking, SelectionResult, aggregate_ranking, forest_problem
 
 
 @dataclass(frozen=True)
@@ -66,7 +62,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.test_years < 1:
             raise ConfigError("test_years must be >= 1")
-        if not 0 < self.tolerance < math.inf:  # the test of `evaluation.feasibility_threshold`
+        if not 0 < self.tolerance < math.inf:  # the test of `joint.feasibility_threshold`
             raise ConfigError(f"tolerance must be finite and positive, got {self.tolerance}")
         if not 0 <= self.penalty < math.inf:
             raise ConfigError(f"penalty must be finite and nonnegative, got {self.penalty}")
@@ -399,34 +395,34 @@ def process_lake(
         series.lake_id, series.name, train.mae, test.mae, train.nmae, test.nmae, test_le_train=test.nmae <= train.nmae
     )
 
-    ranking, entry, p = global_ranking or lake.ranking, lake.cached, len(completed.feature_schema)
+    ranking, entry, tolerance = global_ranking or lake.ranking, lake.cached, config.tolerance
     # A grid over another ranking than the cached one's (a global ranking of other lakes) is recomputed.
     fresh = entry is None or entry["grid_order"].tolist() != list(map(completed.feature_schema.index, ranking.order))
     if fresh:
-        grid = feasibility_grid(split, completed, ranking, config.grid_spec(), config.tolerance, config.penalty)
+        grid = feasibility_grid(split, completed, ranking, config.grid_spec(), tolerance, config.penalty)
     else:
-        n_grid = config.grid_spec().resolve(split.n_pre, p)
-        grid = FeasibilityGrid.from_nmae(series.lake_id, n_grid, ranking.order, entry["grid"], config.tolerance)
-    if entry is not None:
-        selection = SelectionResult.from_nmae(entry["selection"].tolist(), lake.ranking.order, config.tolerance)
-    elif global_ranking is None:  # forward selection is the grid's full-pool row, n = N_pre
-        selection = SelectionResult.from_nmae(grid.values[-1].tolist(), ranking.order, config.tolerance)
+        n_grid = config.grid_spec().resolve(split.n_pre, len(ranking.order))
+        grid = FeasibilityGrid.from_nmae(series.lake_id, n_grid, ranking.order, entry["grid"], tolerance)
+    # The selection is over the lake's own ranking: the grid's full-pool row under that ranking, or else a
+    # one-row grid at n = N_pre, of the cached row or from `forward_selection`.
+    if global_ranking is None:
+        selection = grid.selection()
+    elif entry is not None:
+        cached = entry["selection"][None]
+        row = FeasibilityGrid.from_nmae(series.lake_id, [split.n_pre], lake.ranking.order, cached, tolerance)
+        selection = row.selection()
     else:
-        selection = forward_selection(split, completed, lake.ranking, config.tolerance, config.penalty)
+        selection = forward_selection(split, completed, lake.ranking, tolerance, config.penalty)
     if fresh and cache is not None:
         entry = lake_entry(lake, selection, grid)
         cache.put(series.lake_id, lake_key(series, config), entry)
-    # The sample curve is the grid's all-features column at the sizes `sample_curve` keeps (n >= p+1);
-    # it does not depend on the feature order.
-    sizes = [n for n in grid.n_grid if n > p]
-    curve = SampleCurve.from_nmae(sizes, [grid.nmae[(n, p)] for n in sizes], config.tolerance)
 
     return LakeReport(
         lake_id=series.lake_id,
         lake=lake,
         reference_model=model,
         table_row=table_row,
-        curve=curve,
+        curve=grid.curve(),  # the all-features column, which does not depend on the feature order
         selection=selection,
         grid=grid,
         minimal=minimal_config(grid),

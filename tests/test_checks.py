@@ -71,6 +71,10 @@ CASES = {
     "evaluation-non-finite-pool": (
         lambda: prefix_nmae(*nan_in_pool()), FitError, "non-finite values in design or target"
     ),
+    "evaluation-pool-squares-overflow": (
+        lambda: prefix_nmae(*split_and_completed(lake(sdd=[3.0, 1e300, 4.0, 3.5, 2.5, 3.0])), [4], SCHEMA),
+        FitError, "values in design or target too large: sums of their squares overflow",
+    ),
     "evaluation-nonpositive-normalizer": (
         lambda: prefix_nmae(*split_and_completed(lake(sdd=[3.0, 2.0, 4.0, 3.5, -1.0, -1.0])), [4], SCHEMA),
         EvaluationError, "nMAE normalizer (mean target) must be positive, got -1.0",
@@ -100,6 +104,10 @@ CASES = {
     "models-forest-non-finite": (
         lambda: fit_forests([(np.array([[1.0], [np.nan]]), np.zeros(2), ForestConfig(), None)]),
         FitError, "non-finite values in design or target",
+    ),
+    "models-forest-target-squares-overflow": (
+        lambda: fit_forests([(np.zeros((3, 1)), np.array([1.0, -1e300, 2.0]), ForestConfig(), None)]),
+        FitError, "values in design or target too large: sums of their squares overflow",
     ),
     "report-zero-test-years": (lambda: RunConfig(test_years=0), ConfigError, "test_years must be >= 1"),
     "synth-fraction-per-feature": (

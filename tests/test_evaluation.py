@@ -13,12 +13,11 @@ from limnoplan.evaluation import (
     complete_case_eval,
     fit_reference,
     mae,
-    minimal_size,
     nmae,
-    sample_curve,
     score_predictions,
 )
 from limnoplan.imputation import initialize_fill
+from limnoplan.joint import FeasibilityGrid, sample_curve
 from limnoplan.models import fit_ridge, predict_ridge
 from limnoplan.synth import SynthConfig, generate_lake
 
@@ -159,19 +158,31 @@ class TestBackwardEval:
         assert_metrics_close(metrics, expected)
 
 
+def curve_of(nmae_at, reference, tolerance=0.05):
+    """The curve of a hand-built one-feature grid: these all-features values and this full-cell nMAE."""
+    sizes = list(nmae_at)
+    nmae = {(n, 1): value for n, value in nmae_at.items()}
+    return FeasibilityGrid(1, sizes, 1, sizes[-1], ["x"], nmae, set(), reference, tolerance).curve()
+
+
 class TestSampleCurve:
     def test_minimal_size_threshold_arithmetic(self):
-        grid = [50, 100, 150, 200]
-        values = {50: 0.30, 100: 0.22, 150: 0.21, 200: 0.20}
-        assert minimal_size(grid, values, reference=0.20, tolerance=0.05) == 150
+        curve = curve_of({50: 0.30, 100: 0.22, 150: 0.21, 200: 0.20}, reference=0.20, tolerance=0.05)
+        assert curve.n_star == 150
+        assert (curve.grid, curve.reference_nmae, curve.tolerance) == ([50, 100, 150, 200], 0.20, 0.05)
 
     def test_minimal_size_flat_curve(self):
-        grid = [10, 20, 30]
-        values = dict.fromkeys(grid, 0.2)
-        assert minimal_size(grid, values, reference=0.2, tolerance=0.05) == 10
+        assert curve_of(dict.fromkeys([10, 20, 30], 0.2), reference=0.2, tolerance=0.05).n_star == 10
 
     def test_minimal_size_none_when_unreachable(self):
-        assert minimal_size([10, 20], {10: 1.0, 20: 0.5}, reference=0.1, tolerance=0.05) is None
+        assert curve_of({10: 1.0, 20: 0.5}, reference=0.1, tolerance=0.05).n_star is None
+
+    def test_curve_keeps_the_sizes_that_fit_every_feature(self):
+        # p = 2: size 2 has no all-features cell (2 < p+1), so the curve starts at 3; the feasible (2, 1) is not on it.
+        nmae = {(2, 1): 0.1, (3, 1): 0.5, (3, 2): 0.1, (5, 1): 0.4, (5, 2): 0.3, (8, 1): 0.3, (8, 2): 0.2}
+        grid = FeasibilityGrid(1, [2, 3, 5, 8], 2, 8, ["a", "b"], nmae, {(2, 2)}, 0.2, 0.05)
+        curve = grid.curve()
+        assert (curve.grid, curve.nmae_at, curve.n_star) == ([3, 5, 8], {3: 0.1, 5: 0.3, 8: 0.2}, 3)
 
     def test_curve_reference_is_full_pool_value(self, rng):
         series, split, completed = _linear_lake(rng, n=80)

@@ -5,19 +5,22 @@ import math
 import numpy as np
 import pytest
 
-from limnoplan import evaluation
+from limnoplan import joint
 from limnoplan.dataset import split_by_count
 from limnoplan.errors import EvaluationError, FitError, SchemaError
-from limnoplan.evaluation import SizeGridSpec, backward_eval, prefix_nmae, sample_curve
+from limnoplan.evaluation import SizeGridSpec, backward_eval, prefix_nmae
+from limnoplan.imputation import initialize_fill
 from limnoplan.joint import (
     FeasibilityGrid,
     MinimalConfig,
     aggregate_configs,
     feasibility_grid,
+    forward_selection,
     minimal_config,
+    sample_curve,
 )
 from limnoplan.models import ForestConfig, fit_ridge
-from limnoplan.selection import FeatureRanking, forward_selection, minimal_feature_count, rank_features
+from limnoplan.selection import FeatureRanking, rank_features
 from limnoplan.synth import SynthConfig, generate_lake
 
 from conftest import completed_from_series, series_from_arrays
@@ -247,7 +250,7 @@ BAD_TOLERANCES = [0.0, -0.1, float("nan"), float("inf")]
 
 
 class TestOneToleranceRule:
-    """Every search applies `evaluation.feasibility_threshold`, so each rejects the same tolerances."""
+    """Every search applies `joint.feasibility_threshold`, so each rejects the same tolerances."""
 
     @pytest.mark.parametrize("tolerance", BAD_TOLERANCES)
     def test_every_stage_rejects_a_tolerance_that_is_not_finite_and_positive(self, tolerance):
@@ -259,26 +262,34 @@ class TestOneToleranceRule:
             "forward_selection": lambda: forward_selection(split, completed, ranking, tolerance),
             "feasibility_grid": lambda: feasibility_grid(split, completed, ranking, spec, tolerance),
             "rethreshold": lambda: grid.rethreshold(tolerance),
-            "minimal_size": lambda: evaluation.minimal_size([10, 20], {10: 0.3, 20: 0.2}, 0.2, tolerance),
-            "minimal_feature_count": lambda: minimal_feature_count({1: 0.3, 2: 0.2}, 0.2, tolerance),
+            "curve": lambda: make_grid_by_hand({(10, 1): 0.3, (20, 1): 0.2}, [10, 20], 1, 20, tolerance, 0.2).curve(),
+            "selection": lambda: make_grid_by_hand({(3, 1): 0.3, (3, 2): 0.2}, [3], 2, 3, tolerance, 0.2).selection(),
         }
         for stage in stages.values():
             with pytest.raises(EvaluationError, match="tolerance must be finite and positive"):
                 stage()
 
     def test_threshold_is_one_plus_tolerance_times_the_reference(self):
-        assert evaluation.feasibility_threshold(0.2, 0.05) == (1.0 + 0.05) * 0.2
-        assert evaluation.feasibility_threshold(0.2, 1e-12) > 0.2
+        assert joint.feasibility_threshold(0.2, 0.05) == (1.0 + 0.05) * 0.2
+        assert joint.feasibility_threshold(0.2, 1e-12) > 0.2
 
     def test_first_within_keeps_search_order_and_skips_absent_candidates(self):
         nmae = {"a": 0.5, "b": 0.1, "c": 0.1, "nan": float("nan")}
-        assert evaluation.first_within(["x", "nan", "a", "c", "b"], nmae, 0.2) == "c"
-        assert evaluation.first_within(["a", "x"], nmae, 0.2) is None
-        assert evaluation.first_within(iter(()), nmae, 1.0) is None
+        assert joint.first_within(["x", "nan", "a", "c", "b"], nmae, 0.2) == "c"
+        assert joint.first_within(["a", "x"], nmae, 0.2) is None
+        assert joint.first_within(iter(()), nmae, 1.0) is None
 
     def test_no_prefix_within_tolerance_is_an_evaluation_error(self):
+        grid = make_grid_by_hand({(3, 1): 0.3, (3, 2): 0.2}, [3], p=2, n_pre=3, tolerance=0.05, full=0.1)
         with pytest.raises(EvaluationError, match="no ranking prefix"):
-            minimal_feature_count({1: 0.3, 2: 0.2}, 0.1, 0.05)
+            grid.selection()
+
+    def test_both_readers_apply_the_grids_threshold(self):
+        # tau = 1.05 * 0.2 = 0.21: (8, 1) and (5, 2) are just over it, (8, 2) and (10, 2) within.
+        nmae = {(5, 1): 0.3, (5, 2): 0.2100000001, (8, 1): 0.22, (8, 2): 0.21, (10, 1): 0.25, (10, 2): 0.2}
+        grid = make_grid_by_hand(nmae, [5, 8, 10], p=2, n_pre=10, tolerance=0.05, full=0.2)
+        assert (grid.curve().n_star, grid.selection().k_star) == (8, 2)
+        assert (grid.rethreshold(0.5).curve().n_star, grid.rethreshold(0.5).selection().k_star) == (5, 1)
 
     def test_fallback_selects_the_whole_order(self):
         grid = make_grid_by_hand({(3, 1): 2.0, (3, 2): 1.0}, [3], p=2, n_pre=3, full=0.5)
@@ -631,3 +642,48 @@ def test_a_column_whose_std_underflows_matches_backward_eval(penalty):
     for (n, k), value in grid.nmae.items():
         expected = backward_eval(split, completed, n, order[:k], penalty).nmae
         assert value == pytest.approx(expected, rel=1e-12, abs=0.0), (n, k)
+
+
+def test_each_entry_point_makes_one_engine_call(monkeypatch):
+    """The grid, the curve and the selection each come from one `prefix_nmae` call, over their own sizes."""
+    split, completed, ranking = _prepared_lake(seed=9)
+    p, calls, engine = len(ranking.order), [], joint.prefix_nmae
+
+    def counting(split, completed, sizes, *args):
+        calls.append(list(sizes))
+        return engine(split, completed, sizes, *args)
+
+    monkeypatch.setattr(joint, "prefix_nmae", counting)
+    spec = SizeGridSpec(n_min=2, stride=15)
+    grid = feasibility_grid(split, completed, ranking, spec)
+    assert calls == [grid.n_grid]
+    curve = sample_curve(split, completed, spec)
+    assert calls[1:] == [curve.grid] and curve.grid == [n for n in grid.n_grid if n > p]
+    forward_selection(split, completed, ranking)
+    assert calls[2:] == [[split.n_pre]]
+
+
+# The curve of the lake in the test below: at zero penalty only a grid over the sizes n > p can be fit.
+DUPLICATE_ROW_CURVE = {
+    6: "0x1.9eacf285442acp-2", 8: "0x1.17abcf8fe1785p-1", 10: "0x1.fa787e70681b6p-4", 12: "0x1.983c563e6c9b8p-4",
+    14: "0x1.c813a23ebfd35p-4", 16: "0x1.248eea149acfbp-3", 18: "0x1.ce8028a896765p-4", 20: "0x1.cdba1e45fc9e7p-4",
+    22: "0x1.bfece8bf42a9ep-4", 24: "0x1.4b6b706b0a216p-4", 26: "0x1.2d1b0556f0fecp-4", 28: "0x1.fddf30744395fp-5",
+    30: "0x1.c33498f05d205p-5", 32: "0x1.023d407eaabfep-4", 34: "0x1.145faac3a5409p-4", 36: "0x1.011cb67b48e3dp-4",
+    38: "0x1.e92f5fae4991fp-5", 40: "0x1.df4b2e1423633p-5", 42: "0x1.db7dc13958fc9p-5", 44: "0x1.d9e41a835637ap-5",
+    46: "0x1.e9008b16e5577p-5", 48: "0x1.faaceac2c3062p-5", 50: "0x1.d5bc50c27c63dp-5", 52: "0x1.ceeedfba2862ap-5",
+    54: "0x1.9bfde196b2d31p-5", 56: "0x1.b51ab14cca221p-5", 58: "0x1.b2f15439a7c21p-5", 60: "0x1.a9bf4b15b1fe6p-5",
+}
+
+
+def test_zero_penalty_curve_fits_no_size_up_to_p():
+    # The last two pre-test rows are one point, so the 2-row window is rank-deficient: a grid over
+    # every size of the spec fails, while the curve's grid (n > p = 4) leaves that window out.
+    series, _ = generate_lake(SynthConfig(n_samples=80, n_features=4, seed=3))
+    series.covariates[59] = series.covariates[58]
+    split, completed = split_by_count(series, 60), initialize_fill(series.covariates, list(series.feature_schema))
+    spec = SizeGridSpec(n_min=2, stride=2)
+    with pytest.raises(FitError, match="rank-deficient design with zero penalty"):
+        feasibility_grid(split, completed, FeatureRanking({}, series.feature_schema), spec, penalty=0.0)
+    curve = sample_curve(split, completed, spec, penalty=0.0)
+    assert {n: float.hex(value) for n, value in curve.nmae_at.items()} == DUPLICATE_ROW_CURVE
+    assert curve.grid == list(range(6, 61, 2)) and curve.n_star == 54

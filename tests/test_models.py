@@ -460,6 +460,20 @@ class TestRidge:
             assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
 
+def test_values_at_the_summable_bound_pass_and_one_ulp_above_fails():
+    n = 50
+    bound = 0.5 * math.sqrt(np.finfo(float).max / n)
+    values = np.full((n, 2), bound)
+    values[::2, 1] = -bound
+    models.require_summable(values, values[:, 0])
+    with np.errstate(over="raise"):
+        assert np.isfinite((values * values).sum(axis=0)).all()
+    values[7, 1] = -np.nextafter(bound, np.inf)
+    with pytest.raises(FitError, match="^values in design or target too large: sums of their squares overflow$"):
+        models.require_summable(values[:, 0], values)
+    models.require_summable(np.empty((0, 2)))
+
+
 class TestForest:
     def test_design_without_columns_is_fit_error(self):
         with pytest.raises(FitError, match="1 feature column to grow trees, have 10 x 0"):

@@ -18,15 +18,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from limnoplan import cli, dataset, report
+from limnoplan import cli, dataset, evaluation, models, report
 from limnoplan.cli import main
 from limnoplan.dataset import parse_dataset, write_series_csv
 from limnoplan.errors import ConfigError
-from limnoplan.joint import FeasibilityGrid
+from limnoplan.joint import FeasibilityGrid, forward_selection
 from limnoplan.report import RunConfig, run_pipeline, train_test_table
-from limnoplan.selection import aggregate_ranking, forward_selection
+from limnoplan.selection import aggregate_ranking
 from limnoplan.synth import SynthConfig, generate_lake
 
+from bundle_digests import case_csv
 from conftest import count_passes, series_from_arrays
 
 
@@ -456,7 +457,6 @@ class TestPipeline:
             "limnoplan.report.impute_series",
             "limnoplan.report.rank_features",
             "limnoplan.evaluation.prefix_nmae",
-            "limnoplan.selection.prefix_nmae",
             "limnoplan.joint.prefix_nmae",
         ):
             monkeypatch.setattr(target, refit)
@@ -1727,3 +1727,52 @@ def test_a_covariate_whose_std_underflows_reports_like_a_constant(tmp_path, caps
     assert main(["report", "--input", str(tmp_path / "lake.csv"), "--trees", "10", "--out-dir", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert json.loads((out / "summary.json").read_text())["failures"] == {}
+
+
+class TestOverflowedTarget:
+    """Three Secchi depths of 1e300 in lake 1003 of a three-lake CSV: the sums of their squares overflow,
+    so the lake fails by name before its forest is pooled, with no numpy warning (tier-1 makes one an error)."""
+
+    MESSAGE = "values in design or target too large: sums of their squares overflow"
+    FLAGS = ["--trees", "10", "--n-stride", "5"]
+
+    @pytest.fixture
+    def csv_path(self, tmp_path):
+        lines = case_csv(3, 300, 8, 1, 1).splitlines(keepends=True)
+        column = lines[0].split(",").index("zS_m")
+        visits = [i for i, line in enumerate(lines) if line.startswith("1003,")]
+        for i in visits[10:13]:
+            cells = lines[i].split(",")
+            cells[column] = "1e300"
+            lines[i] = ",".join(cells)
+        path = tmp_path / "lakes.csv"
+        path.write_text("".join(lines))
+        return path
+
+    @pytest.mark.parametrize("ranking", [[], ["--global-ranking"]], ids=["per-lake", "global"])
+    def test_report_skips_the_lake_and_completes_the_others(self, csv_path, tmp_path, capsys, ranking):
+        out = tmp_path / "out"
+        assert main(["report", "--input", str(csv_path), "--out-dir", str(out), *self.FLAGS, *ranking]) == 1
+        assert capsys.readouterr().err == f"lake 1003 skipped: {self.MESSAGE}\n"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["lakes"] == [1001, 1002] and summary["failures"] == {"1003": self.MESSAGE}
+
+    def test_a_cache_entry_of_the_lake_is_checked_too(self, csv_path, tmp_path, monkeypatch, capsys):
+        # Without the check, as before it existed, the lake completes and its entry is stored.
+        out = tmp_path / "out"
+        argv = ["report", "--input", str(csv_path), "--out-dir", str(out), *self.FLAGS]
+        with monkeypatch.context() as patch, warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for module in (models, evaluation):
+                patch.setattr(module, "require_summable", lambda *arrays: None)
+            assert main(argv) == 0
+        assert (out / "cache" / "1003.npy").exists()
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"lake 1003 skipped: {self.MESSAGE}\n"
+
+    @pytest.mark.parametrize("command", ["sample-curve", "feature-select"])
+    def test_single_lake_commands_fail(self, csv_path, tmp_path, capsys, command):
+        argv = [command, "--input", str(csv_path), "--lake", "1003", "--out", str(tmp_path / "out.csv")]
+        assert main([*argv, *self.FLAGS[2:]]) == 1
+        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"

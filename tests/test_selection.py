@@ -5,14 +5,9 @@ import pytest
 
 from limnoplan.dataset import split_by_count
 from limnoplan.errors import SchemaError
+from limnoplan.joint import FeasibilityGrid, forward_selection
 from limnoplan.models import ForestConfig
-from limnoplan.selection import (
-    FeatureRanking,
-    aggregate_ranking,
-    forward_selection,
-    minimal_feature_count,
-    rank_features,
-)
+from limnoplan.selection import FeatureRanking, aggregate_ranking, rank_features
 from limnoplan.synth import SynthConfig, generate_lake
 
 from conftest import completed_from_series, series_from_arrays
@@ -59,10 +54,19 @@ class TestRankFeatures:
         assert sorted(ranking.order) == sorted(series.feature_schema)
 
 
+def selection_of(nmae_by_k, full_nmae, tolerance=0.05):
+    """The selection of a hand-built one-row grid (n = N_pre = p+1) with these prefix values."""
+    p = len(nmae_by_k)
+    nmae = {(p + 1, k): value for k, value in nmae_by_k.items()}
+    order = [f"f{k}" for k in range(1, p + 1)]
+    return FeasibilityGrid(1, [p + 1], p, p + 1, order, nmae, set(), full_nmae, tolerance).selection()
+
+
 class TestForwardSelection:
     def test_threshold_arithmetic(self):
-        nmae_by_k = {1: 0.30, 2: 0.21, 3: 0.20}
-        assert minimal_feature_count(nmae_by_k, full_nmae=0.20, tolerance=0.05) == 2
+        result = selection_of({1: 0.30, 2: 0.21, 3: 0.20}, full_nmae=0.20, tolerance=0.05)
+        assert (result.k_star, result.subset, result.full_nmae) == (2, ["f1", "f2"], 0.20)
+        assert result.nmae_by_k == {1: 0.30, 2: 0.21, 3: 0.20}
 
     def test_single_feature_is_vacuous(self):
         split, completed = _signal_lake(3, (1.0,))
