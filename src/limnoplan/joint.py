@@ -137,16 +137,14 @@ def feasibility_grid(
     split: SplitSeries,
     completed: CompletedMatrix,
     ranking: FeatureRanking,
-    grid_spec: SizeGridSpec | Sequence[int] = SizeGridSpec(),
+    grid_spec: SizeGridSpec = SizeGridSpec(),
     tolerance: float = DEFAULT_TOLERANCE,
     penalty: float = DEFAULT_RIDGE_PENALTY,
 ) -> FeasibilityGrid:
-    """Evaluate every admissible (n, k) cell of the grid, at the sizes `grid_spec` resolves to (or lists,
-    ascending and ending at N_pre), in one engine call: one stacked solve per k covers every size.
-    """
+    """Evaluate every admissible (n, k) cell of the grid in one engine call, one stacked solve per k."""
     p, order = len(completed.feature_schema), ranking.order
     require_permutation(order, completed.feature_schema)
-    n_grid = grid_spec.resolve(split.n_pre, p) if isinstance(grid_spec, SizeGridSpec) else list(grid_spec)
+    n_grid = grid_spec.resolve(split.n_pre, p)
     require_full_fit(split.n_pre, p)
 
     values = prefix_nmae(split, completed, n_grid, order, penalty)
@@ -165,8 +163,9 @@ def sample_curve(
     EvaluationError.
     """
     schema = completed.feature_schema
-    sizes = [n for n in grid_spec.resolve(split.n_pre, len(schema)) if n > len(schema)]
-    return feasibility_grid(split, completed, FeatureRanking({}, schema), sizes, tolerance, penalty).curve()
+    lo = next((n for n in grid_spec.resolve(split.n_pre, len(schema)) if n > len(schema)), split.n_pre)
+    curve_spec = SizeGridSpec(n_min=lo, stride=grid_spec.stride)  # the sizes of `grid_spec` above p
+    return feasibility_grid(split, completed, FeatureRanking({}, schema), curve_spec, tolerance, penalty).curve()
 
 
 def forward_selection(
