@@ -182,8 +182,6 @@ def prefix_nmae(
     y_test = split.test.sdd
     # The largest size reads every row and column any smaller size reads.
     q = min(p, n_top - 1)
-    if not (np.isfinite(X_pre[-n_top:, :q]).all() and np.isfinite(y_pre[-n_top:]).all()):
-        raise FitError("non-finite values in design or target")
     require_summable(X_pre[-n_top:, :q], y_pre[-n_top:])
     denom = y_test.mean() if y_test.size else 0.0
     if denom <= 0:

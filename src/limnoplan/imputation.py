@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import LakeSeries
 from .errors import ImputationError
-from .models import solve_standardized_ridge, standardize_columns
+from .models import require_summable, solve_standardized_ridge, standardize_columns
 
 DEFAULT_IMPUTE_PENALTY = 1e-3
 
@@ -57,7 +57,7 @@ class ImputeReport:
 
 
 def initialize_fill(matrix: np.ndarray, feature_schema: list[str] | None = None) -> CompletedMatrix:
-    """Replace every NaN cell by its column's observed mean."""
+    """Replace every NaN cell by its column's observed mean, once the observed cells pass `require_summable`."""
     values = np.asarray(matrix, dtype=float).copy()
     if values.ndim != 2:
         raise ImputationError(f"expected a 2-d matrix, got shape {values.shape}")
@@ -66,6 +66,7 @@ def initialize_fill(matrix: np.ndarray, feature_schema: list[str] | None = None)
         raise ImputationError("feature_schema length does not match the matrix width")
 
     mask = np.isnan(values)
+    require_summable(np.where(mask, 0.0, values))  # over the rows, as the fits sum them; a gap counts as 0
     for j in range(values.shape[1]):
         gaps = mask[:, j]
         if gaps.all():

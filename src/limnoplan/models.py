@@ -72,8 +72,10 @@ def check_penalty(penalty: float) -> None:
 
 
 def require_summable(*arrays: np.ndarray) -> None:
-    """A FitError unless a sum of squared differences over each finite array's rows stays finite: every
-    |value| is at most half the square root of the largest float over the row count. The test never warns."""
+    """The rule for numbers a fit can use, at every fit and where a lake's numbers enter: a FitError unless all
+    are finite and each |value| <= sqrt(largest float / its array's rows) / 2, so sums of squares stay finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise FitError("non-finite values in design or target")
     for a in arrays:
         if np.abs(a).max(initial=0.0) > 0.5 * math.sqrt(np.finfo(float).max / max(len(a), 1)):
             raise FitError("values in design or target too large: sums of their squares overflow")
@@ -96,8 +98,8 @@ def fit_ridge(
 ) -> RidgeModel:
     """Fit the standardized ridge forecaster.
 
-    Requires n >= k+1 rows and finite inputs. With penalty 0 the design
-    must have full column rank.
+    Requires n >= k+1 rows and inputs `require_summable` passes. With
+    penalty 0 the design must have full column rank.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -107,8 +109,7 @@ def fit_ridge(
     if n < k + 1:
         raise FitError(f"under-determined fit: {n} rows for {k} features (need >= {k + 1})")
     check_penalty(penalty)
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise FitError("non-finite values in design or target")
+    require_summable(X, y)
 
     Xs, means, stds = standardize_columns(X)
     intercept = float(y.mean())
@@ -377,9 +378,7 @@ def forest_input(
         raise FitError(f"need at least 2 rows and 1 feature column to grow trees, have {n} x {p}")
     if config.n_trees < 1:
         raise FitError("n_trees must be >= 1")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise FitError("non-finite values in design or target")
-    require_summable(y)  # the grower sums squares of the target only
+    require_summable(X, y)
 
     schema = list(feature_schema) if feature_schema is not None else [f"x{j}" for j in range(p)]
     if len(schema) != p or len(set(schema)) != p:

@@ -40,6 +40,7 @@ from .joint import (
     forward_selection, minimal_config,
 )
 from .models import DEFAULT_RIDGE_PENALTY, ForestConfig, RidgeModel, fit_forests, forest_input, predict_ridge
+from .models import require_summable
 from .selection import FeatureRanking, SelectionResult, aggregate_ranking, forest_problem
 
 
@@ -359,8 +360,9 @@ def lake_entry(lake: PreparedLake, selection: SelectionResult, grid: Feasibility
 # --------------------------------------------------------------------------- #
 
 def prepare_lake(series: ds.LakeSeries, config: RunConfig, cache: StageCache | None = None) -> PreparedLake:
-    """Split and impute one exclusion-filtered lake, or read it, ranking included, from `cache`."""
+    """Split one exclusion-filtered lake, check its Secchi depths, then impute it or read it, ranked, from `cache`."""
     split = ds.split_test_block(series, config.test_years)
+    require_summable(split.pre.sdd, split.test.sdd)
     entry = cache and cache.get(series.lake_id, lake_key(series, config), entry_layout(series, split, config))
     if entry is not None:
         schema, mask = list(series.feature_schema), np.isnan(series.covariates)  # the key hashes these covariates

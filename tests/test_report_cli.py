@@ -952,7 +952,7 @@ class TestCli:
         assert code == 1
         summary = json.loads((out_dir / "summary.json").read_text())
         assert summary["lakes"] == [100]
-        assert "nMAE is not finite" in summary["failures"]["101"]
+        assert "non-finite values in design or target" in summary["failures"]["101"]
 
     def test_single_lake_commands_match_report_bundle(self, tmp_path):
         csv_path = self._write_synth_inputs(tmp_path)
@@ -1729,19 +1729,21 @@ def test_a_covariate_whose_std_underflows_reports_like_a_constant(tmp_path, caps
     assert json.loads((out / "summary.json").read_text())["failures"] == {}
 
 
-class TestOverflowedTarget:
-    """Three Secchi depths of 1e300 in lake 1003 of a three-lake CSV: the sums of their squares overflow,
-    so the lake fails by name before its forest is pooled, with no numpy warning (tier-1 makes one an error)."""
+class OverflowedLake:
+    """Values of 1e300 in one column of lake 1003 of a three-lake CSV, at the visits `VISITS` picks: the sums of
+    their squares overflow, so the lake fails by name before its forest is pooled, with no numpy warning (tier-1
+    makes one an error). Each `Test` subclass picks the column and the visits."""
 
     MESSAGE = "values in design or target too large: sums of their squares overflow"
     FLAGS = ["--trees", "10", "--n-stride", "5"]
+    COLUMN, VISITS = "zS_m", slice(10, 13)
 
     @pytest.fixture
     def csv_path(self, tmp_path):
         lines = case_csv(3, 300, 8, 1, 1).splitlines(keepends=True)
-        column = lines[0].split(",").index("zS_m")
+        column = lines[0].split(",").index(self.COLUMN)
         visits = [i for i, line in enumerate(lines) if line.startswith("1003,")]
-        for i in visits[10:13]:
+        for i in visits[self.VISITS]:
             cells = lines[i].split(",")
             cells[column] = "1e300"
             lines[i] = ",".join(cells)
@@ -1757,13 +1759,23 @@ class TestOverflowedTarget:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["lakes"] == [1001, 1002] and summary["failures"] == {"1003": self.MESSAGE}
 
+    @pytest.mark.parametrize("command", ["sample-curve", "feature-select"])
+    def test_single_lake_commands_fail(self, csv_path, tmp_path, capsys, command):
+        argv = [command, "--input", str(csv_path), "--lake", "1003", "--out", str(tmp_path / "out.csv")]
+        assert main([*argv, *self.FLAGS[2:]]) == 1
+        assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
+
+
+class TestOverflowedTarget(OverflowedLake):
+    """Three Secchi depths of 1e300 in lake 1003's pre-test rows."""
+
     def test_a_cache_entry_of_the_lake_is_checked_too(self, csv_path, tmp_path, monkeypatch, capsys):
         # Without the check, as before it existed, the lake completes and its entry is stored.
         out = tmp_path / "out"
         argv = ["report", "--input", str(csv_path), "--out-dir", str(out), *self.FLAGS]
         with monkeypatch.context() as patch, warnings.catch_warnings(), np.errstate(all="ignore"):
             warnings.simplefilter("ignore", RuntimeWarning)
-            for module in (models, evaluation):
+            for module in (models, evaluation, report):
                 patch.setattr(module, "require_summable", lambda *arrays: None)
             assert main(argv) == 0
         assert (out / "cache" / "1003.npy").exists()
@@ -1771,8 +1783,27 @@ class TestOverflowedTarget:
         assert main(argv) == 1
         assert capsys.readouterr().err == f"lake 1003 skipped: {self.MESSAGE}\n"
 
-    @pytest.mark.parametrize("command", ["sample-curve", "feature-select"])
-    def test_single_lake_commands_fail(self, csv_path, tmp_path, capsys, command):
-        argv = [command, "--input", str(csv_path), "--lake", "1003", "--out", str(tmp_path / "out.csv")]
-        assert main([*argv, *self.FLAGS[2:]]) == 1
+
+class TestOverflowedTestBlockTarget(TestOverflowedTarget):
+    """Lake 1003's last three depths, in its test block. Unchecked, they made every nMAE about 1, so every cell was
+    feasible and the lake answered (n_hat, k_hat) = (10, 1) with exit 0; `sample-curve` and `feature-select` too."""
+
+    VISITS = slice(-3, None)
+
+
+class TestOverflowedCovariate(OverflowedLake):
+    """Five `x03` cells of 1e300 in lake 1003's pre-test rows. Imputation sums them first: unchecked, its
+    standardization warned of overflow, and `impute` exited 0."""
+
+    COLUMN, VISITS = "x03", slice(10, 15)
+
+    def test_impute_fails(self, csv_path, tmp_path, capsys):
+        argv = ["impute", "--input", str(csv_path), "--lake", "1003", "--out", str(tmp_path / "out.csv")]
+        assert main(argv) == 1
         assert capsys.readouterr().err == f"error: {self.MESSAGE}\n"
+
+
+class TestOverflowedTestBlockCovariate(TestOverflowedCovariate):
+    """Five `x03` cells of 1e300 in lake 1003's test block, which imputation reads too."""
+
+    VISITS = slice(-5, None)
