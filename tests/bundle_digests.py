@@ -13,7 +13,14 @@ Python, numpy, BLAS or CPU may write other bytes. The comparison
 therefore holds only where the recorded environment matches; elsewhere
 the test skips and names both environments.
 
-After a deliberate change to any written byte, rewrite the file with
+The same runs also give each run's answers, read from its bundle: the
+exit code and failed lakes, and per lake its minimal configuration,
+selected features, ranking order, n*, k* and every grid cell's feasible
+flag. `bundle_answers.json` holds them. No grid cell of these cases is
+within a relative 4e-7 of its threshold, far above last-bit noise, so
+their comparison holds in every environment and never skips.
+
+After a deliberate change to any written byte, rewrite both files with
 
     python tests/bundle_digests.py --update
 """
@@ -32,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 DIGESTS = Path(__file__).with_name("bundle_digests.json")
+ANSWERS = Path(__file__).with_name("bundle_answers.json")
 RETOL = ("--tolerance", "0.10")
 
 # name: (lakes, visits, covariates, MAR lakes, CSV seed, report flags)
@@ -74,30 +82,54 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_report(argv: list[str], out_dir: Path) -> dict:
-    """Exit code, stdout and stderr digests, and each out-dir file's digest, of one in-process `report`."""
+def run_report(argv: list[str], out_dir: Path) -> tuple[dict, dict]:
+    """Exit code, stdout and stderr digests, and each out-dir file's digest, of one in-process `report`; then
+    the run's `answers`."""
     from limnoplan.cli import main
 
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(["report", *argv, "--out-dir", str(out_dir)])
     files = {p.relative_to(out_dir).as_posix(): sha256(p.read_bytes()) for p in out_dir.rglob("*") if p.is_file()}
-    return {
+    digests = {
         "exit": code,
         "stdout": sha256(stdout.getvalue().encode()),
         "stderr": sha256(stderr.getvalue().encode()),
         "files": dict(sorted(files.items())),
     }
+    return digests, answers(out_dir, code)
 
 
-def case_digests(name: str, work: Path) -> dict:
-    """The input CSV's digest, then the cold run's and the re-threshold run's records."""
+def answers(out_dir: Path, code: int) -> dict:
+    """The exit code, the failed lakes, and per lake what the bundle answers: `(n_hat, k_hat, fallback)`, the
+    selected features, the ranking order, the curve's n*, the selection's k* and `grid.csv`'s feasible flags."""
+    summary = json.loads((out_dir / "summary.json").read_text())
+    lakes = {}
+    for lake_id in summary["lakes"]:
+        lake_dir = out_dir / "lakes" / str(lake_id)
+        minimal = json.loads((lake_dir / "minimal_config.json").read_text())
+        grid = (lake_dir / "grid.csv").read_text().splitlines()[1:]
+        lakes[str(lake_id)] = {
+            "minimal": [minimal["n_hat"], minimal["k_hat"], minimal["fallback"]],
+            "selected": minimal["selected_features"],
+            "order": json.loads((lake_dir / "ranking.json").read_text())["order"],
+            "n_star": json.loads((lake_dir / "sample_curve.json").read_text())["n_star"],
+            "k_star": json.loads((lake_dir / "selection.json").read_text())["k_star"],
+            "feasible": "".join(line.rsplit(",", 1)[1] for line in grid),
+        }
+    return {"exit": code, "failures": sorted(summary["failures"]), "lakes": lakes}
+
+
+def case_records(name: str, work: Path) -> tuple[dict, dict]:
+    """The case's digests: the input CSV's, then the cold run's and the re-threshold run's records; and the
+    answers of those two runs."""
     *shape, flags = CASES[name]
     path = work / f"{name}.csv"
     path.write_text(case_csv(*shape), newline="")
     argv, out_dir = ["--input", str(path), *flags], work / name
-    cold = run_report(argv, out_dir)
-    return {"input": sha256(path.read_bytes()), "cold": cold, "retol": run_report([*argv, *RETOL], out_dir)}
+    cold, retol = run_report(argv, out_dir), run_report([*argv, *RETOL], out_dir)
+    digests = {"input": sha256(path.read_bytes()), "cold": cold[0], "retol": retol[0]}
+    return digests, {"cold": cold[1], "retol": retol[1]}
 
 
 def environment() -> dict:
@@ -124,16 +156,21 @@ def environment() -> dict:
     }
 
 
-def compute() -> dict:
+def compute() -> tuple[dict, dict]:
+    """Every case's digests, then every case's answers."""
     with tempfile.TemporaryDirectory() as work:
-        return {name: case_digests(name, Path(work)) for name in CASES}
+        records = {name: case_records(name, Path(work)) for name in CASES}
+    return {name: r[0] for name, r in records.items()}, {name: r[1] for name, r in records.items()}
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--update"]:
         raise SystemExit(f"usage: python {sys.argv[0]} --update")
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-    record = {"environment": environment(), "cases": compute()}
+    digests, case_answers = compute()
+    record = {"environment": environment(), "cases": digests}
     DIGESTS.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    ANSWERS.write_text(json.dumps(case_answers, indent=1, sort_keys=True) + "\n")
     count = sum(len(case[leg]["files"]) for case in record["cases"].values() for leg in ("cold", "retol"))
-    print(f"wrote {DIGESTS}: {count} file digests")
+    lakes = sum(len(case[leg]["lakes"]) for case in case_answers.values() for leg in ("cold", "retol"))
+    print(f"wrote {DIGESTS}: {count} file digests; {ANSWERS}: the answers of {lakes} lake runs")
