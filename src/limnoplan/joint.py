@@ -13,15 +13,16 @@ The grid answers the other two questions under the same threshold: its
 all-features column is the sample curve, its full-pool row forward
 selection. `sample_curve` and `forward_selection` read grids they build.
 
-nMAE values are stored per (n, k) independent of the tolerance, so a
-grid can be re-thresholded at a new tolerance without any refitting.
+A grid keeps its nMAE values as one array, a row per size and a column
+per k, independent of the tolerance, so it can be re-thresholded at a
+new tolerance without any refitting; every reading is a scan of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -33,7 +34,6 @@ from .models import DEFAULT_RIDGE_PENALTY
 from .selection import FeatureRanking, SelectionResult, require_permutation
 
 DEFAULT_TOLERANCE = 0.05
-T = TypeVar("T")
 
 
 def feasibility_threshold(reference: float, tolerance: float) -> float:
@@ -43,71 +43,71 @@ def feasibility_threshold(reference: float, tolerance: float) -> float:
     return (1.0 + tolerance) * reference
 
 
-def first_within(candidates: Iterable[T], nmae: dict[T, float], threshold: float) -> T | None:
-    """The first of `candidates`, in search order, whose nMAE is at most `threshold`; one without an nMAE never is."""
-    return next((c for c in candidates if nmae.get(c, math.nan) <= threshold), None)
-
-
-@dataclass
 class FeasibilityGrid:
-    """Test nMAE per (n, k) plus the acceptance threshold; `from_nmae` also keeps the array as `values`."""
+    """Test nMAE `values[i, k-1]` at (n_grid[i], k), sizes ascending, NaN at every cell without a value
+    (n < k+1); plus the acceptance threshold."""
 
-    lake_id: int
-    n_grid: list[int]
-    p: int
-    n_pre: int
-    feature_order: list[str]
-    nmae: dict[tuple[int, int], float]
-    excluded: set[tuple[int, int]]
-    full_nmae: float
-    tolerance: float
-    values: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        feasibility_threshold(self.full_nmae, self.tolerance)  # rejects a tolerance that is not finite and positive
+    def __init__(
+        self, lake_id: int, n_grid: list[int], p: int, n_pre: int, feature_order: list[str],
+        nmae: dict[tuple[int, int], float] | None, excluded: Iterable[tuple[int, int]], full_nmae: float,
+        tolerance: float, values: np.ndarray | None = None,
+    ) -> None:
+        """A grid of `values`, or of a hand-built `nmae` dict of (n, k) cells in their place. A cell the dict
+        leaves out is NaN, as each of `excluded` is: a cell without a value is never feasible."""
+        if nmae is not None:
+            values, row = np.full((len(n_grid), p), math.nan), {n: i for i, n in enumerate(n_grid)}
+            for (n, k), value in nmae.items():
+                values[row[n], k - 1] = value
+        self.lake_id, self.n_grid, self.p, self.n_pre, self.feature_order = lake_id, n_grid, p, n_pre, feature_order
+        self.full_nmae, self.tolerance, self.values = full_nmae, tolerance, values
+        feasibility_threshold(full_nmae, tolerance)  # rejects a tolerance that is not finite and positive
 
     @property
     def tau(self) -> float:
         return feasibility_threshold(self.full_nmae, self.tolerance)
 
+    @property
+    def nmae(self) -> dict[tuple[int, int], float]:
+        """Every cell with a value, `(n, k): nMAE` in (n, k) order; built on each call."""
+        has = ~np.isnan(self.values)
+        return dict(zip(((self.n_grid[i], j + 1) for i, j in np.argwhere(has).tolist()), self.values[has].tolist()))
+
+    def feasible(self) -> np.ndarray:
+        """Whether each cell's nMAE is at most tau; False, and not compared, where it has none."""
+        return np.less_equal(self.values, self.tau, out=np.zeros(self.values.shape, bool), where=~np.isnan(self.values))
+
     def feasible_pairs(self) -> list[tuple[int, int]]:
-        tau = self.tau
-        return sorted(pair for pair, value in self.nmae.items() if value <= tau)
+        return [(self.n_grid[i], j + 1) for i, j in np.argwhere(self.feasible()).tolist()]
 
     @classmethod
     def from_nmae(
         cls, lake_id: int, n_grid: list[int], order: Sequence[str], values: np.ndarray, tolerance: float
     ) -> FeasibilityGrid:
-        """The grid of nMAE `values[i, k-1]` at (n_grid[i], k), keeping `values`; cells with n < k+1 are excluded."""
-        p, n_pre = len(order), n_grid[-1]
-        nmae: dict[tuple[int, int], float] = {}
-        excluded: set[tuple[int, int]] = set()
-        for n, row in zip(n_grid, values.tolist()):
-            for k in range(1, p + 1):
-                if n < k + 1:
-                    excluded.add((n, k))
-                else:
-                    nmae[(n, k)] = row[k - 1]
-        return cls(lake_id, n_grid, p, n_pre, list(order), nmae, excluded, nmae[(n_pre, p)], tolerance, values)
+        """The grid of `values` (NaN at n < k+1, as `prefix_nmae` writes them); its full cell is the last."""
+        p, full_nmae = len(order), float(values[-1, -1])
+        return cls(lake_id, n_grid, p, n_grid[-1], list(order), None, (), full_nmae, tolerance, values)
 
-    def rethreshold(self, tolerance: float) -> "FeasibilityGrid":
+    def rethreshold(self, tolerance: float) -> FeasibilityGrid:
         """Same evaluations, new tolerance; no refitting happens."""
-        return replace(self, tolerance=tolerance)
+        return FeasibilityGrid(self.lake_id, self.n_grid, self.p, self.n_pre, self.feature_order, None, (),
+                               self.full_nmae, tolerance, self.values)
 
     def curve(self) -> SampleCurve:
         """The all-features column at the sizes that fit every feature (n >= p+1), referenced to the full
         cell; n* is the smallest of those sizes within the grid's threshold, None if none is."""
-        sizes = [n for n in self.n_grid if n > self.p]
-        nmae_at = {n: self.nmae[(n, self.p)] for n in sizes}
-        n_star = first_within(sorted(sizes), nmae_at, self.tau)
+        at = slice(int(np.searchsorted(self.n_grid, self.p, side="right")), None)  # sizes ascend: n > p, a suffix
+        sizes, within = self.n_grid[at], self.feasible()[at, self.p - 1]
+        n_star = sizes[int(within.argmax())] if within.any() else None
+        nmae_at = dict(zip(sizes, self.values[at, self.p - 1].tolist()))
         return SampleCurve(sizes, nmae_at, self.full_nmae, n_star, self.tolerance)
 
     def selection(self) -> SelectionResult:
         """The full-pool row (n = N_pre): k* is the shortest ranking prefix within the grid's threshold."""
-        nmae_by_k = {k: self.nmae[(self.n_pre, k)] for k in range(1, self.p + 1)}
-        k_star = first_within(range(1, self.p + 1), nmae_by_k, self.tau)
-        if k_star is None:
+        row = self.n_grid.index(self.n_pre)
+        within, nmae_by_k = self.feasible()[row], dict(zip(range(1, self.p + 1), self.values[row].tolist()))
+        if not within.any():
             raise EvaluationError("no ranking prefix is within tolerance of the all-features error")
+        k_star = int(within.argmax()) + 1
         return SelectionResult(k_star, self.feature_order[:k_star], nmae_by_k, self.full_nmae)
 
 
@@ -188,10 +188,10 @@ def minimal_config(grid: FeasibilityGrid) -> MinimalConfig:
     An empty feasible set falls back to the full configuration
     (N_pre, p), flagged, so the result is total.
     """
-    cells = ((n, k) for n in sorted(grid.n_grid) for k in range(1, grid.p + 1))
-    found = first_within(cells, grid.nmae, grid.tau)
-    n, k = found or (grid.n_pre, grid.p)
-    return MinimalConfig(grid.lake_id, n, k, grid.feature_order[:k], fallback=found is None)
+    feasible = grid.feasible()
+    rows = np.flatnonzero(feasible.any(axis=1))  # sizes ascend: the first is the smallest n with a feasible cell
+    n, k = (grid.n_grid[rows[0]], int(feasible[rows[0]].argmax()) + 1) if rows.size else (grid.n_pre, grid.p)
+    return MinimalConfig(grid.lake_id, n, k, grid.feature_order[:k], fallback=not rows.size)
 
 
 def aggregate_configs(configs: Sequence[MinimalConfig]) -> JointSummary:

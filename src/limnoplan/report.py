@@ -210,14 +210,13 @@ def write_nmae_table(path: Path, result: SampleCurve | SelectionResult, **stamp:
 def grid_rows(grid: FeasibilityGrid, flag: str = "") -> list[str]:
     """`n,k,nmae,feasible` CSV lines in (n, k) order; `feasible` is 0 or 1, or `flag` on every line if given."""
     tau = grid.tau
-    return [f"{n},{k},{value!r},{flag or '01'[value <= tau]}\n" for (n, k), value in sorted(grid.nmae.items())]
+    return [f"{n},{k},{value!r},{flag or '01'[value <= tau]}\n" for (n, k), value in grid.nmae.items()]
 
 
 def grid_text(entry: dict[str, np.ndarray], grid: FeasibilityGrid) -> str:
-    """`grid.csv` from a cache entry's text: the flag before each row's newline from `nmae <= tau` over its grid."""
-    text, nmae = entry["grid_csv"].copy(), entry["grid"]
-    cells = nmae[np.array(grid.n_grid)[:, None] > np.arange(1, grid.p + 1)]  # (n, k) order, excluded cells dropped
-    text[np.flatnonzero(text == ord("\n"))[1:] - 1] = np.where(cells <= grid.tau, ord("1"), ord("0"))
+    """`grid.csv` from a cache entry's text, a row per cell of the grid's: the flag before each row's newline."""
+    text, cells = entry["grid_csv"].copy(), ~np.isnan(grid.values)
+    text[np.flatnonzero(text == ord("\n"))[1:] - 1] = np.where(grid.feasible()[cells], ord("1"), ord("0"))
     return text.tobytes().decode()
 
 

@@ -20,6 +20,7 @@ from limnoplan.joint import (
     sample_curve,
 )
 from limnoplan.models import ForestConfig, fit_ridge
+from limnoplan.report import grid_rows
 from limnoplan.selection import FeatureRanking, rank_features
 from limnoplan.synth import SynthConfig, generate_lake
 
@@ -91,18 +92,16 @@ class TestFeasibilityGrid:
         assert grid.nmae[pair] <= grid.tau
 
     def test_ill_posed_pairs_excluded(self):
+        """The n < k+1 cells are NaN in `values` and absent from `nmae`; every other cell has a value."""
         split, completed, ranking = _prepared_lake()
         grid = feasibility_grid(
             split, completed, ranking, SizeGridSpec(n_min=1, stride=1), tolerance=0.05
         )
-        p = grid.p
-        for n in grid.n_grid[:5]:
-            for k in range(1, p + 1):
-                if n < k + 1:
-                    assert (n, k) in grid.excluded
-                    assert (n, k) not in grid.nmae
-                else:
-                    assert (n, k) in grid.nmae
+        nmae = grid.nmae
+        for i, n in enumerate(grid.n_grid[:5]):
+            for k in range(1, grid.p + 1):
+                assert np.isnan(grid.values[i, k - 1]) == (n < k + 1) == ((n, k) not in nmae)
+        assert len(nmae) == np.count_nonzero(~np.isnan(grid.values))
 
     def test_grid_matches_normal_equation_oracle(self):
         split, completed, ranking = _prepared_lake(seed=5)
@@ -126,7 +125,7 @@ class TestFeasibilityGrid:
         split, completed, ranking = _prepared_lake(seed=1)
         grid = feasibility_grid(split, completed, ranking, SizeGridSpec(stride=12))
         loose = grid.rethreshold(0.2)
-        assert loose.nmae is grid.nmae
+        assert loose.values is grid.values
         assert loose.tau == pytest.approx(1.2 * grid.full_nmae)
 
 
@@ -178,6 +177,34 @@ class TestMinimalConfig:
                 continue
             for pair in grid.feasible_pairs():
                 assert pair >= (chosen.n_hat, chosen.k_hat)
+
+    def test_a_cell_without_a_value_is_never_feasible(self):
+        # tau = 0.21. (3, 1), which the dict leaves out, and (5, 1), which is NaN, would precede the minimum.
+        grid = make_grid_by_hand({(3, 2): 0.1, (5, 1): math.nan, (5, 2): 0.5}, [3, 5], p=2, n_pre=5, full=0.2)
+        assert np.isnan(grid.values[:, 0]).all() and grid.feasible_pairs() == [(3, 2)]
+        assert minimal_config(grid) == MinimalConfig(1, 3, 2, ["f0", "f1"], fallback=False)
+        grid = make_grid_by_hand({(5, 1): math.nan, (5, 2): 0.5}, [3, 5], p=2, n_pre=5, full=0.2)
+        assert grid.feasible_pairs() == [] and grid.nmae == {(5, 2): 0.5}
+        assert minimal_config(grid) == MinimalConfig(1, 5, 2, ["f0", "f1"], fallback=True)
+
+    @pytest.mark.parametrize("tolerance", [0.01, 0.05, 0.3])
+    def test_a_grid_from_a_dict_reads_as_one_from_the_engines_array(self, tolerance):
+        """Built by hand from the (n, k) dict of the engine's array, with its NaN cells left out, a grid gives
+        every reading the grid `from_nmae` builds over that array gives."""
+        split, completed, ranking = _prepared_lake(seed=3, weights=(1.0, 0.5, 0.2), n=120)
+        n_grid = SizeGridSpec(n_min=2, stride=3).resolve(split.n_pre, 3)
+        values = prefix_nmae(split, completed, n_grid, ranking.order)
+        array = FeasibilityGrid.from_nmae(1, n_grid, ranking.order, values, tolerance)
+        cells = {(n, k + 1): v for n, row in zip(n_grid, values.tolist()) for k, v in enumerate(row) if n >= k + 2}
+        hand = FeasibilityGrid(
+            1, n_grid, 3, n_grid[-1], list(ranking.order), cells, set(), values[-1, -1].item(), tolerance
+        )
+        assert np.isnan(values).any() and np.array_equal(hand.values, array.values, equal_nan=True)
+        assert hand.nmae == array.nmae == cells and list(hand.nmae) == sorted(cells)
+        assert hand.feasible_pairs() == array.feasible_pairs()
+        assert (hand.curve(), hand.selection()) == (array.curve(), array.selection())
+        assert minimal_config(hand) == minimal_config(array)
+        assert grid_rows(hand) == grid_rows(array)
 
 
 class TestAggregate:
@@ -272,12 +299,6 @@ class TestOneToleranceRule:
     def test_threshold_is_one_plus_tolerance_times_the_reference(self):
         assert joint.feasibility_threshold(0.2, 0.05) == (1.0 + 0.05) * 0.2
         assert joint.feasibility_threshold(0.2, 1e-12) > 0.2
-
-    def test_first_within_keeps_search_order_and_skips_absent_candidates(self):
-        nmae = {"a": 0.5, "b": 0.1, "c": 0.1, "nan": float("nan")}
-        assert joint.first_within(["x", "nan", "a", "c", "b"], nmae, 0.2) == "c"
-        assert joint.first_within(["a", "x"], nmae, 0.2) is None
-        assert joint.first_within(iter(()), nmae, 1.0) is None
 
     def test_no_prefix_within_tolerance_is_an_evaluation_error(self):
         grid = make_grid_by_hand({(3, 1): 0.3, (3, 2): 0.2}, [3], p=2, n_pre=3, tolerance=0.05, full=0.1)

@@ -659,7 +659,9 @@ class TestWriterBytes:
 
         curve = dataclasses.replace(lake.curve, nmae_at=with_edges(lake.curve.nmae_at))
         selection = dataclasses.replace(lake.selection, nmae_by_k=with_edges(lake.selection.nmae_by_k))
-        grid = dataclasses.replace(lake.grid, nmae=with_edges(lake.grid.nmae))
+        g = lake.grid
+        grid = FeasibilityGrid(g.lake_id, g.n_grid, g.p, g.n_pre, g.feature_order, with_edges(g.nmae), (), g.full_nmae,
+                               g.tolerance)
 
         report.write_csv(tmp_path / "completed.csv", [], [report.completed_text(completed)])
         report.write_nmae_table(tmp_path / "sample_curve.csv", curve)
