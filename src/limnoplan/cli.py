@@ -23,7 +23,7 @@ from .imputation import impute_series
 from .joint import aggregate_configs, forward_selection, sample_curve
 from .report import (
     RunConfig, StageCache, completed_text, grid_rows, input_key, prepare_lake, process_lakes, rank_features,
-    run_pipeline, select_series, train_test_table, write_csv, write_json, write_nmae_table, write_result,
+    run_pipeline, select_series, train_test_table, write_csv, write_json, write_nmae_table,
 )
 from .synth import config_from_dict, generate_lake
 
@@ -219,7 +219,7 @@ def _cmd_lakes_rank(args) -> int:
     payload = {
         "missingness_after_exclusions": True,
         "lakes": ranked,
-        "profiles": [{"lake_id": lake_id, **dataclasses.asdict(profiles[lake_id])} for lake_id in ranked],
+        "profiles": [{"lake_id": lake_id, **vars(profiles[lake_id])} for lake_id in ranked],
     }
     write_json(Path(args.out), payload)
     print(f"ranked {len(lakes)} lakes; kept top {top}")
@@ -233,7 +233,7 @@ def _cmd_impute(args) -> int:
     completed, fit_report = impute_series(series, config.impute_config(series.lake_id))
     write_csv(Path(args.out), [], [completed_text(completed)])
     report_path = Path(args.report) if args.report else Path(args.out).with_suffix(".json")
-    write_result(report_path, fit_report, lake_id=series.lake_id)
+    write_json(report_path, fit_report, lake_id=series.lake_id)
     print(f"lake {series.lake_id}: {fit_report.sweeps} sweep(s), final delta {fit_report.final_delta:.3g}")
     return 0
 
@@ -251,7 +251,7 @@ def _cmd_feature_rank(args) -> int:
     series, config = _lake_and_config(args)
     lake = prepare_lake(series, config)
     rank_features([lake], config)
-    write_result(Path(args.out), lake.ranking, lake_id=args.lake)
+    write_json(Path(args.out), lake.ranking, lake_id=args.lake)
     print(f"lake {args.lake}: top feature {lake.ranking.order[0]}")
     return 0
 
@@ -270,14 +270,8 @@ def _cmd_joint(args) -> int:
     config = _run_config(args)
     reports, failures, _ = process_lakes(_load_lakes(args)[0], config)
     summary = aggregate_configs([r.minimal for r in reports])
-    write_json(
-        Path(args.out),
-        {
-            "minimal_configs": [dataclasses.asdict(r.minimal) for r in reports],
-            "summary": dataclasses.asdict(summary),
-            "failures": {str(k): v for k, v in sorted(failures.items())},
-        },
-    )
+    payload = {"minimal_configs": [r.minimal for r in reports], "summary": summary, "failures": failures}
+    write_json(Path(args.out), payload)
     if args.emit_grid:
         rows = [f"{r.lake_id},{line}" for r in reports for line in grid_rows(r.grid)]
         write_csv(Path(args.emit_grid), [["lake_id", "n", "k", "nmae", "feasible"]], rows)
@@ -303,7 +297,7 @@ def _cmd_synth(args) -> int:
         ds.write_series_csv(series, fh)
     if args.truth:
         mask = truth.missing_mask.astype(int)  # 0/1, not true/false
-        write_json(Path(args.truth), {**dataclasses.asdict(truth), "missing_mask": mask})
+        write_json(Path(args.truth), {**vars(truth), "missing_mask": mask})
     print(f"wrote {len(series)} rows for lake {series.lake_id}")
     return 0
 

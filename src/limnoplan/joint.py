@@ -68,7 +68,8 @@ class FeasibilityGrid:
 
     @property
     def nmae(self) -> dict[tuple[int, int], float]:
-        """Every cell with a value, `(n, k): nMAE` in (n, k) order; built on each call."""
+        """Every cell with a value, `(n, k): nMAE` in (n, k) order; built on each call, for readers outside the
+        pipeline: every stage, `grid.csv`'s rows included, reads `values` and `feasible()`."""
         has = ~np.isnan(self.values)
         return dict(zip(((self.n_grid[i], j + 1) for i, j in np.argwhere(has).tolist()), self.values[has].tolist()))
 

@@ -25,7 +25,7 @@ import os
 import shutil
 import warnings
 import zlib
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -141,11 +141,14 @@ def derive_seed(*parts: int) -> int:
 
 
 def config_fingerprint(config: RunConfig, input_digest: str) -> str:
-    payload = json.dumps({"config": asdict(config), "input": input_digest}, sort_keys=True)
+    payload = json.dumps(_jsonable({"config": config, "input": input_digest}), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def _jsonable(obj: Any) -> Any:
+    """`obj` as JSON values: a dataclass instance as its fields, read in place; a key as a string; NaN as None."""
+    if is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -158,10 +161,12 @@ def _jsonable(obj: Any) -> Any:
     return obj
 
 
-def write_json(path: Path, payload: Any) -> None:
+def write_json(path: Path, payload: Any, **stamp: Any) -> None:
+    """`payload`, a dict or a result dataclass, plus the `stamp` fields as one JSON object; a payload field wins
+    over a stamp field of its name."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump({**_jsonable(stamp), **_jsonable(payload)}, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -180,15 +185,11 @@ def write_csv(path: Path, rows: Sequence[Sequence[Any]], lines: Iterable[str] = 
 
 
 # --------------------------------------------------------------------------- #
-# Payloads shared by the report bundle and the single-stage commands. The
-# `stamp` fields identify the producer: the config hash in a bundle, the
-# lake id in a command's output.
+# Payloads shared by the report bundle and the single-stage commands. Each
+# JSON result is `write_json` of its dataclass plus `stamp` fields that
+# identify the producer: the config hash in a bundle, the lake id in a
+# command's output.
 # --------------------------------------------------------------------------- #
-
-def write_result(path: Path, result: Any, **stamp: Any) -> None:
-    """A result dataclass's fields plus the stamp, as one JSON object."""
-    write_json(path, {**stamp, **asdict(result)})
-
 
 # Numeric CSV lines are joined here from Python floats: each cell is its repr, as `csv` writes it.
 def completed_text(completed: CompletedMatrix) -> str:
@@ -204,13 +205,15 @@ def write_nmae_table(path: Path, result: SampleCurve | SelectionResult, **stamp:
     nmae = getattr(result, table)
     sidecar = {f.name: getattr(result, f.name) for f in fields(result) if f.name not in ("grid", table)}
     write_csv(path, [[key, "nmae"]], [f"{x},{nmae[x]!r}\n" for x in sorted(nmae)])
-    write_json(path.with_suffix(".json"), {**stamp, **sidecar})
+    write_json(path.with_suffix(".json"), sidecar, **stamp)
 
 
 def grid_rows(grid: FeasibilityGrid, flag: str = "") -> list[str]:
-    """`n,k,nmae,feasible` CSV lines in (n, k) order; `feasible` is 0 or 1, or `flag` on every line if given."""
-    tau = grid.tau
-    return [f"{n},{k},{value!r},{flag or '01'[value <= tau]}\n" for (n, k), value in grid.nmae.items()]
+    """`n,k,nmae,feasible` CSV lines, one per cell with a value, in (n, k) order; `feasible` is the grid's
+    `feasible()` as 0 or 1, or `flag` on every line if given."""
+    cells = ~np.isnan(grid.values)
+    rows = zip(np.argwhere(cells).tolist(), grid.values[cells].tolist(), grid.feasible()[cells].tolist())
+    return [f"{grid.n_grid[i]},{j + 1},{value!r},{flag or '01'[ok]}\n" for (i, j), value, ok in rows]
 
 
 def grid_text(entry: dict[str, np.ndarray], grid: FeasibilityGrid) -> str:
@@ -302,7 +305,8 @@ class StageCache:
 
     def put_input(self, key: str, lakes: list[ds.LakeSeries], errors: list[ds.RowError]) -> None:
         """Store a `parse_dataset` result of at least one lake: each column over all lakes, the rest as JSON."""
-        meta = [lakes[0].feature_schema, [[s.lake_id, s.name, len(s)] for s in lakes], [astuple(e) for e in errors]]
+        rows, bad_rows = [[s.lake_id, s.name, len(s)] for s in lakes], [[e.line, e.message] for e in errors]
+        meta = [lakes[0].feature_schema, rows, bad_rows]
         arrays = {c: np.concatenate([getattr(s, c) for s in lakes]) for c in INPUT_COLUMNS}
         self.put("input", key, {"parse": np.frombuffer(json.dumps(meta).encode(), np.uint8), **arrays})
 
@@ -359,9 +363,10 @@ def lake_entry(lake: PreparedLake, selection: SelectionResult, grid: Feasibility
 # --------------------------------------------------------------------------- #
 
 def prepare_lake(series: ds.LakeSeries, config: RunConfig, cache: StageCache | None = None) -> PreparedLake:
-    """Split one exclusion-filtered lake, check its Secchi depths, then impute it or read it, ranked, from `cache`."""
+    """Split one exclusion-filtered lake, check its Secchi depths and its covariates (a gap counts as 0, as in
+    `initialize_fill`), then impute it or read it, ranked, from `cache`, so a cache entry never skips the check."""
     split = ds.split_test_block(series, config.test_years)
-    require_summable(split.pre.sdd, split.test.sdd)
+    require_summable(split.pre.sdd, split.test.sdd, np.where(np.isnan(series.covariates), 0.0, series.covariates))
     entry = cache and cache.get(series.lake_id, lake_key(series, config), entry_layout(series, split, config))
     if entry is not None:
         schema, mask = list(series.feature_schema), np.isnan(series.covariates)  # the key hashes these covariates
@@ -533,15 +538,15 @@ def _write_bundle(out_dir: Path, config: RunConfig, result: PipelineResult, agg_
     config_hash, reports = result.config_hash, result.reports
     for report in reports:
         lake_dir = out_dir / "lakes" / str(report.lake_id)
-        write_result(lake_dir / "impute_report.json", report.lake.impute_report, config_hash=config_hash)
+        write_json(lake_dir / "impute_report.json", report.lake.impute_report, config_hash=config_hash)
         write_csv(lake_dir / "completed.csv", [], [report.entry["completed_csv"].tobytes().decode()])
-        write_result(lake_dir / "reference_model.json", report.reference_model, config_hash=config_hash)
-        write_result(lake_dir / "metrics.json", report.table_row, config_hash=config_hash)
+        write_json(lake_dir / "reference_model.json", report.reference_model, config_hash=config_hash)
+        write_json(lake_dir / "metrics.json", report.table_row, config_hash=config_hash)
         write_nmae_table(lake_dir / "sample_curve.csv", report.curve, config_hash=config_hash)
-        write_result(lake_dir / "ranking.json", report.lake.ranking, config_hash=config_hash)
+        write_json(lake_dir / "ranking.json", report.lake.ranking, config_hash=config_hash)
         write_nmae_table(lake_dir / "selection.csv", report.selection, config_hash=config_hash)
         write_csv(lake_dir / "grid.csv", [], [grid_text(report.entry, report.grid)])
-        write_result(
+        write_json(
             lake_dir / "minimal_config.json",
             report.minimal,
             config_hash=config_hash,
@@ -555,23 +560,21 @@ def _write_bundle(out_dir: Path, config: RunConfig, result: PipelineResult, agg_
         if path.name not in reported and path.name.lstrip("-").isdecimal() and path.is_dir():
             shutil.rmtree(path)
     # Written after the lake files, so a write that fails part-way leaves the last run's run_config.json.
-    write_json(out_dir / "run_config.json", {"config": asdict(config), "config_hash": config_hash})
+    write_json(out_dir / "run_config.json", {"config": config, "config_hash": config_hash})
     write_json(
         out_dir / "summary.json",
         {
             "config_hash": config_hash,
             "lakes": [r.lake_id for r in reports],
-            "failures": {str(k): v for k, v in sorted(result.failures.items())},
-            "joint": asdict(result.summary),
-            "minimal_configs": [asdict(r.minimal) for r in reports],
-            "aggregate_ranking": asdict(agg_ranking),
+            "failures": result.failures,  # the ids as strings, which `sort_keys` orders as JSON text
+            "joint": result.summary,
+            "minimal_configs": [r.minimal for r in reports],
+            "aggregate_ranking": agg_ranking,
             "mean_n_star": result.mean_n_star,
-            "train_test": [asdict(r.table_row) for r in reports],
+            "train_test": [r.table_row for r in reports],
         },
     )
-    write_csv(
-        out_dir / "train_test.csv",
-        # Every column but lake_id; csv writes a float as its repr, the flag as 0/1.
-        [[f.name for f in fields(TableRow)][1:]]
-        + [[*astuple(r.table_row)[1:-1], int(r.table_row.test_le_train)] for r in reports],
-    )
+    # Every column but lake_id; csv writes a float as its repr, the flag as 0/1.
+    columns = [f.name for f in fields(TableRow)][1:]
+    rows = [[*(getattr(r.table_row, name) for name in columns[:-1]), int(r.table_row.test_le_train)] for r in reports]
+    write_csv(out_dir / "train_test.csv", [columns] + rows)

@@ -1,0 +1,151 @@
+"""Every JSON file is written by one rule: `report.write_json` of the result objects as they are.
+
+The reference in each test is the rule that rule replaced, kept here: each
+result dataclass copied by `dataclasses.asdict`, failure ids sorted as ints
+and turned into strings by hand, then `json.dumps` of `_jsonable` of that,
+keys sorted. The files must equal it byte for byte.
+"""
+
+import dataclasses
+import hashlib
+import json
+import math
+
+import numpy as np
+import pytest
+
+from limnoplan import dataset, report
+from limnoplan.cli import main
+from limnoplan.evaluation import SampleCurve
+from limnoplan.imputation import ImputeReport
+from limnoplan.models import RidgeModel
+from limnoplan.report import RunConfig, TableRow, run_pipeline
+from limnoplan.selection import FeatureRanking, SelectionResult, aggregate_ranking
+from limnoplan.synth import config_from_dict, generate_lake
+
+from test_report_cli import small_lake_configs, synth_csv
+
+FLAGS = ["--trees", "10", "--n-stride", "6"]
+CONFIG = RunConfig(n_trees=10, grid_stride=6)
+
+
+def old_rule(payload) -> str:
+    return json.dumps(report._jsonable(payload), indent=2, sort_keys=True) + "\n"
+
+
+def old_failures(failures: dict[int, str]) -> dict[str, str]:
+    return {str(k): v for k, v in sorted(failures.items())}
+
+
+def input_digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    """Lakes 999 and 1000, too short for the 5-year test window, whose ids sort apart as ints and as strings;
+    then lakes 1001 and 1002, which complete."""
+    base = small_lake_configs(1)[0]
+    sizes = {999: 30, 1000: 30, 1001: 140, 1002: 140}
+    configs = [
+        dataclasses.replace(base, lake_id=i, lake_name=f"Synth {i}", n_samples=n, seed=50 + j)
+        for j, (i, n) in enumerate(sizes.items())
+    ]
+    path = tmp_path_factory.mktemp("payload") / "lakes.csv"
+    synth_csv(path, configs)
+    return path
+
+
+@pytest.mark.parametrize(
+    "result, nulls",
+    [
+        (RidgeModel(np.array([math.nan, 1.5]), math.nan, np.array([0.0, np.nan]), np.ones(2), 0.1, ["a", "b"]), 3),
+        (TableRow(7, "Lake 7", math.nan, 0.5, np.float64(math.nan), 1.0, False), 2),
+        (FeatureRanking({"a": math.nan, "b": 0.2}, ["b", "a"]), 1),
+        (ImputeReport(3, math.nan, False, {"a": 2}), 1),
+        (SelectionResult(2, ["a", "b"], {1: math.nan, 2: 0.3, 10: 0.2}, math.nan), 2),
+    ],
+    ids=["ridge-model", "table-row", "ranking", "impute-report", "selection"],
+)
+def test_a_nan_field_is_written_as_null(tmp_path, result, nulls):
+    # The table row's own lake_id wins over the stamp's, as it did.
+    path = tmp_path / "result.json"
+    report.write_json(path, result, config_hash="abc", lake_id=5)
+    text = path.read_text()
+    assert text == old_rule({"config_hash": "abc", "lake_id": 5, **dataclasses.asdict(result)})
+    assert text.count("null") == nulls and "NaN" not in text
+
+
+def test_an_nmae_table_sidecar_keeps_the_rule(tmp_path):
+    curve = SampleCurve([5, 6], {5: 0.5, 6: math.nan}, math.nan, None, 0.05)
+    report.write_nmae_table(tmp_path / "sample_curve.csv", curve, config_hash="abc")
+    fields = {k: v for k, v in dataclasses.asdict(curve).items() if k not in ("grid", "nmae_at")}
+    assert (tmp_path / "sample_curve.json").read_text() == old_rule({"config_hash": "abc", **fields})
+    assert (tmp_path / "sample_curve.csv").read_text() == "n,nmae\n5,0.5\n6,nan\n"
+
+
+def test_summary_and_joint_with_failed_lakes_999_and_1000(csv_path, tmp_path):
+    bundle, joint = tmp_path / "bundle", tmp_path / "joint.json"
+    assert main(["report", "--input", str(csv_path), *FLAGS, "--out-dir", str(bundle)]) == 1
+    assert main(["joint", "--input", str(csv_path), *FLAGS, "--out", str(joint)]) == 1
+
+    with open(csv_path, newline="") as fh:
+        lakes, _ = dataset.parse_dataset(fh)
+    result = run_pipeline(lakes, CONFIG, tmp_path / "reference", input_digest(csv_path))
+    assert sorted(result.failures) == [999, 1000] and [r.lake_id for r in result.reports] == [1001, 1002]
+    minimal = [dataclasses.asdict(r.minimal) for r in result.reports]
+    summary = {
+        "config_hash": result.config_hash,
+        "lakes": [1001, 1002],
+        "failures": old_failures(result.failures),
+        "joint": dataclasses.asdict(result.summary),
+        "minimal_configs": minimal,
+        "aggregate_ranking": dataclasses.asdict(aggregate_ranking([r.lake.ranking for r in result.reports])),
+        "mean_n_star": result.mean_n_star,
+        "train_test": [dataclasses.asdict(r.table_row) for r in result.reports],
+    }
+    text = (bundle / "summary.json").read_text()
+    assert text == old_rule(summary)
+    assert text.index('"1000": "lake 1000') < text.index('"999": "lake 999')  # JSON text order, not int order
+    expected = {"minimal_configs": minimal, "summary": summary["joint"], "failures": summary["failures"]}
+    assert joint.read_text() == old_rule(expected)
+
+
+def test_run_config_and_config_hash_with_lake_ids(csv_path, tmp_path):
+    lakes_file, out = tmp_path / "lakes.json", tmp_path / "bundle"
+    lakes_file.write_text("[1002, 999, 1001]")
+    assert main(["report", "--input", str(csv_path), *FLAGS, "--lakes", str(lakes_file), "--out-dir", str(out)]) == 1
+    config = dataclasses.replace(CONFIG, lake_ids=(1002, 999, 1001))
+    digest = input_digest(csv_path)
+    fingerprint = json.dumps({"config": dataclasses.asdict(config), "input": digest}, sort_keys=True)
+    config_hash = hashlib.sha256(fingerprint.encode()).hexdigest()[:16]
+    assert report.config_fingerprint(config, digest) == config_hash
+    run_config = {"config": dataclasses.asdict(config), "config_hash": config_hash}
+    assert (out / "run_config.json").read_text() == old_rule(run_config)
+    assert json.loads((out / "run_config.json").read_text())["config"]["lake_ids"] == [1002, 999, 1001]
+
+
+def test_synth_truth_arrays(tmp_path):
+    payload = {"n_samples": 40, "n_features": 3, "missing_fraction": 0.3, "seed": 2}
+    config_path, truth_path = tmp_path / "synth.json", tmp_path / "truth.json"
+    config_path.write_text(json.dumps(payload))
+    argv = ["synth", "--config", str(config_path), "--out", str(tmp_path / "lake.csv"), "--truth", str(truth_path)]
+    assert main(argv) == 0
+    _, truth = generate_lake(config_from_dict(payload))
+    assert truth.missing_mask.any() and truth.covariates.ndim == 2
+    expected = {**dataclasses.asdict(truth), "missing_mask": truth.missing_mask.astype(int)}
+    assert truth_path.read_text() == old_rule(expected)
+
+
+def test_lakes_rank_profiles(csv_path, tmp_path):
+    out = tmp_path / "rank.json"
+    assert main(["lakes", "rank", "--input", str(csv_path), "--out", str(out)]) == 0
+    with open(csv_path, newline="") as fh:
+        lakes = {s.lake_id: s for s in dataset.parse_dataset(fh)[0]}
+    ranked = json.loads(out.read_text())["lakes"]
+    profiles = [
+        {"lake_id": i, **dataclasses.asdict(dataset.missingness_profile(dataset.apply_exclusions(lakes[i])))}
+        for i in ranked
+    ]
+    expected = {"missingness_after_exclusions": True, "lakes": ranked, "profiles": profiles}
+    assert out.read_text() == old_rule(expected)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from limnoplan import cli, dataset, evaluation, models, report
+from limnoplan import cli, dataset, evaluation, imputation, models, report
 from limnoplan.cli import main
 from limnoplan.dataset import parse_dataset, write_series_csv
 from limnoplan.errors import ConfigError
@@ -1738,7 +1738,7 @@ class OverflowedLake:
 
     MESSAGE = "values in design or target too large: sums of their squares overflow"
     FLAGS = ["--trees", "10", "--n-stride", "5"]
-    COLUMN, VISITS = "zS_m", slice(10, 13)
+    COLUMN, VISITS, VALUE = "zS_m", slice(10, 13), "1e300"
 
     @pytest.fixture
     def csv_path(self, tmp_path):
@@ -1747,7 +1747,7 @@ class OverflowedLake:
         visits = [i for i, line in enumerate(lines) if line.startswith("1003,")]
         for i in visits[self.VISITS]:
             cells = lines[i].split(",")
-            cells[column] = "1e300"
+            cells[column] = self.VALUE
             lines[i] = ",".join(cells)
         path = tmp_path / "lakes.csv"
         path.write_text("".join(lines))
@@ -1809,3 +1809,24 @@ class TestOverflowedTestBlockCovariate(TestOverflowedCovariate):
     """Five `x03` cells of 1e300 in lake 1003's test block, which imputation reads too."""
 
     VISITS = slice(-5, None)
+
+
+class TestCovariateBetweenTheBounds(TestOverflowedTestBlockCovariate):
+    """Five `x03` cells of 5e152 in lake 1003's test block: above the bound, yet small enough that every fit
+    completes without the entry checks, as it did before they existed."""
+
+    VALUE = "5e152"
+
+    def test_a_cache_entry_stored_unchecked_is_checked_too(self, csv_path, tmp_path, monkeypatch, capsys):
+        # Without either entry check (the covariates' in imputation, the depths' before the cache is read), the lake
+        # completes and its entry is stored; with them, that entry is not served to the lake.
+        out = tmp_path / "out"
+        argv = ["report", "--input", str(csv_path), "--out-dir", str(out), *self.FLAGS]
+        with monkeypatch.context() as patch:
+            for module in (imputation, report):
+                patch.setattr(module, "require_summable", lambda *arrays: None)
+            assert main(argv) == 0
+        assert (out / "cache" / "1003.npy").exists()
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"lake 1003 skipped: {self.MESSAGE}\n"
