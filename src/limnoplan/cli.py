@@ -291,10 +291,9 @@ def _cmd_synth(args) -> int:
     except (TypeError, ValueError) as exc:
         # Everything the generator rejects comes from the config file.
         raise ConfigError(f"synth config {args.config}: {exc}") from exc
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        ds.write_series_csv(series, fh)
+    buffer = io.StringIO()
+    ds.write_series_csv(series, buffer)
+    write_csv(Path(args.out), [], [buffer.getvalue()])
     if args.truth:
         mask = truth.missing_mask.astype(int)  # 0/1, not true/false
         write_json(Path(args.truth), {**vars(truth), "missing_mask": mask})

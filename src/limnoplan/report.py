@@ -161,13 +161,33 @@ def _jsonable(obj: Any) -> Any:
     return obj
 
 
+def _write_text(path: Path, text: str, newline: str | None) -> None:
+    """`text` at `path`, encoded and its newlines translated as by `open(path, "w", newline=newline)`.
+
+    An existing file is written over from its start and then cut at the end of `text`, never truncated to zero
+    first: ext4 flushes a file truncated to zero and rewritten when it is closed. The parent directory is made
+    only when the open finds it missing. A write that fails leaves the file empty.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    try:
+        fd = os.open(path, flags, 0o666)
+    except (FileNotFoundError, NotADirectoryError):  # the latter: a file where the directory goes, which mkdir reports
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, flags, 0o666)
+    with open(fd, "w", newline=newline) as fh:
+        try:
+            fh.write(text)
+            fh.truncate()  # flushes, then cuts the old bytes past the new ones
+        except BaseException:
+            fh.buffer.raw.truncate(0)
+            fh.buffer.raw.close()  # so closing `fh` flushes no bytes the failed write left buffered
+            raise
+
+
 def write_json(path: Path, payload: Any, **stamp: Any) -> None:
     """`payload`, a dict or a result dataclass, plus the `stamp` fields as one JSON object; a payload field wins
     over a stamp field of its name."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump({**_jsonable(stamp), **_jsonable(payload)}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, json.dumps({**_jsonable(stamp), **_jsonable(payload)}, indent=2, sort_keys=True) + "\n", None)
 
 
 def csv_text(rows: Sequence[Sequence[Any]], lines: Iterable[str] = ()) -> str:
@@ -179,9 +199,7 @@ def csv_text(rows: Sequence[Sequence[Any]], lines: Iterable[str] = ()) -> str:
 
 def write_csv(path: Path, rows: Sequence[Sequence[Any]], lines: Iterable[str] = ()) -> None:
     """The `csv_text` of `rows` and `lines` at `path`."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(csv_text(rows, lines))
+    _write_text(path, csv_text(rows, lines), "")
 
 
 # --------------------------------------------------------------------------- #

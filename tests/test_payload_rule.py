@@ -4,6 +4,11 @@ The reference in each test is the rule that rule replaced, kept here: each
 result dataclass copied by `dataclasses.asdict`, failure ids sorted as ints
 and turned into strings by hand, then `json.dumps` of `_jsonable` of that,
 keys sorted. The files must equal it byte for byte.
+
+Every JSON and CSV file goes through one text writer, which rewrites a file
+in place. Its reference is `open(path, "w")` after a `mkdir` of the parent:
+the same bytes, the same empty file after a failed write, and no old byte
+left after the new ones.
 """
 
 import dataclasses
@@ -23,7 +28,7 @@ from limnoplan.report import RunConfig, TableRow, run_pipeline
 from limnoplan.selection import FeatureRanking, SelectionResult, aggregate_ranking
 from limnoplan.synth import config_from_dict, generate_lake
 
-from test_report_cli import small_lake_configs, synth_csv
+from test_report_cli import bundle, small_lake_configs, synth_csv
 
 FLAGS = ["--trees", "10", "--n-stride", "6"]
 CONFIG = RunConfig(n_trees=10, grid_stride=6)
@@ -35,6 +40,12 @@ def old_rule(payload) -> str:
 
 def old_failures(failures: dict[int, str]) -> dict[str, str]:
     return {str(k): v for k, v in sorted(failures.items())}
+
+
+def old_write_csv(path, rows) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(report.csv_text(rows))
 
 
 def input_digest(path) -> str:
@@ -149,3 +160,68 @@ def test_lakes_rank_profiles(csv_path, tmp_path):
     ]
     expected = {"missingness_after_exclusions": True, "lakes": ranked, "profiles": profiles}
     assert out.read_text() == old_rule(expected)
+
+
+def test_a_rewrite_over_a_longer_file_leaves_only_the_new_bytes_in_place(tmp_path):
+    json_path, csv_path = tmp_path / "minimal_config.json", tmp_path / "grid.csv"
+    for path in (json_path, csv_path):
+        path.write_bytes(b"stale bytes\n" * 1000)
+    inodes = [path.stat().st_ino for path in (json_path, csv_path)]
+    report.write_json(json_path, {"n_hat": 12}, config_hash="abc")
+    report.write_csv(csv_path, [["n", "nmae"], [5, 0.5]])
+    assert json_path.read_text() == old_rule({"config_hash": "abc", "n_hat": 12})
+    assert csv_path.read_bytes() == b"n,nmae\n5,0.5\n"
+    assert [path.stat().st_ino for path in (json_path, csv_path)] == inodes
+
+
+def test_the_writers_make_a_missing_nested_directory(tmp_path):
+    report.write_json(tmp_path / "a" / "b" / "result.json", {"x": 1})
+    report.write_csv(tmp_path / "c" / "d" / "rows.csv", [["x"], [1]])
+    assert (tmp_path / "a" / "b" / "result.json").read_text() == old_rule({"x": 1})
+    assert (tmp_path / "c" / "d" / "rows.csv").read_text() == "x\n1\n"
+
+
+def test_a_file_in_the_directory_s_place_raises_as_mkdir_did(tmp_path):
+    (tmp_path / "1001").write_text("not a directory")
+    with pytest.raises(FileExistsError):
+        old_write_csv(tmp_path / "1001" / "old.csv", [["x"]])
+    with pytest.raises(FileExistsError):
+        report.write_csv(tmp_path / "1001" / "grid.csv", [["x"]])
+
+
+def test_the_bytes_are_open_w_s_encoding_and_newlines(tmp_path):
+    # JSON keeps text mode's newline translation; CSV keeps newline="", so a quoted "\r\n" stays as it is.
+    rows = [["lake", "note"], [1, "Lac \u00e9t\u00e9\r\nsecond line"], [2, "\u6e56"]]
+    payload = {"lake": "Lac \u00e9t\u00e9", "note": "a\r\nb"}
+    old_write_csv(tmp_path / "old.csv", rows)
+    with open(tmp_path / "old.json", "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    report.write_csv(tmp_path / "new.csv", rows)
+    report.write_json(tmp_path / "new.json", payload)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
+@pytest.mark.parametrize("stale", [b"stale bytes\n" * 1000, None], ids=["over-a-file", "new-file"])
+def test_a_failed_write_leaves_an_empty_file_as_open_w_did(tmp_path, stale):
+    rows = [["lake", "note"], [1, "x" * 20000 + "\ud800"]]  # a lone surrogate has no encoding
+    for name, write in (("old.csv", old_write_csv), ("new.csv", report.write_csv)):
+        path = tmp_path / "lakes" / name
+        if stale is not None:
+            path.parent.mkdir(exist_ok=True)
+            path.write_bytes(stale)
+        with pytest.raises(UnicodeEncodeError):
+            write(path, rows)
+        assert path.read_bytes() == b""
+
+
+def test_lake_files_swapped_for_longer_junk_end_with_a_cold_run_s_bytes(csv_path, tmp_path):
+    warm, cold = tmp_path / "warm", tmp_path / "cold"
+    assert main(["report", "--input", str(csv_path), *FLAGS, "--out-dir", str(warm)]) == 1
+    for name in ("1001/minimal_config.json", "1001/grid.csv", "1002/selection.csv", "1002/metrics.json"):
+        path = warm / "lakes" / name
+        path.write_bytes(path.read_bytes() + b"junk that no run writes\n" * 500)
+    assert main(["report", "--input", str(csv_path), *FLAGS, "--tolerance", "0.10", "--out-dir", str(warm)]) == 1
+    assert main(["report", "--input", str(csv_path), *FLAGS, "--tolerance", "0.10", "--out-dir", str(cold)]) == 1
+    assert bundle(warm) == bundle(cold)
