@@ -10,8 +10,8 @@ outputs are JSON (machine) and CSV (plot data); every report embeds the
 hash of the run configuration that produced it, and identical
 configurations reproduce byte-identical reports. Each lake's results
 that do not depend on the tolerance are cached on disk as one entry, so
-a re-run at a new tolerance imputes and fits nothing: it only
-re-thresholds the cached nMAE values.
+a re-run at a new tolerance imputes and fits nothing, the reference fit
+included: it only re-thresholds the cached nMAE values.
 """
 
 from __future__ import annotations
@@ -110,6 +110,7 @@ class PreparedLake:
     impute_report: ImputeReport
     ranking: FeatureRanking | None  # None until `rank_features` ranks it, unless read from the cache
     cached: dict[str, np.ndarray] | None = None  # the lake's cache entry, when prepared from one
+    key: str | None = None  # the lake's cache key, when prepared with a cache
 
 
 @dataclass
@@ -122,7 +123,7 @@ class LakeReport:
     selection: SelectionResult
     grid: FeasibilityGrid
     minimal: MinimalConfig
-    entry: dict[str, np.ndarray] | None  # the cache entry of the grid and the bundle's CSV text; None without a cache
+    entry: dict[str, np.ndarray] | None  # the lake's cache entry, its CSV text included; None without a cache
 
 
 @dataclass
@@ -214,15 +215,20 @@ def completed_text(completed: CompletedMatrix) -> str:
     return csv_text([completed.feature_schema], [f"{','.join(map(repr, row))}\n" for row in completed.values.tolist()])
 
 
-def write_nmae_table(path: Path, result: SampleCurve | SelectionResult, **stamp: Any) -> None:
-    """A curve's `n,nmae` or a selection's `k,nmae` CSV at `path`, plus a JSON sidecar with the same stem.
+def nmae_text(result: SampleCurve | SelectionResult) -> str:
+    """A curve's `n,nmae` or a selection's `k,nmae` CSV."""
+    key, nmae = ("n", result.nmae_at) if isinstance(result, SampleCurve) else ("k", result.nmae_by_k)
+    return csv_text([[key, "nmae"]], [f"{x},{nmae[x]!r}\n" for x in sorted(nmae)])
+
+
+def write_nmae_table(path: Path, result: SampleCurve | SelectionResult, text: str | None = None, **stamp: Any) -> None:
+    """`text`, the result's `nmae_text` if not given, at `path`, plus a JSON sidecar with the same stem.
 
     The sidecar holds the stamp and the result's other fields, but a curve's `grid`, whose sizes are the CSV's.
     """
-    key, table = ("n", "nmae_at") if isinstance(result, SampleCurve) else ("k", "nmae_by_k")
-    nmae = getattr(result, table)
+    table = "nmae_at" if isinstance(result, SampleCurve) else "nmae_by_k"
     sidecar = {f.name: getattr(result, f.name) for f in fields(result) if f.name not in ("grid", table)}
-    write_csv(path, [[key, "nmae"]], [f"{x},{nmae[x]!r}\n" for x in sorted(nmae)])
+    write_csv(path, [], [nmae_text(result) if text is None else text])
     write_json(path.with_suffix(".json"), sidecar, **stamp)
 
 
@@ -351,28 +357,37 @@ def lake_key(series: ds.LakeSeries, config: RunConfig) -> str:
 def entry_layout(series: ds.LakeSeries, split: ds.SplitSeries, config: RunConfig) -> dict[str, tuple]:
     """(dtype, shape) of each array of the lake's cache entry (see `lake_entry`)."""
     rows, p = series.covariates.shape
-    n_grid = config.grid_spec().resolve(split.n_pre, p)
+    n_grid = np.array(config.grid_spec().resolve(split.n_pre, p))
     return {
         "values": ("f8", (rows, p)), "impute": ("f8", (3,)), "scores": ("f8", (p,)),
         "selection": ("f8", (p,)), "grid_order": ("i8", (p,)), "grid": ("f8", (len(n_grid), p)),
+        "reference": ("f8", (3 * p + 5,)),
         "completed_csv": ("u1", rows + csv_text([series.feature_schema]).count("\n")),  # a quoted name may span lines
-        "grid_csv": ("u1", 1 + sum(min(n - 1, p) for n in n_grid)),  # a line per cell with n >= k+1
+        "grid_csv": ("u1", 1 + int(np.minimum(n_grid - 1, p).sum())),  # a line per cell with n >= k+1
+        "curve_csv": ("u1", 1 + int(np.count_nonzero(n_grid > p))),  # a line per size that fits every feature
+        "selection_csv": ("u1", 1 + p),
     }
 
 
-def lake_entry(lake: PreparedLake, selection: SelectionResult, grid: FeasibilityGrid) -> dict:
-    """Every result of the lake's report stages that does not depend on the tolerance, its CSV text (UTF-8) included."""
+def lake_entry(report: LakeReport) -> dict:
+    """Every result of the lake's report that does not depend on the tolerance, its CSV text (UTF-8) included.
+    `reference` is the reference fit's intercept, weights, training means and stds, then its train MAE, test MAE,
+    train nMAE and test nMAE."""
+    lake, model, row, grid = report.lake, report.reference_model, report.table_row, report.grid
     impute, schema = lake.impute_report, lake.completed.feature_schema
     grid_csv = csv_text([["n", "k", "nmae", "feasible"]], grid_rows(grid, "?"))  # "?" where each flag goes
+    errors = [row.train_mae, row.test_mae, row.train_nmae, row.test_nmae]
+    texts = {"completed_csv": completed_text(lake.completed), "grid_csv": grid_csv,
+             "curve_csv": nmae_text(report.curve), "selection_csv": nmae_text(report.selection)}
     return {
         "values": lake.completed.values,
         "impute": np.array([impute.sweeps, impute.final_delta, impute.converged], dtype=float),
         "scores": np.array([lake.ranking.scores[f] for f in schema]),
-        "selection": np.array([selection.nmae_by_k[k] for k in range(1, grid.p + 1)]),
+        "selection": np.array([report.selection.nmae_by_k[k] for k in range(1, grid.p + 1)]),
         "grid": grid.values,
         "grid_order": np.array([schema.index(f) for f in grid.feature_order], dtype=np.int64),
-        "completed_csv": np.frombuffer(completed_text(lake.completed).encode(), np.uint8),
-        "grid_csv": np.frombuffer(grid_csv.encode(), np.uint8),
+        "reference": np.concatenate([[model.intercept], model.weights, model.train_means, model.train_stds, errors]),
+        **{name: np.frombuffer(text.encode(), np.uint8) for name, text in texts.items()},
     }
 
 
@@ -385,15 +400,16 @@ def prepare_lake(series: ds.LakeSeries, config: RunConfig, cache: StageCache | N
     `initialize_fill`), then impute it or read it, ranked, from `cache`, so a cache entry never skips the check."""
     split = ds.split_test_block(series, config.test_years)
     require_summable(split.pre.sdd, split.test.sdd, np.where(np.isnan(series.covariates), 0.0, series.covariates))
-    entry = cache and cache.get(series.lake_id, lake_key(series, config), entry_layout(series, split, config))
+    key = cache and lake_key(series, config)
+    entry = cache and cache.get(series.lake_id, key, entry_layout(series, split, config))
     if entry is not None:
         schema, mask = list(series.feature_schema), np.isnan(series.covariates)  # the key hashes these covariates
         sweeps, delta, converged = entry["impute"].tolist()
         report = ImputeReport(int(sweeps), delta, bool(converged), dict(zip(schema, mask.sum(axis=0).tolist())))
         ranking = FeatureRanking.from_scores(dict(zip(schema, entry["scores"].tolist())))
-        return PreparedLake(series, split, CompletedMatrix(entry["values"], schema, mask), report, ranking, entry)
+        return PreparedLake(series, split, CompletedMatrix(entry["values"], schema, mask), report, ranking, entry, key)
     completed, impute_report = impute_series(series, config.impute_config(series.lake_id))
-    return PreparedLake(series, split, completed, impute_report, None)
+    return PreparedLake(series, split, completed, impute_report, None, key=key)
 
 
 def rank_features(lakes: Sequence[PreparedLake], config: RunConfig) -> None:
@@ -410,18 +426,24 @@ def process_lake(
     cache: StageCache | None = None,
     global_ranking: FeatureRanking | None = None,
 ) -> LakeReport:
-    """The report stages on a prepared lake; the grid uses `global_ranking` when given."""
-    series, split, completed = lake.series, lake.split, lake.completed
-    model, X_train, y_train = fit_reference(split, completed, completed.feature_schema, penalty=config.penalty)
-    train = score_predictions(y_train, predict_ridge(model, X_train))
-    test = score_predictions(split.test.sdd, predict_ridge(model, completed.values[split.test_rows]))
-    table_row = TableRow(
-        series.lake_id, series.name, train.mae, test.mae, train.nmae, test.nmae, test_le_train=test.nmae <= train.nmae
-    )
+    """The report stages on a prepared lake; the grid uses `global_ranking` when given. A lake read from the
+    cache takes its reference fit and errors from its entry."""
+    series, split, completed, entry = lake.series, lake.split, lake.completed, lake.cached
+    schema = completed.feature_schema
+    if entry is None:
+        model, X_train, y_train = fit_reference(split, completed, schema, penalty=config.penalty)
+        train = score_predictions(y_train, predict_ridge(model, X_train))
+        test = score_predictions(split.test.sdd, predict_ridge(model, completed.values[split.test_rows]))
+        errors = [train.mae, test.mae, train.nmae, test.nmae]
+    else:
+        weights, means, stds = entry["reference"][1:-4].reshape(3, len(schema))
+        model = RidgeModel(weights, entry["reference"][0].item(), means, stds, float(config.penalty), list(schema))
+        errors = entry["reference"][-4:].tolist()
+    table_row = TableRow(series.lake_id, series.name, *errors, test_le_train=errors[3] <= errors[2])
 
-    ranking, entry, tolerance = global_ranking or lake.ranking, lake.cached, config.tolerance
+    ranking, tolerance = global_ranking or lake.ranking, config.tolerance
     # A grid over another ranking than the cached one's (a global ranking of other lakes) is recomputed.
-    fresh = entry is None or entry["grid_order"].tolist() != list(map(completed.feature_schema.index, ranking.order))
+    fresh = entry is None or entry["grid_order"].tolist() != list(map(schema.index, ranking.order))
     if fresh:
         grid = feasibility_grid(split, completed, ranking, config.grid_spec(), tolerance, config.penalty)
     else:
@@ -437,11 +459,8 @@ def process_lake(
         selection = row.selection()
     else:
         selection = forward_selection(split, completed, lake.ranking, tolerance, config.penalty)
-    if fresh and cache is not None:
-        entry = lake_entry(lake, selection, grid)
-        cache.put(series.lake_id, lake_key(series, config), entry)
 
-    return LakeReport(
+    result = LakeReport(
         lake_id=series.lake_id,
         lake=lake,
         reference_model=model,
@@ -452,6 +471,10 @@ def process_lake(
         minimal=minimal_config(grid),
         entry=entry,
     )
+    if fresh and cache is not None:
+        result.entry = lake_entry(result)
+        cache.put(series.lake_id, lake.key, result.entry)
+    return result
 
 
 def train_test_table(rows: Sequence[TableRow]) -> str:
@@ -555,15 +578,16 @@ def run_pipeline(
 def _write_bundle(out_dir: Path, config: RunConfig, result: PipelineResult, agg_ranking: FeatureRanking) -> None:
     config_hash, reports = result.config_hash, result.reports
     for report in reports:
-        lake_dir = out_dir / "lakes" / str(report.lake_id)
+        lake_dir, entry = out_dir / "lakes" / str(report.lake_id), report.entry
         write_json(lake_dir / "impute_report.json", report.lake.impute_report, config_hash=config_hash)
-        write_csv(lake_dir / "completed.csv", [], [report.entry["completed_csv"].tobytes().decode()])
+        write_csv(lake_dir / "completed.csv", [], [entry["completed_csv"].tobytes().decode()])
         write_json(lake_dir / "reference_model.json", report.reference_model, config_hash=config_hash)
         write_json(lake_dir / "metrics.json", report.table_row, config_hash=config_hash)
-        write_nmae_table(lake_dir / "sample_curve.csv", report.curve, config_hash=config_hash)
+        curve_csv, selection_csv = entry["curve_csv"].tobytes().decode(), entry["selection_csv"].tobytes().decode()
+        write_nmae_table(lake_dir / "sample_curve.csv", report.curve, curve_csv, config_hash=config_hash)
         write_json(lake_dir / "ranking.json", report.lake.ranking, config_hash=config_hash)
-        write_nmae_table(lake_dir / "selection.csv", report.selection, config_hash=config_hash)
-        write_csv(lake_dir / "grid.csv", [], [grid_text(report.entry, report.grid)])
+        write_nmae_table(lake_dir / "selection.csv", report.selection, selection_csv, config_hash=config_hash)
+        write_csv(lake_dir / "grid.csv", [], [grid_text(entry, report.grid)])
         write_json(
             lake_dir / "minimal_config.json",
             report.minimal,

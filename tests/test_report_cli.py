@@ -144,6 +144,16 @@ FORMAT_TAMPERS = {
 }
 
 
+def drop_last_line(text: np.ndarray) -> np.ndarray:
+    """Stored CSV bytes without their last line."""
+    return text[: np.flatnonzero(text == ord("\n"))[-2] + 1]
+
+
+# The entry fields that hold the reference fit and the sample curve's and selection's CSV text: an entry of the
+# earlier layout, stored without them, is a miss.
+REPORT_FIELDS = ("reference", "curve_csv", "selection_csv")
+
+
 def load_csv(path: Path) -> list:
     with open(path) as fh:
         lakes, _ = parse_dataset(fh)
@@ -397,11 +407,16 @@ class TestPipeline:
             lambda path, arrays: save_entry(path, {**arrays, "grid_csv": arrays["grid_csv"][:-100]}),
             lambda path, arrays: save_entry(path, {k: v for k, v in arrays.items() if k != "completed_csv"}),
             lambda path, arrays: save_entry(path, {**arrays, "grid_csv": arrays["grid_csv"].astype(np.int16)}),
+            lambda path, arrays: save_entry(path, {k: v for k, v in arrays.items() if k != "reference"}),
+            lambda path, arrays: save_entry(path, {**arrays, "curve_csv": drop_last_line(arrays["curve_csv"])}),
+            lambda path, arrays: save_entry(path, {**arrays, "selection_csv": drop_last_line(arrays["selection_csv"])}),
+            lambda path, arrays: save_entry(path, {k: v for k, v in arrays.items() if k not in REPORT_FIELDS}),
             *FORMAT_TAMPERS.values(),
         ],
         ids=[
             "missing-array", "wrong-shape", "wrong-dtype", "npy-file", "old-json-grid", "empty-json",
-            "truncated-grid-text", "missing-completed-text", "grid-text-not-uint8", *FORMAT_TAMPERS,
+            "truncated-grid-text", "missing-completed-text", "grid-text-not-uint8", "missing-reference",
+            "curve-text-a-line-short", "selection-text-a-line-short", "earlier-layout", *FORMAT_TAMPERS,
         ],
     )
     def test_unusable_cache_entry_is_a_miss_and_rewritten(self, tmp_path, tamper):
@@ -466,6 +481,28 @@ class TestPipeline:
         cold = run_pipeline(lakes, retol, tmp_path / "cold")
         assert bundle(out) == bundle(tmp_path / "cold")
         assert [r.minimal for r in again.reports] == [r.minimal for r in cold.reports]
+
+    @pytest.mark.parametrize("flags", [[], ["--global-ranking"], ["--n-min", "2"]], ids=["own", "global", "n-min-2"])
+    def test_a_rethreshold_run_computes_nothing(self, tmp_path, capsys, monkeypatch, flags):
+        """At `--n-min 2` the grid holds sizes n <= p, which the sample curve leaves out."""
+        synth_csv(tmp_path / "lakes.csv", small_lake_configs(2))
+        args = ["report", "--input", str(tmp_path / "lakes.csv"), "--trees", "15", "--n-stride", "5", *flags]
+        assert main([*args, "--out-dir", str(tmp_path / "out")]) == 0
+        capsys.readouterr()
+        assert main([*args, "--tolerance", "0.10", "--out-dir", str(tmp_path / "cold")]) == 0
+        cold = capsys.readouterr()
+
+        def computes(*args, **kwargs):
+            raise AssertionError("a re-threshold run computed a result")
+
+        for name in (
+            "fit_reference", "predict_ridge", "score_predictions", "impute_series", "fit_forests",
+            "feasibility_grid", "forward_selection",
+        ):
+            monkeypatch.setattr(report, name, computes)
+        assert main([*args, "--tolerance", "0.10", "--out-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr() == cold
+        assert bundle(tmp_path / "out") == bundle(tmp_path / "cold")
 
     def test_tampered_input_cell_misses_the_cache(self, tmp_path):
         csv_path = tmp_path / "lakes.csv"
