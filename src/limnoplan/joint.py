@@ -206,13 +206,9 @@ def aggregate_configs(configs: Sequence[MinimalConfig]) -> JointSummary:
     if not configs:
         raise EvaluationError("no configurations to aggregate")
 
-    n_values = np.array([c.n_hat for c in configs], dtype=float)
-    k_values = np.array([c.k_hat for c in configs], dtype=float)
-
-    def iqr(values: np.ndarray) -> float:
-        q1, q3 = np.percentile(values, [25, 75])
-        return float(q3 - q1)
-
+    # One call for both medians and all four quartiles: on integers the 50th percentile is the median exactly.
+    values = np.array([[c.n_hat for c in configs], [c.k_hat for c in configs]], dtype=float)
+    (q1_n, q1_k), (median_n, median_k), (q3_n, q3_k) = np.percentile(values, [25, 50, 75], axis=1).tolist()
     single = [c for c in configs if c.k_hat == 1]
     frequency: dict[str, float] = {}
     for config in single:
@@ -221,10 +217,10 @@ def aggregate_configs(configs: Sequence[MinimalConfig]) -> JointSummary:
     frequency = {name: count / len(single) for name, count in sorted(frequency.items())}
 
     return JointSummary(
-        median_n=float(np.median(n_values)),
-        iqr_n=iqr(n_values),
-        median_k=float(np.median(k_values)),
-        iqr_k=iqr(k_values),
+        median_n=median_n,
+        iqr_n=q3_n - q1_n,
+        median_k=median_k,
+        iqr_k=q3_k - q1_k,
         feature_frequency=frequency,
         fallback_count=sum(1 for c in configs if c.fallback),
         n_lakes=len(configs),

@@ -20,11 +20,13 @@ import csv
 import hashlib
 import io
 import json
+import locale
 import math
 import os
+import re
 import shutil
-import warnings
 import zlib
+from contextlib import suppress
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -146,19 +148,24 @@ def config_fingerprint(config: RunConfig, input_digest: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+_PLAIN = {str, int, bool, type(None)}  # the scalars `_jsonable` keeps as they are
+
+
 def _jsonable(obj: Any) -> Any:
-    """`obj` as JSON values: a dataclass instance as its fields, read in place; a key as a string; NaN as None."""
+    """`obj` as JSON values: a dataclass instance as its fields, read in place; a key as a string; NaN as None.
+    A list's Python floats and plain scalars are converted in the one pass over it; only other items recurse."""
     if is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name)) for f in fields(obj)}
+        names = [f.name for f in fields(obj)]
+        return dict(zip(names, _jsonable([getattr(obj, name) for name in names])))
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return dict(zip(map(str, obj), _jsonable(list(obj.values()))))
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [v if type(v) in _PLAIN else (None if v != v else v) if type(v) is float else _jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         value = float(obj)
         return None if math.isnan(value) else value
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
     return obj
 
 
@@ -167,7 +174,7 @@ def _write_text(path: Path, text: str, newline: str | None) -> None:
 
     An existing file is written over from its start and then cut at the end of `text`, never truncated to zero
     first: ext4 flushes a file truncated to zero and rewritten when it is closed. The parent directory is made
-    only when the open finds it missing. A write that fails leaves the file empty.
+    only when the open finds it missing. A write that fails, an encoding error included, leaves the file empty.
     """
     flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
     try:
@@ -175,14 +182,18 @@ def _write_text(path: Path, text: str, newline: str | None) -> None:
     except (FileNotFoundError, NotADirectoryError):  # the latter: a file where the directory goes, which mkdir reports
         path.parent.mkdir(parents=True, exist_ok=True)
         fd = os.open(path, flags, 0o666)
-    with open(fd, "w", newline=newline) as fh:
-        try:
-            fh.write(text)
-            fh.truncate()  # flushes, then cuts the old bytes past the new ones
-        except BaseException:
-            fh.buffer.raw.truncate(0)
-            fh.buffer.raw.close()  # so closing `fh` flushes no bytes the failed write left buffered
-            raise
+    try:
+        text = text if newline == "" else text.replace("\n", newline or os.linesep)
+        data = text.encode(locale.getpreferredencoding(False))  # open's default encoding, strict
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        os.ftruncate(fd, len(data))  # cuts the old bytes past the new ones
+    except BaseException:
+        os.ftruncate(fd, 0)
+        raise
+    finally:
+        os.close(fd)
 
 
 def write_json(path: Path, payload: Any, **stamp: Any) -> None:
@@ -257,6 +268,16 @@ CACHE_VERSION = 6
 INPUT_COLUMNS = {"dates": "<M8[D]", "sdd": "f8", "covariates": "f8", "sdd_to_bottom": "?"}
 
 
+# What `np.save` writes for a 0-d record of numeric, bool and datetime fields: the format 1.0 preamble (magic,
+# version, header length), then a header of one form, padded with spaces to a newline. Each field's type and shape
+# must be spelt as `np.save` spells them: a type string naming no size (an object) or another byte order never matches.
+_NPY_MAGIC = b"\x93NUMPY\x01\x00"
+_NPY_TYPE, _NPY_SIZE = rb"\|[biu]1|[<>](?:[iuf][248]|c(?:8|16)|[Mm]8\[\w+\])", rb"(?:0|[1-9]\d*)"
+_NPY_FIELD = re.compile(rb"\('(\w+)', '(%s)'(?:, \((%s,|%s(?:, %s)+)\))?\)" % (_NPY_TYPE, *[_NPY_SIZE] * 3))
+_NPY_HEADER = re.compile(rb"\{'descr': \[((?:%s, )*%s)\], 'fortran_order': False, 'shape': \(\), \} *\n" % (
+    (_NPY_FIELD.pattern,) * 2))
+
+
 @dataclass
 class StageCache:
     """Disk cache of named arrays: one entry per lake and one for the parsed input, each under its key. An entry is
@@ -268,14 +289,24 @@ class StageCache:
         return self.root / f"{lake_id}.npy"
 
     def get(self, lake_id: int | str, key: str, layout: dict[str, tuple]) -> dict[str, np.ndarray] | None:
-        """The arrays stored under `key`, or None unless each array `layout` names is there at its (dtype, shape)."""
+        """The arrays stored under `key`, or None unless each array `layout` names is there at its (dtype, shape).
+
+        The file must be the one record `put` writes, its header matched whole and no byte after it; anything else
+        is a miss, never parsed as Python and never unpickled (an out-dir may be shared)."""
         layout = {"key": ("u1", (len(key),)), "crc32": ("u4", ()), **layout}
         try:
-            with open(self._path(lake_id), "rb") as fh, warnings.catch_warnings():
-                warnings.simplefilter("error")  # a header only numpy's Python 2 filter parses warns: damaged too
-                record = np.lib.format.read_array(fh, allow_pickle=False)  # never unpickled: an out-dir may be shared
+            with open(self._path(lake_id), "rb") as fh:
+                preamble = fh.read(10)
+                header = _NPY_HEADER.fullmatch(fh.read(int.from_bytes(preamble[8:], "little")))
+                if preamble[:8] != _NPY_MAGIC or header is None:
+                    return None
+                descr = [(name.decode(), kind.decode(), tuple(map(int, filter(None, shape.split(b",")))))
+                         for name, kind, shape in _NPY_FIELD.findall(header[1])]
+                record = np.fromfile(fh, descr, count=1).reshape(())  # no whole record: a ValueError
+                if fh.read(1):
+                    return None
             arrays = {name: record[name] for name in layout}
-        except Exception:  # a damaged header alone can raise a SyntaxError, TypeError or tokenize.TokenError
+        except Exception:  # no file, a field of no numpy type or size, or a name `layout` has and the record lacks
             return None
 
         def fits(a: np.ndarray, dtype: str, shape: tuple | int | None) -> bool:
@@ -288,8 +319,9 @@ class StageCache:
         return arrays if fit and arrays.pop("key").tobytes() == key.encode() else None
 
     def put(self, lake_id: int | str, key: str, arrays: dict[str, np.ndarray]) -> None:
-        """Store `key` and `arrays` as one `.npy` record, in place of the entry stored before. Its fields go in
-        descending alignment, so each array `get` returns is an aligned, C-contiguous view of the record."""
+        """Store `key` and `arrays` as one `.npy` record, in place of the entry stored before, and remove the
+        lake's files of earlier cache formats. The record's fields go in descending alignment, so each array
+        `get` returns is an aligned, C-contiguous view of the record."""
         arrays = {"key": np.frombuffer(key.encode(), np.uint8), "crc32": np.uint32(0), **arrays}
         names = sorted(arrays, key=lambda name: -arrays[name].dtype.alignment)
         try:
@@ -310,6 +342,13 @@ class StageCache:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
+        # The names earlier formats gave the entry: `<id>_<key>.npz`, `<id>.npz` and `<id>_grid_<key>.json`.
+        stem = re.escape(str(lake_id))
+        old = re.compile(rf"{stem}(?:_[0-9a-f]{{16}})?\.npz|{stem}_grid_[0-9a-f]{{16}}\.json")
+        for name in os.listdir(self.root):
+            if old.fullmatch(name):
+                with suppress(OSError):  # a file that cannot be removed stays, unread
+                    os.unlink(self.root / name)
 
     def get_input(self, key: str) -> tuple[list[ds.LakeSeries], list[ds.RowError]] | None:
         """The `parse_dataset` result stored by `put_input`, or None unless its row counts fit its arrays."""

@@ -249,6 +249,23 @@ class TestAggregate:
         with pytest.raises(EvaluationError):
             aggregate_configs([])
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_medians_and_iqrs_are_the_separate_numpy_formulas_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        lakes = int(rng.integers(1, 41))
+        configs = [
+            self._config(i, int(rng.integers(2, 900)), int(rng.integers(1, 14)), fallback=bool(rng.random() < 0.3))
+            for i in range(lakes)
+        ]
+        summary = aggregate_configs(configs)
+        for axis in ("n", "k"):
+            values = np.array([getattr(c, f"{axis}_hat") for c in configs], dtype=float)
+            q1, q3 = np.percentile(values, [25, 75])
+            assert getattr(summary, f"median_{axis}") == float(np.median(values)), (axis, values)
+            assert getattr(summary, f"iqr_{axis}") == float(q3 - q1), (axis, values)
+            assert type(getattr(summary, f"median_{axis}")) is type(getattr(summary, f"iqr_{axis}")) is float
+        assert summary.fallback_count == sum(c.fallback for c in configs) and summary.n_lakes == lakes
+
 
 class TestToleranceMonotonicity:
     def test_nested_feasible_sets_and_monotone_minimum(self):

@@ -2,8 +2,9 @@
 
 The reference in each test is the rule that rule replaced, kept here: each
 result dataclass copied by `dataclasses.asdict`, failure ids sorted as ints
-and turned into strings by hand, then `json.dumps` of `_jsonable` of that,
-keys sorted. The files must equal it byte for byte.
+and turned into strings by hand, then `json.dumps` of `old_jsonable` of that
+(a recursive call per item), keys sorted. The files must equal it byte for
+byte.
 
 Every JSON and CSV file goes through one text writer, which rewrites a file
 in place. Its reference is `open(path, "w")` after a `mkdir` of the parent:
@@ -34,8 +35,24 @@ FLAGS = ["--trees", "10", "--n-stride", "6"]
 CONFIG = RunConfig(n_trees=10, grid_stride=6)
 
 
+def old_jsonable(obj):
+    """The conversion `report._jsonable` makes, one recursive call per item, each testing for a dataclass."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: old_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, dict):
+        return {str(k): old_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [old_jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        value = float(obj)
+        return None if math.isnan(value) else value
+    if isinstance(obj, np.ndarray):
+        return old_jsonable(obj.tolist())
+    return obj
+
+
 def old_rule(payload) -> str:
-    return json.dumps(report._jsonable(payload), indent=2, sort_keys=True) + "\n"
+    return json.dumps(old_jsonable(payload), indent=2, sort_keys=True) + "\n"
 
 
 def old_failures(failures: dict[int, str]) -> dict[str, str]:
@@ -85,6 +102,47 @@ def test_a_nan_field_is_written_as_null(tmp_path, result, nulls):
     text = path.read_text()
     assert text == old_rule({"config_hash": "abc", "lake_id": 5, **dataclasses.asdict(result)})
     assert text.count("null") == nulls and "NaN" not in text
+
+
+@dataclasses.dataclass
+class Inner:
+    name: str
+    scores: dict
+    values: np.ndarray
+
+
+@dataclasses.dataclass
+class Outer:
+    inner: Inner
+    items: list
+    pair: tuple
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        np.array([1.5, math.nan, -0.0, math.inf, 1e-300]),
+        np.array([[1.0, math.nan], [np.nan, 2.5]]),
+        np.array([3, -2, 2**62], dtype=np.int64),
+        np.array(math.nan),
+        np.array([True, False]),
+        (1, "a", 2.5, math.nan, np.float64(math.nan), np.float32(0.1), None, True, [1.0, math.nan], {2: 3.0}),
+        [math.nan, 0.5, np.float64(0.25)],
+        [],
+        Outer(
+            Inner("Lac \u00e9t\u00e9", {1: math.nan, "b": np.float64(2.0)}, np.array([0.1, math.nan])),
+            [Inner("x", {}, np.zeros(0)), (np.float64(math.nan), 7)],
+            (math.nan, "y", [Inner("z", {0: [math.nan]}, np.array([[1.0]]))]),
+        ),
+        {1: np.array([math.nan]), "k": (0.5, math.nan), 2.5: {3: [1, 2.0]}},
+    ],
+    ids=["float-nan", "float-2d", "int64", "0-d-nan", "bool", "mixed-tuple", "float-list", "empty", "dataclasses",
+         "dict"],
+)
+def test_jsonable_is_the_old_rule(payload):
+    new, old = report._jsonable(payload), old_jsonable(payload)
+    assert repr(new) == repr(old)  # the same values of the same Python types
+    assert json.dumps(new, sort_keys=True) == json.dumps(old, sort_keys=True)
 
 
 def test_an_nmae_table_sidecar_keeps_the_rule(tmp_path):
@@ -201,6 +259,24 @@ def test_the_bytes_are_open_w_s_encoding_and_newlines(tmp_path):
     report.write_json(tmp_path / "new.json", payload)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
+@pytest.mark.parametrize("newline", [None, ""], ids=["translated", "untranslated"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"lake": "Lac \u00e9t\u00e9 \u6e56", "note": "a\rb"}, indent=2, ensure_ascii=False) + "\n",
+        report.csv_text([["lake", "note"], ["Lac \u00e9t\u00e9", "one\rtwo"], ["\u6e56", "x\r\ny"]], ["3,0.5\n"]),
+    ],
+    ids=["json", "csv"],
+)
+def test_the_text_writer_writes_open_w_s_bytes(tmp_path, text, newline):
+    with open(tmp_path / "old", "w", newline=newline) as fh:
+        fh.write(text)
+    report._write_text(tmp_path / "new", text, newline)
+    assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+    written = (tmp_path / "new").read_bytes()
+    assert "\u00e9".encode() in written and (b"\r" in written) == text.startswith("lake")  # JSON escapes a \r
 
 
 @pytest.mark.parametrize("stale", [b"stale bytes\n" * 1000, None], ids=["over-a-file", "new-file"])

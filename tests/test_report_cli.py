@@ -129,10 +129,31 @@ def flip_data_bit(path: Path, arrays: dict[str, np.ndarray]) -> None:
     path.write_bytes(bytes(data))
 
 
+def edit_header(edit):
+    """A tamper that rewrites the entry's `.npy` header by `edit`, its length field set to the new length."""
+
+    def tamper(path: Path, arrays: dict[str, np.ndarray]) -> None:
+        data = path.read_bytes()
+        end = 10 + int.from_bytes(data[8:10], "little")
+        header = edit(data[10:end])
+        assert header != data[10:end]
+        path.write_bytes(data[:8] + len(header).to_bytes(2, "little") + header + data[end:])
+
+    return tamper
+
+
+def version_2(path: Path, arrays: dict[str, np.ndarray]) -> None:
+    """The same record in the `.npy` format 2.0, whose header length takes four bytes."""
+    record = np.load(path)
+    with open(path, "wb") as fh:
+        np.lib.format.write_array(fh, record, version=(2, 0))
+
+
 # Tampers that any entry fails on: the earlier `.npz` format under the new name, a non-structured array
 # holding every byte of the entry's arrays, a record without its key, a header numpy cannot parse, one only
-# its Python 2 filter parses, a record without its checksum (as stored before there was one) and a
-# flipped data bit.
+# its Python 2 filter parses, a record without its checksum (as stored before there was one), a flipped
+# data bit, a record with a (pickled) object field, the record in format 2.0, a header claiming Fortran
+# order or holding a key numpy does not write, and the record one byte short or one byte long.
 FORMAT_TAMPERS = {
     "old-npz": save_npz,
     "plain-npy": lambda path, arrays: save_npy(path, np.array(b"".join(a.tobytes() for a in arrays.values()))),
@@ -141,6 +162,12 @@ FORMAT_TAMPERS = {
     "python2-header": python2_header,
     "missing-checksum": lambda path, arrays: save_entry(path, {k: v for k, v in arrays.items() if k != "crc32"}),
     "flipped-data-bit": flip_data_bit,
+    "object-field": lambda path, arrays: save_entry(path, {**arrays, "note": np.array("x", dtype=object)}),
+    "version-2": version_2,
+    "fortran-order": edit_header(lambda h: h.replace(b"'fortran_order': False", b"'fortran_order': True")),
+    "extra-header-key": edit_header(lambda h: h.replace(b"'shape': (), ", b"'shape': (), 'extra': 0, ")),
+    "a-byte-short": lambda path, arrays: path.write_bytes(path.read_bytes()[:-1]),
+    "a-byte-long": lambda path, arrays: path.write_bytes(path.read_bytes() + b"\0"),
 }
 
 
@@ -430,7 +457,7 @@ class TestPipeline:
         (entry,) = (out / "cache").iterdir()
         stored = entry_arrays(entry)
         tamper(entry, stored)
-        # A grid file of the earlier JSON cache format is ignored.
+        # A grid file of the earlier JSON cache format is ignored, and removed when the entry is rewritten.
         stale = out / "cache" / "100_grid_0123456789abcdef.json"
         stale.write_text(json.dumps({"nmae": [[1, 2]]}))
 
@@ -440,7 +467,7 @@ class TestPipeline:
         assert caught == []
         assert bundle(out) == cold
         assert same_arrays(entry_arrays(entry), stored)
-        assert sorted((out / "cache").iterdir()) == [entry, stale]
+        assert sorted((out / "cache").iterdir()) == [entry]
 
     def test_cache_entry_does_not_depend_on_the_tolerance(self, tmp_path):
         synth_csv(tmp_path / "lakes.csv", small_lake_configs(1))
@@ -1551,7 +1578,7 @@ class TestEntryRecord:
         for name, a in got.items():
             b = want[name]
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
-            assert a.flags.c_contiguous and a.flags.aligned, name
+            assert a.flags.c_contiguous and a.flags.aligned and a.flags.writeable, name
 
     def test_a_lake_entry_reads_back_as_stored(self, tmp_path):
         synth_csv(tmp_path / "lakes.csv", small_lake_configs(1))
@@ -1581,6 +1608,35 @@ class TestEntryRecord:
         for a, b in zip(hit, lakes):
             self.assert_stored({c: getattr(a, c) for c in columns}, {c: getattr(b, c) for c in columns})
 
+    @pytest.mark.parametrize("stage", ["input", "lake"])
+    def test_a_flipped_bit_anywhere_in_the_header_is_a_silent_miss(self, tmp_path, capsys, stage):
+        synth_csv(tmp_path / "lakes.csv", small_lake_configs(1))
+        args = ["report", "--input", str(tmp_path / "lakes.csv"), *self.FLAGS, "--out-dir", str(tmp_path / "out")]
+        assert main(args) == 0
+        cache = report.StageCache(tmp_path / "out" / "cache")
+        if stage == "input":
+            columns = {c: (t, None) for c, t in report.INPUT_COLUMNS.items()}
+            lake_id, layout = "input", {"parse": ("u1", None), **columns}
+        else:
+            config = RunConfig(n_trees=15, grid_stride=6)
+            series = dataset.apply_exclusions(load_csv(tmp_path / "lakes.csv")[0])
+            split = dataset.split_test_block(series, config.test_years)
+            lake_id, layout = 100, report.entry_layout(series, split, config)
+        path = cache.root / f"{lake_id}.npy"
+        key, data = stored_key(path), path.read_bytes()
+        assert cache.get(lake_id, key, layout) is not None
+        capsys.readouterr()
+        rng = np.random.default_rng(35)
+        end = 10 + int.from_bytes(data[8:10], "little")
+        for at, bit in enumerate(rng.integers(0, 8, end).tolist()):  # the preamble, then every header byte
+            flipped = bytearray(data)
+            flipped[at] ^= 1 << bit
+            path.write_bytes(flipped)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cache.get(lake_id, key, layout) is None, (at, bytes(flipped[:end]))
+        assert capsys.readouterr() == ("", "")
+
     def test_an_entry_over_the_record_size_is_not_stored(self, tmp_path):
         cache = report.StageCache(tmp_path / "cache")
         cache.put("input", "0123456789abcdef", {"sdd": np.broadcast_to(np.zeros(1), (2**28,))})  # 2 GiB, no memory
@@ -1606,7 +1662,7 @@ class TestEntryRecord:
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
         assert {path.name: path.read_bytes() for path in cache.glob("*")} == before
 
-    def test_entries_of_the_npz_format_are_ignored_and_kept(self, tmp_path, monkeypatch):
+    def test_entries_of_the_npz_format_are_ignored_and_removed(self, tmp_path, monkeypatch):
         synth_csv(tmp_path / "lakes.csv", small_lake_configs(2))
         args = ["report", "--input", str(tmp_path / "lakes.csv"), *self.FLAGS, "--out-dir"]
         assert main([*args, str(tmp_path / "cold")]) == 0
@@ -1624,8 +1680,24 @@ class TestEntryRecord:
         assert main([*args, str(tmp_path / "old")]) == 0
         assert sorted(calls) == ["impute_series", "impute_series", "rank_features"]
         assert bundle(tmp_path / "old") == bundle(tmp_path / "cold")
-        assert {path.name: path.read_bytes() for path in old.glob("*.npz")} == npz
-        assert sorted(path.name for path in old.glob("*.npy")) == ["100.npy", "101.npy", "input.npy"]
+        assert sorted(path.name for path in old.iterdir()) == ["100.npy", "101.npy", "input.npy"]
+
+    def test_a_put_removes_only_its_own_lake_s_files_of_earlier_formats(self, tmp_path):
+        synth_csv(tmp_path / "lakes.csv", small_lake_configs(2))
+        cache, key = tmp_path / "out" / "cache", "0123456789abcdef"
+        cache.mkdir(parents=True)
+        legacy = ["{}_%s.npz" % key, "{}.npz", "{}_grid_%s.json" % key]  # every name an earlier version wrote
+        kept = [name.format(101) for name in legacy] + [
+            "1000.npz", "10.npz", f"1000_{key}.npz", f"100_{key.upper()}.npz", f"100_{key[:-1]}.npz",
+            f"100_{key}.npz.1234.tmp.npz", f"100_grid_{key}.json.bak", "notes.txt",
+        ]
+        for name in [name.format(100) for name in legacy] + [f"input_{key}.npz", "input.npz"] + kept:
+            (cache / name).write_bytes(b"left by an earlier run")
+        (tmp_path / "lakes.json").write_text("[100]")
+        args = ["report", "--input", str(tmp_path / "lakes.csv"), "--lakes", str(tmp_path / "lakes.json")]
+        assert main([*args, *self.FLAGS, "--out-dir", str(tmp_path / "out")]) == 0
+        assert sorted(path.name for path in cache.iterdir()) == sorted(["100.npy", "input.npy", *kept])
+        assert all((cache / name).read_bytes() == b"left by an earlier run" for name in kept)
 
 
 def dated_lake(lake_id: int, early_visits: int, rng) -> dataset.LakeSeries:
